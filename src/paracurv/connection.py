@@ -1,8 +1,8 @@
 """Levi-Civita and canonical paracontact connections with their curvature.
 
 Everything here is a pure function of (structure, point).  The per-point
-pipeline lives in :class:`PointGeometry`, which lazily computes and caches
-metric jets, Christoffel symbols (with their coordinate partials straight
+pipeline lives in :class:`PointGeometry`, which holds the structure jets
+and lazily computes and caches the inverse metric, Christoffel symbols (with their coordinate partials straight
 from the jets, never finite-differenced), both curvature tensors, the
 h-tensor and the canonical torsion.
 
@@ -61,34 +61,19 @@ def _riemann_from_gamma(gamma):
 
 
 class PointGeometry:
-    """Lazily computed geometric data of one structure at one point."""
+    """Lazily computed geometric data of one structure at one point.
+
+    The structure jets are built up front and no reference to the structure
+    is kept, so a structure and the frames it caches form no reference cycle.
+    """
 
     def __init__(self, structure, point, order=3):
-        self.structure = structure
         self.point = np.asarray(point, dtype=float)
         self.order = order
         self.dim = structure.dim
         self.n = structure.n
-
-    @cached_property
-    def sj(self):
-        return self.structure.at(self.point, self.order)
-
-    @property
-    def g(self):
-        return self.sj.g
-
-    @property
-    def phi(self):
-        return self.sj.phi
-
-    @property
-    def xi(self):
-        return self.sj.xi
-
-    @property
-    def eta(self):
-        return self.sj.eta
+        sj = structure.at(self.point, order)
+        self.g, self.phi, self.xi, self.eta = sj.g, sj.phi, sj.xi, sj.eta
 
     @cached_property
     def ginv(self):
@@ -111,9 +96,12 @@ class PointGeometry:
         a = dg.tb((2, 0, 1)) + dg.tb((2, 1, 0)) - dg  # (m,i,j)
         return 0.5 * jt_einsum("lm,mij->lij", self.ginv, a)
 
+    # R and R~_down feed only value-level formulas, so they are built at
+    # value order; R~^up keeps full order because parallel_check
+    # differentiates it
     @cached_property
     def riem_up(self):
-        return _riemann_from_gamma(self.gamma)
+        return _riemann_from_gamma(self.gamma.cut(1))
 
     @cached_property
     def riem_down(self):
@@ -162,7 +150,7 @@ class PointGeometry:
 
     @cached_property
     def riem_tilde_down(self):
-        return jt_einsum("lm,mijk->ijkl", self.g, self.riem_tilde_up)
+        return jt_einsum("lm,mijk->ijkl", self.g, self.riem_tilde_up.cut(0))
 
     @cached_property
     def ricci_tilde(self):
@@ -220,18 +208,19 @@ class PointGeometry:
 
 
 def get_frame(structure, point, order=3):
-    """Shared per-structure cache of point geometries."""
-    cache = getattr(structure, "_frame_cache", None)
-    if cache is None:
-        cache = {}
-        structure._frame_cache = cache
-    key = (np.asarray(point, dtype=float).tobytes(), order)
-    frame = cache.get(key)
-    if frame is None:
+    """The structure's frame at a point, of jet order ``order`` or higher.
+
+    Frames are cached per point, up to 2048 before the cache is emptied; a
+    cached frame of lower order is replaced by one built at ``order``.
+    """
+    frames = structure.frames
+    key = np.asarray(point, dtype=float).tobytes()
+    frame = frames.get(key)
+    if frame is None or frame.order < order:
         frame = PointGeometry(structure, point, order)
-        if len(cache) > 2048:
-            cache.clear()
-        cache[key] = frame
+        if len(frames) > 2048:
+            frames.clear()
+        frames[key] = frame
     return frame
 
 

@@ -43,14 +43,6 @@ class UnknownCoordinate(ParseError):
         self.name = name
 
 
-class EvaluationError(ParacurvError):
-    """A check could not be evaluated at a point."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
-
 class RankDeficientJacobian(ParacurvError):
     """Immersion Jacobian is not of full rank at the requested point."""
 

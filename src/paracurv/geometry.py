@@ -66,7 +66,7 @@ class CharteredStructure:
         self.components = components
         self.domain = domain
         self.name = name
-        self._cache = {}
+        self.frames = {}  # point bytes -> PointGeometry, see get_frame
         self._check_signature(probe)
 
     def _check_signature(self, probe):
@@ -84,20 +84,13 @@ class CharteredStructure:
             )
 
     def at(self, point, order=3):
-        """Structure jets at a point (cached per point and order)."""
+        """Structure jets at a point of the chart domain."""
         point = np.asarray(point, dtype=float)
-        key = (point.tobytes(), order)
-        hit = self._cache.get(key)
-        if hit is None:
-            if not self.domain.contains(point):
-                raise DomainError(
-                    f"point outside chart domain of {self.name}", value=point
-                )
-            hit = self.components.at(point, order)
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[key] = hit
-        return hit
+        if not self.domain.contains(point):
+            raise DomainError(
+                f"point outside chart domain of {self.name}", value=point
+            )
+        return self.components.at(point, order)
 
 
 # -- component strategies -----------------------------------------------------

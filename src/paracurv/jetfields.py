@@ -18,7 +18,6 @@ from itertools import permutations
 
 import numpy as np
 
-from .jets import Jet
 from .tensors import plu_inverse
 
 _DLETTERS = "ZYXW"
@@ -82,22 +81,6 @@ class JetTensor:
             if order >= 3:
                 parts[3][sl] = j.d3
         return cls(dim, order, parts)
-
-    def to_jets(self):
-        """Unpack into an object array of Jets (scalar fields only)."""
-        shape = self.base_shape
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape) if shape else [()]:
-            sl = (Ellipsis,) + idx
-            out[idx] = Jet(
-                self.dim,
-                self.order,
-                self.parts[0][idx],
-                self.parts[1][sl] if self.order >= 1 else None,
-                self.parts[2][sl] if self.order >= 2 else None,
-                self.parts[3][sl] if self.order >= 3 else None,
-            )
-        return out if shape else out[()]
 
     def cut(self, order):
         if order >= self.order:

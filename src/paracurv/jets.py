@@ -37,6 +37,14 @@ def _sym3(a):
     ) / 6.0
 
 
+def _no_overflow(v, *fns):
+    """Each math function at v; an overflow is a domain error."""
+    try:
+        return [f(v) for f in fns]
+    except OverflowError:
+        raise DomainError(f"{fns[0].__name__} overflows at {v:g}", value=v) from None
+
+
 class Jet:
     """Value plus coordinate partials of a scalar function at a point."""
 
@@ -237,7 +245,7 @@ class Jet:
         return self._compose(r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
 
     def exp(self):
-        e = math.exp(self.value)
+        (e,) = _no_overflow(self.value, math.exp)
         return self._compose(e, e, e, e)
 
     def ln(self):
@@ -247,11 +255,11 @@ class Jet:
         return self._compose(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
     def sinh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
+        s, c = _no_overflow(self.value, math.sinh, math.cosh)
         return self._compose(s, c, s, c)
 
     def cosh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
+        s, c = _no_overflow(self.value, math.sinh, math.cosh)
         return self._compose(c, s, c, s)
 
 

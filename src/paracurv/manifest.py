@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from copy import deepcopy
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,27 +51,139 @@ MANIFEST_SCHEMA = "paracurv-manifest/1"
 REPORT_SCHEMA = "paracurv-report/1"
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_COUNT = 200
-ALL_CHECKS = (
-    "axioms",
-    "classification",
-    "xi_sectional",
-    "phsc",
-    "space_form",
-    "eta_einstein",
-    "bochner",
-    "wpc",
-    "identities",
-    "parallel",
+
+
+# -- the check table ------------------------------------------------------------
+
+
+class _Context:
+    """What the checks of one run share: the structure, the sampler, the
+    verdicts and the space-form fit that ``phsc`` and ``space_form`` both
+    report."""
+
+    def __init__(self, structure, sampler, tolerance, selected):
+        self.structure = structure
+        self.sampler = sampler
+        self.tolerance = tolerance
+        self.selected = selected
+        self.verdicts = {}
+        self._fit = None
+
+    def space_fit(self, points):
+        if self._fit is None:
+            self._fit = space_form_fit(self.structure, points)
+        return self._fit
+
+
+def _single(name, residual, threshold):
+    report = CheckReport()
+    report.add(name, residual, threshold)
+    return report
+
+
+def _axioms(ctx, points, budget):
+    return check_axioms(ctx.structure, points, ctx.tolerance)
+
+
+def _classification(ctx, points, budget):
+    sub = classify(ctx.structure, points, ctx.tolerance,
+                   include_axioms="axioms" not in ctx.selected)
+    ctx.verdicts.update(sub.verdicts)
+    return sub.report
+
+
+def _xi_sectional(ctx, points, budget):
+    worst = 0.0
+    for i in range(budget):
+        p = points[i % len(points)]
+        u, _ = ctx.sampler.horizontal_unit(p)
+        worst = max(worst, nres(xi_sectional(ctx.structure, p, u), -1.0))
+    return _single("xi_sectional", worst, ctx.tolerance)
+
+
+def _phsc(ctx, points, budget):
+    k_hat = ctx.space_fit(points).k_hat
+    worst = 0.0
+    for i in range(budget):
+        p = points[i % len(points)]
+        v = ctx.sampler.section_vector(p)
+        worst = max(worst, nres(phsc(ctx.structure, p, v), k_hat))
+    report = _single("phsc_constancy", worst, ctx.tolerance)
+    report.constants["k_hat"] = k_hat
+    return report
+
+
+def _space_form(ctx, points, budget):
+    f = ctx.space_fit(points)
+    report = CheckReport(constants={"k_hat": f.k_hat})
+    report.add("space_form_f20", f.residual_max, ctx.tolerance)
+    report.add("space_form_f12", f.f12_residual, ctx.tolerance)
+    report.add("space_form_f13", f.f13_residual, ctx.tolerance)
+    report.add("space_form_f36", f.f36_residual, ctx.tolerance)
+    return report
+
+
+def _eta_einstein(ctx, points, budget):
+    f = eta_einstein_fit(ctx.structure, points)
+    report = CheckReport(constants={"a": f.a, "b": f.b})
+    report.add("eta_einstein_fit", f.residual_max, ctx.tolerance)
+    report.add("eta_einstein_sum", f.sum_residual, 1e-10)
+    return report
+
+
+def _bochner(ctx, points, budget):
+    worst = 0.0
+    for p in points:
+        worst = max(worst, nres(pc_bochner(ctx.structure, p).tensor.components))
+    report = _single("bochner_vanishing", worst, ctx.tolerance)
+    report.extend(bochner_symmetries(ctx.structure, points))
+    report.constants["kappa_B"] = pc_bochner(ctx.structure, points[0]).kappa_B
+    return report
+
+
+def _wpc(ctx, points, budget):
+    worst = 0.0
+    for i in range(budget):
+        p = points[i % len(points)]
+        quad = [ctx.sampler.horizontal_unit(p)[0] for _ in range(4)]
+        pairing = bochner_pairing(ctx.structure, p, *quad)
+        worst = max(worst, nres(pairing, wpc(ctx.structure, p, *quad)))
+    return _single("wpc_equals_bochner", worst, ctx.tolerance)
+
+
+def _identities(ctx, points, budget):
+    return identity_suite(ctx.structure, points, sampler=ctx.sampler,
+                          sections=budget, threshold=ctx.tolerance)
+
+
+def _parallel(ctx, points, budget):
+    return parallel_check(ctx.structure, points, ctx.tolerance)
+
+
+class Check(NamedTuple):
+    """One row of the check table."""
+
+    name: str
+    order: int  # jet order of the frames the check reads
+    points: int | None  # runs on this many leading sample points; None: all
+    budget: int  # vectors, sections or quadruples drawn from the sampler
+    run: Callable  # (context, points, budget) -> CheckReport
+
+
+# in report order; the sampler draws in this order too
+CHECKS = (
+    Check("axioms", 1, None, 0, _axioms),
+    Check("classification", 2, 25, 0, _classification),
+    Check("xi_sectional", 2, 10, 50, _xi_sectional),
+    Check("phsc", 2, 10, 50, _phsc),
+    Check("space_form", 2, 10, 0, _space_form),
+    Check("eta_einstein", 2, 10, 0, _eta_einstein),
+    Check("bochner", 2, 10, 0, _bochner),
+    Check("wpc", 2, 5, 100, _wpc),
+    Check("identities", 3, 5, 50, _identities),
+    Check("parallel", 3, 5, 0, _parallel),
 )
-
-
-def thread_count():
-    """Worker cap from PARACURV_THREADS (>= 1; default 1)."""
-    raw = os.environ.get("PARACURV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+ALL_CHECKS = tuple(row.name for row in CHECKS)
 
 
 # -- loading and validation ---------------------------------------------------
@@ -148,6 +260,7 @@ def validate_manifest(manifest):
         n = manifold.get("n")
         _require(isinstance(n, int) and n >= 1,
                  "manifold.n must be an integer >= 1", "manifold.n")
+        dim = 2 * n + 1
     elif kind == "custom":
         coords = manifold.get("coords")
         _require(isinstance(coords, list) and len(coords) >= 3
@@ -186,6 +299,7 @@ def validate_manifest(manifest):
     count = sampling.get("count", DEFAULT_COUNT)
     _require(isinstance(count, int) and count >= 1,
              "sampling.count must be >= 1", "sampling.count")
+    _validate_box(sampling.get("box"), dim, "sampling.box")
 
     tolerance = manifest.get("tolerance", DEFAULT_TOLERANCE)
     _require(isinstance(tolerance, (int, float)) and tolerance > 0,
@@ -280,126 +394,40 @@ def _build_embedded(manifold):
 # -- check execution -----------------------------------------------------------
 
 
-def _warm_frames(structure, points, order):
-    workers = thread_count()
-    if workers <= 1 or len(points) <= 1:
-        for p in points:
-            get_frame(structure, p, order)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda p: get_frame(structure, p, order), points))
-
-
 def run_checks(structure, manifest, seed=None, tolerance=None):
-    """Run the selected checks; returns (CheckReport, verdicts, meta)."""
+    """Run the selected checks; returns (CheckReport, verdicts, meta).
+
+    Each sample point gets one frame, at the highest jet order any selected
+    check needs there.  Frames above order 1 are built before the checks
+    run, since checks ask for lower orders first.  Order-1 frames are built
+    on first use: built ahead, more of them than the frame cache holds
+    would evict the rest.
+    """
     sampling = manifest.get("sampling", {})
     if seed is None:
         seed = sampling.get("seed", 0)
     if tolerance is None:
         tolerance = float(manifest.get("tolerance", DEFAULT_TOLERANCE))
     count = sampling.get("count", DEFAULT_COUNT)
-    box = sampling.get("box")
     selected = manifest.get("checks", "all")
     if selected == "all":
         selected = ALL_CHECKS
+    rows = [row for row in CHECKS if row.name in selected]
 
-    sampler = Sampler(structure, seed, box)
+    sampler = Sampler(structure, seed, sampling.get("box"))
     points = sampler.points(count)
-    curvature_points = points[: min(10, count)]
-    deep_points = points[: min(5, count)]
-    _warm_frames(structure, curvature_points, order=2)
+    for i, p in enumerate(points):
+        order = max((r.order for r in rows if r.points is None or i < r.points),
+                    default=0)
+        if order > 1:
+            get_frame(structure, p, order)
 
+    ctx = _Context(structure, sampler, tolerance, selected)
     report = CheckReport()
-    verdicts = {}
-    fit = None
-
-    def space_fit():
-        nonlocal fit
-        if fit is None:
-            fit = space_form_fit(structure, curvature_points)
-        return fit
-
-    for name in ALL_CHECKS:
-        if name not in selected:
-            continue
-        if name == "axioms":
-            report.extend(check_axioms(structure, points, tolerance))
-        elif name == "classification":
-            sub = classify(
-                structure,
-                points[: min(25, count)],
-                tolerance,
-                include_axioms="axioms" not in selected,
-            )
-            report.extend(sub.report)
-            verdicts.update(sub.verdicts)
-        elif name == "xi_sectional":
-            worst = 0.0
-            for i in range(50):
-                p = curvature_points[i % len(curvature_points)]
-                u, _ = sampler.horizontal_unit(p)
-                worst = max(worst, nres(xi_sectional(structure, p, u), -1.0))
-            report.add("xi_sectional", worst, tolerance)
-        elif name == "phsc":
-            k_hat = space_fit().k_hat
-            worst = 0.0
-            for i in range(50):
-                p = curvature_points[i % len(curvature_points)]
-                v = sampler.section_vector(p)
-                worst = max(worst, nres(phsc(structure, p, v), k_hat))
-            report.add("phsc_constancy", worst, tolerance)
-            report.constants["k_hat"] = k_hat
-        elif name == "space_form":
-            f = space_fit()
-            report.add("space_form_f20", f.residual_max, tolerance)
-            report.add("space_form_f12", f.f12_residual, tolerance)
-            report.add("space_form_f13", f.f13_residual, tolerance)
-            report.add("space_form_f36", f.f36_residual, tolerance)
-            report.constants["k_hat"] = f.k_hat
-        elif name == "eta_einstein":
-            f = eta_einstein_fit(structure, curvature_points)
-            report.add("eta_einstein_fit", f.residual_max, tolerance)
-            report.add("eta_einstein_sum", f.sum_residual, 1e-10)
-            report.constants["a"] = f.a
-            report.constants["b"] = f.b
-        elif name == "bochner":
-            worst = 0.0
-            for p in curvature_points:
-                data = pc_bochner(structure, p)
-                worst = max(worst, nres(data.tensor.components))
-            report.add("bochner_vanishing", worst, tolerance)
-            report.extend(bochner_symmetries(structure, curvature_points))
-            report.constants["kappa_B"] = pc_bochner(
-                structure, curvature_points[0]
-            ).kappa_B
-        elif name == "wpc":
-            worst = 0.0
-            for i in range(100):
-                p = deep_points[i % len(deep_points)]
-                quad = [sampler.horizontal_unit(p)[0] for _ in range(4)]
-                worst = max(
-                    worst,
-                    nres(
-                        bochner_pairing(structure, p, *quad),
-                        wpc(structure, p, *quad),
-                    ),
-                )
-            report.add("wpc_equals_bochner", worst, tolerance)
-        elif name == "identities":
-            report.extend(
-                identity_suite(
-                    structure,
-                    deep_points,
-                    sampler=sampler,
-                    sections=50,
-                    threshold=tolerance,
-                )
-            )
-        elif name == "parallel":
-            report.extend(parallel_check(structure, deep_points, tolerance))
-
+    for row in rows:
+        report.extend(row.run(ctx, points[: row.points], row.budget))
     meta = {"seed": seed, "tolerance": tolerance, "point_count": count}
-    return report, verdicts, meta
+    return report, ctx.verdicts, meta
 
 
 def assemble_report(structure, manifest, digest, report, verdicts, meta,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IsotropicVector, SamplingExhausted
+from .connection import get_frame
+from .errors import SamplingExhausted
 
 MAX_ATTEMPTS = 100
 NULL_EPS = 1e-6
@@ -52,8 +53,8 @@ class Sampler:
         Coordinates are drawn uniformly, projected along xi, and rejected
         while nearly null; split signature makes both signs appear.
         """
-        sj = self.structure.at(np.asarray(point, float), order=0)
-        g, xi, eta = sj.g.value, sj.xi.value, sj.eta.value
+        f = get_frame(self.structure, point, 0)
+        g, xi, eta = f.g.value, f.xi.value, f.eta.value
         for _ in range(MAX_ATTEMPTS):
             w = self.raw_vector()
             w = w - (eta @ w) * xi
@@ -68,8 +69,8 @@ class Sampler:
 
     def section_vector(self, point):
         """A vector whose phi-image and phi^2-image are both non-null."""
-        sj = self.structure.at(np.asarray(point, float), order=0)
-        g, phi = sj.g.value, sj.phi.value
+        f = get_frame(self.structure, point, 0)
+        g, phi = f.g.value, f.phi.value
         for _ in range(MAX_ATTEMPTS):
             v = self.raw_vector()
             pv = phi @ v
@@ -80,9 +81,3 @@ class Sampler:
         raise SamplingExhausted(
             f"no non-degenerate section vector after {MAX_ATTEMPTS} attempts"
         )
-
-
-def require_non_null(q):
-    if abs(q) < NULL_EPS:
-        raise IsotropicVector(f"vector is numerically null: g(u,u) = {q:g}")
-    return q

@@ -110,9 +110,6 @@ def raise_lower(t, slot, metric, direction):
         out = np.tensordot(ginv, comps, axes=([1], [slot]))
         # contracted slot now leads; park it at the end of the upper block
         out = np.moveaxis(out, 0, t.p)
-        rest = [ax for ax in range(t.rank) if ax != slot]
-        # realign remaining axes (tensordot already removed `slot`)
-        del rest
         return TensorValue(t.dim, t.p + 1, t.q - 1, out)
     if direction == "lower":
         if not t.is_contravariant(slot):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, reports, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -91,22 +92,6 @@ def test_check_report_is_deterministic(runner, tmp_path):
     assert strip_wall_time(texts[0]) == strip_wall_time(texts[1])
 
 
-def test_check_threads_do_not_change_the_report(runner, tmp_path):
-    manifest = write_manifest(
-        tmp_path / "m.json", builtin_manifest(checks=("axioms", "phsc"))
-    )
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    r1 = runner.invoke(main, ["check", manifest, "--out", str(out1)])
-    r2 = runner.invoke(
-        main,
-        ["check", manifest, "--out", str(out2)],
-        env={"PARACURV_THREADS": "4"},
-    )
-    assert r1.exit_code == 0 and r2.exit_code == 0
-    assert strip_wall_time(out1.read_text()) == strip_wall_time(out2.read_text())
-
-
 def test_check_seed_and_tol_overrides(runner, tmp_path):
     manifest = write_manifest(tmp_path / "m.json", builtin_manifest())
     out = tmp_path / "r.json"
@@ -158,6 +143,50 @@ def test_invalid_manifests_exit_2_and_name_the_field(runner, tmp_path):
     (tmp_path / "garbage.json").write_text("{not json")
     result = runner.invoke(main, ["check", str(tmp_path / "garbage.json")])
     assert result.exit_code == 2 and "JSON" in result.stderr
+
+    bad_box = builtin_manifest()
+    bad_box["sampling"]["box"] = [1, 2]
+    result = runner.invoke(
+        main, ["check", write_manifest(tmp_path / "e.json", bad_box)]
+    )
+    assert result.exit_code == 2 and "sampling.box" in result.stderr
+
+
+def test_overflow_in_an_expression_exits_2(runner, tmp_path):
+    def overflow_xi(manifold):
+        manifold["xi"][2] = "1 + 0*exp(1000*t)"
+
+    manifest = write_manifest(
+        tmp_path / "overflow.json",
+        custom_heisenberg_manifest(n=1, mutate=overflow_xi, count=200),
+    )
+    result = runner.invoke(main, ["check", manifest])
+    # a clean exit with a message, not an uncaught exception
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "error: exp overflows" in result.stderr
+
+
+@pytest.mark.parametrize("stem", ["heisenberg1", "hyperboloid1_alpha2"])
+def test_check_matches_golden_report(runner, tmp_path, stem):
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "report.json"
+    result = runner.invoke(
+        main,
+        ["check", str(data / f"{stem}.manifest.json"), "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    report = json.loads(out.read_text())
+    golden = json.loads((data / f"{stem}.report.json").read_text())
+    assert report["verdicts"] == golden["verdicts"]
+    assert report["pass"] is golden["pass"] is True
+    assert [(c["name"], c["pass"], c["threshold"]) for c in report["checks"]] == [
+        (c["name"], c["pass"], c["threshold"]) for c in golden["checks"]
+    ]
+    for got, want in zip(report["checks"], golden["checks"]):
+        assert got["residual_max"] == pytest.approx(want["residual_max"], abs=1e-12)
+    assert report["constants"].keys() == golden["constants"].keys()
+    for key, want in golden["constants"].items():
+        assert report["constants"][key] == pytest.approx(want, abs=1e-12)
 
 
 def test_scaled_metric_fails_axiom_iv(runner, tmp_path):

@@ -1,5 +1,7 @@
 """Levi-Civita and canonical connections against independent oracles."""
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import paracurv as pc
 from paracurv.connection import (
+    PointGeometry,
     canonical_connection,
     christoffel,
     covariant_derivative,
@@ -19,6 +22,7 @@ from paracurv.connection import (
     torsion_closed_form,
 )
 from paracurv.errors import NotParacontact
+from paracurv.manifest import run_checks
 from paracurv.tensors import plu_inverse
 
 from conftest import sample_points
@@ -187,3 +191,39 @@ def test_parallel_check(heis2, hyp1):
         assert names == {"parallel_torsion", "parallel_curvature"}
     with pytest.raises(NotParacontact):
         parallel_check(SimpleNamespace(dim=4), [])
+
+
+ALL_CHECKS_MANIFEST = {
+    "schema": "paracurv-manifest/1",
+    "manifold": {"kind": "builtin", "name": "heisenberg", "n": 1},
+    "sampling": {"seed": 2, "count": 30},
+    "checks": "all",
+}
+
+
+def test_run_checks_builds_one_frame_per_point(monkeypatch):
+    structure = pc.builtin_heisenberg(1)
+    built = []
+    init = PointGeometry.__init__
+
+    def counting_init(self, structure, point, order=3):
+        built.append(np.asarray(point, dtype=float).tobytes())
+        init(self, structure, point, order)
+
+    monkeypatch.setattr(PointGeometry, "__init__", counting_init)
+    run_checks(structure, ALL_CHECKS_MANIFEST)
+    points = pc.Sampler(structure, 2).points(30)
+    assert sorted(built) == sorted(p.tobytes() for p in points)
+
+
+def test_structure_is_freed_without_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        structure = pc.builtin_heisenberg(1)
+        run_checks(structure, ALL_CHECKS_MANIFEST)
+        ref = weakref.ref(structure)
+        del structure
+        assert ref() is None
+    finally:
+        gc.enable()

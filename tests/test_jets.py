@@ -148,6 +148,10 @@ def test_domain_errors_from_analytic_functions():
         j.ln()
     with pytest.raises(DomainError):
         Jet.constant(0.0, 2, 2).reciprocal()
+    big = Jet.constant(1000.0, 2, 2)
+    for fn in (Jet.exp, Jet.sinh, Jet.cosh):
+        with pytest.raises(DomainError):
+            fn(big)
 
 
 def test_jet_arith_dispatch():
