@@ -482,6 +482,18 @@ def bochner_pairing(structure, point, x, y, z, w):
 # -- identity suite ------------------------------------------------------------------
 
 
+def _project(t, proj):
+    """t with every slot projected: P^a_i P^b_j ... t_{ab...}.
+
+    One slot at a time, O(d^(r+1)) per slot instead of O(d^(2r)) for the
+    one-shot contraction; each step appends the new axis, so after all r
+    steps the axes are back in order.
+    """
+    for _ in range(t.ndim):
+        t = np.tensordot(t, proj, axes=([0], [0]))
+    return t
+
+
 def identity_suite(structure, points, sampler=None, sections=50, threshold=1e-8):
     """Named residuals of the paraSasakian identity catalog.
 
@@ -611,11 +623,7 @@ def identity_suite(structure, points, sampler=None, sections=50, threshold=1e-8)
         )
         keep("f53", rt, r - 2.0 * g + 2.0 * (n + 1.0) * np.outer(eta, eta))
         proj = ident - np.outer(xi, eta)
-        keep(
-            "f55",
-            e("ai,bj,ck,dl,abcd->ijkl", proj, proj, proj, proj, big_rt),
-            e("ai,bj,ck,dl,abcd->ijkl", proj, proj, proj, proj, big_r - ff),
-        )
+        keep("f55", _project(big_rt, proj), _project(big_r - ff, proj))
         keep(
             "f56_ricci",
             e("ai,bj,ab->ij", proj, proj, rt),

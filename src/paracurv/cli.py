@@ -61,16 +61,16 @@ def check(manifest_path, out_path, tol, seed):
         report, verdicts, meta = run_checks(
             structure, manifest, seed=seed, tolerance=tol
         )
+        document = assemble_report(
+            structure, manifest, digest, report, verdicts, meta,
+            wall_time_s=time.monotonic() - start,
+        )
+        if out_path is not None:
+            write_report(document, out_path)
+        else:
+            click.echo(dumps_report(document), nl=False)
     except ParacurvError as e:
         _fail(e)
-    document = assemble_report(
-        structure, manifest, digest, report, verdicts, meta,
-        wall_time_s=time.monotonic() - start,
-    )
-    if out_path is not None:
-        write_report(document, out_path)
-    else:
-        click.echo(dumps_report(document), nl=False)
     for result in report.results:
         status = "PASS" if result.passed else "FAIL"
         click.echo(
@@ -136,11 +136,11 @@ def transform(manifest_path, out_path, alpha):
     """Emit a manifest for the D-homothety of the input structure."""
     try:
         manifest, _ = load_manifest(manifest_path)
-        transformed = transform_manifest(manifest, alpha)
+        text = dumps_report(transform_manifest(manifest, alpha))
     except ParacurvError as e:
         _fail(e)
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_report(transformed))
+        fh.write(text)
     click.echo(f"wrote {out_path}")
 
 

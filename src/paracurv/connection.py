@@ -39,6 +39,9 @@ def covariant(t, kinds, gamma):
         raise ValueError("kinds must label every base axis")
     letters = _SLOT_LETTERS[: len(kinds)]
     res = t.partial()
+    # products are taken at the order of the result; higher parts would be
+    # dropped by the sums anyway
+    gamma, t = gamma.cut(res.order), t.cut(res.order)
     for s, kind in enumerate(kinds):
         x = letters[s]
         tsub = letters[:s] + "s" + letters[s + 1 :]
@@ -55,7 +58,8 @@ def _riemann_from_gamma(gamma):
     """R^l_{ijk} as a jet tensor, one order below gamma."""
     dgam = gamma.partial()  # base (a, l, i, j)
     t1 = dgam.tb((1, 0, 2, 3))  # (l, i, j, k): d_i Gam^l_{jk}
-    q1 = jt_einsum("lis,sjk->lijk", gamma, gamma)
+    low = gamma.cut(dgam.order)  # R has dgam's order, so Gam Gam needs no more
+    q1 = jt_einsum("lis,sjk->lijk", low, low)
     r = t1 - t1.tb((0, 2, 1, 3)) + q1 - q1.tb((0, 2, 1, 3))
     return r
 

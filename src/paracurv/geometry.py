@@ -84,13 +84,25 @@ class CharteredStructure:
             )
 
     def at(self, point, order=3):
-        """Structure jets at a point of the chart domain."""
+        """Structure jets at a point of the chart domain.
+
+        Raises DomainError when a jet is not finite, which no check could
+        then judge.
+        """
         point = np.asarray(point, dtype=float)
         if not self.domain.contains(point):
             raise DomainError(
                 f"point outside chart domain of {self.name}", value=point
             )
-        return self.components.at(point, order)
+        sj = self.components.at(point, order)
+        # one isfinite over every part: a per-array test costs twice as much
+        parts = [p.ravel() for t in (sj.g, sj.phi, sj.xi, sj.eta) for p in t.parts]
+        if not np.isfinite(np.concatenate(parts)).all():
+            raise DomainError(
+                f"structure jets of {self.name} are not finite at {point}",
+                value=point,
+            )
+        return sj
 
 
 # -- component strategies -----------------------------------------------------

@@ -235,7 +235,11 @@ class Jet:
         v = self.value
         if abs(v) < _DIV_EPS:
             raise DomainError("division by ~0 value", value=v)
-        return self._compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        try:
+            terms = -1.0 / v**2, 2.0 / v**3, -6.0 / v**4
+        except OverflowError:
+            raise DomainError(f"derivatives of 1/x overflow at {v:g}", value=v) from None
+        return self._compose(1.0 / v, *terms)
 
     def sqrt(self):
         v = self.value
@@ -252,7 +256,11 @@ class Jet:
         v = self.value
         if v <= 0.0:
             raise DomainError("ln of non-positive value", value=v)
-        return self._compose(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        try:
+            terms = 1.0 / v, -1.0 / v**2, 2.0 / v**3
+        except OverflowError:
+            raise DomainError(f"derivatives of ln overflow at {v:g}", value=v) from None
+        return self._compose(math.log(v), *terms)
 
     def sinh(self):
         s, c = _no_overflow(self.value, math.sinh, math.cosh)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Callable
 from copy import deepcopy
 from typing import NamedTuple
@@ -509,6 +510,8 @@ def _serialize(obj, indent):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ParacurvError(f"cannot write the non-finite number {obj} as JSON")
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -521,5 +524,6 @@ def dumps_report(report_dict):
 
 
 def write_report(report_dict, path):
+    text = dumps_report(report_dict)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_report(report_dict))
+        fh.write(text)

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
 def nres(lhs, rhs=None):
-    """Normalized max residual |L - R|_inf / (1 + |L|_inf + |R|_inf)."""
+    """Normalized max residual |L - R|_inf / (1 + |L|_inf + |R|_inf).
+
+    A non-finite result is ``inf``: a NaN would be dropped by the max
+    reductions over sample points and a check could pass on it.
+    """
     lhs = np.asarray(lhs, dtype=float)
     if rhs is None:
         rhs = np.zeros_like(lhs)
     rhs = np.asarray(rhs, dtype=float)
     num = np.max(np.abs(lhs - rhs)) if lhs.size else 0.0
     den = 1.0 + np.max(np.abs(lhs), initial=0.0) + np.max(np.abs(rhs), initial=0.0)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.inf
     return float(num / den)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import paracurv as pc
 from paracurv.analysis import (
+    _project,
     bochner_homothety_check,
     bochner_pairing,
     bochner_symmetries,
@@ -29,6 +30,7 @@ from paracurv.geometry import (
     ExprTableComponents,
     heisenberg_tables,
 )
+from paracurv.report import nres
 
 from conftest import sample_points
 
@@ -210,3 +212,19 @@ def test_identity_suite_without_sampler(hyp1):
     assert report.passed
     assert "f9_vs_f8_phsc" not in {r.name for r in report.results}
     assert report.constants["k_hat"] == pytest.approx(-1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_slotwise_projection_matches_one_shot_einsum(d):
+    rng = np.random.default_rng(d)
+    t = rng.standard_normal((d,) * 4)
+    xi, eta = rng.standard_normal(d), rng.standard_normal(d)
+    proj = np.eye(d) - np.outer(xi, eta)
+    one_shot = np.einsum("ai,bj,ck,dl,abcd->ijkl", proj, proj, proj, proj, t)
+    assert nres(_project(t, proj), one_shot) < 1e-13
+
+
+def test_nres_is_inf_on_non_finite_input():
+    assert nres([0.0, float("nan")]) == float("inf")
+    assert nres([1.0], [float("inf")]) == float("inf")
+    assert nres([1.0], [1.0]) == 0.0

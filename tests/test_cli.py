@@ -7,7 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from paracurv.cli import main
+from paracurv.errors import ParacurvError
 from paracurv.geometry import heisenberg_tables
+from paracurv.manifest import dumps_report
 
 
 @pytest.fixture()
@@ -166,6 +168,35 @@ def test_overflow_in_an_expression_exits_2(runner, tmp_path):
     assert "error: exp overflows" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "xi_t, message",
+    [
+        ("1 + 0*(exp(700)*exp(700))", "structure jets of custom are not finite"),
+        ("1 + 0/exp(300 + t)", "derivatives of 1/x overflow"),
+        ("1 + 0*ln(exp(300 + t))", "derivatives of ln overflow"),
+    ],
+)
+def test_non_finite_structure_exits_2(runner, tmp_path, xi_t, message):
+    def set_xi(manifold):
+        manifold["xi"][2] = xi_t
+
+    manifest = custom_heisenberg_manifest(n=1, mutate=set_xi, count=200)
+    manifest["checks"] = "all"
+    result = runner.invoke(
+        main, ["check", write_manifest(tmp_path / "m.json", manifest)]
+    )
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert f"error: {message}" in result.stderr
+    assert "PASS" not in result.stderr
+
+
+def test_report_refuses_non_finite_numbers():
+    with pytest.raises(ParacurvError, match="non-finite"):
+        dumps_report({"residual_max": float("nan")})
+    with pytest.raises(ParacurvError, match="non-finite"):
+        dumps_report({"checks": [float("inf")]})
+
+
 @pytest.mark.parametrize("stem", ["heisenberg1", "hyperboloid1_alpha2"])
 def test_check_matches_golden_report(runner, tmp_path, stem):
     data = Path(__file__).parent / "data"
@@ -273,11 +304,13 @@ def test_transform_rewrites_custom_tables(runner, tmp_path):
 
 def test_transform_rejects_bad_alpha(runner, tmp_path):
     manifest = write_manifest(tmp_path / "m.json", builtin_manifest())
-    result = runner.invoke(
-        main,
-        ["transform", manifest, "--alpha", "-1", "--out", str(tmp_path / "t")],
-    )
-    assert result.exit_code == 2
+    for alpha in ("-1", "inf"):
+        result = runner.invoke(
+            main,
+            ["transform", manifest, "--alpha", alpha, "--out", str(tmp_path / "t")],
+        )
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "t").exists()
 
 
 def test_curvature_summary(runner, tmp_path):

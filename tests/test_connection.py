@@ -10,8 +10,10 @@ import pytest
 import paracurv as pc
 from paracurv.connection import (
     PointGeometry,
+    _riemann_from_gamma,
     canonical_connection,
     christoffel,
+    covariant,
     covariant_derivative,
     get_frame,
     lie_derivative_h,
@@ -22,6 +24,7 @@ from paracurv.connection import (
     torsion_closed_form,
 )
 from paracurv.errors import NotParacontact
+from paracurv.jetfields import jt_einsum
 from paracurv.manifest import run_checks
 from paracurv.tensors import plu_inverse
 
@@ -191,6 +194,49 @@ def test_parallel_check(heis2, hyp1):
         assert names == {"parallel_torsion", "parallel_curvature"}
     with pytest.raises(NotParacontact):
         parallel_check(SimpleNamespace(dim=4), [])
+
+
+def covariant_at_input_order(t, kinds, gamma):
+    """covariant() with every product taken at full input order, the
+    reference for the version that cuts its inputs first."""
+    letters = "ijkl"[: len(kinds)]
+    res = t.partial()
+    for s, kind in enumerate(kinds):
+        x, tsub = letters[s], letters[:s] + "s" + letters[s + 1 :]
+        if kind == "u":
+            res = res + jt_einsum(f"{x}as,{tsub}->a{letters}", gamma, t)
+        else:
+            res = res - jt_einsum(f"sa{x},{tsub}->a{letters}", gamma, t)
+    return res
+
+
+def riemann_at_input_order(gamma):
+    dgam = gamma.partial()
+    t1 = dgam.tb((1, 0, 2, 3))
+    q1 = jt_einsum("lis,sjk->lijk", gamma, gamma)
+    return t1 - t1.tb((0, 2, 1, 3)) + q1 - q1.tb((0, 2, 1, 3))
+
+
+def assert_same_jets(a, b):
+    assert a.order == b.order
+    assert all(np.array_equal(x, y) for x, y in zip(a.parts, b.parts, strict=True))
+
+
+def test_cut_inputs_give_bitwise_equal_jets(hyp2):
+    p = sample_points(hyp2, seed=47, count=1)[0]
+    f = PointGeometry(hyp2, p, order=3)
+    gt = f.gamma_tilde
+    for t, kinds, gamma in [
+        (f.riem_tilde_up, "ulll", gt),
+        (f.torsion_up, "ull", gt),
+        (f.nabla_eta, "ll", f.gamma),
+        (f.nabla_xi, "lu", f.gamma),
+        (f.phi, "ul", gt),
+    ]:
+        assert_same_jets(covariant(t, kinds, gamma),
+                         covariant_at_input_order(t, kinds, gamma))
+    for gamma in (f.gamma, gt, gt.cut(1)):
+        assert_same_jets(_riemann_from_gamma(gamma), riemann_at_input_order(gamma))
 
 
 ALL_CHECKS_MANIFEST = {

@@ -152,6 +152,10 @@ def test_domain_errors_from_analytic_functions():
     for fn in (Jet.exp, Jet.sinh, Jet.cosh):
         with pytest.raises(DomainError):
             fn(big)
+    huge = Jet.constant(1e200, 2, 3)
+    for fn in (Jet.reciprocal, Jet.ln):
+        with pytest.raises(DomainError):
+            fn(huge)
 
 
 def test_jet_arith_dispatch():
