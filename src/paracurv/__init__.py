@@ -2,8 +2,8 @@
 
 Truncated-jet tensor calculus over coordinate charts, builtin paraSasakian
 models (hyperbolic Heisenberg group, hyperboloid), Levi-Civita and canonical
-paracontact connections, curvature analysis, and a manifest-driven check
-runner with deterministic seeded sampling.
+paracontact connections, curvature analysis on per-point frames, and a
+manifest-driven check runner with deterministic seeded sampling.
 """
 
 __version__ = "1.0.0"
@@ -21,135 +21,33 @@ from .errors import (
     RankDeficientJacobian,
     SamplingExhausted,
     SingularMetric,
-    SlotError,
     UnknownCoordinate,
 )
-from .jets import Jet, jet_arith, jet_matrix_inverse
-from .tensors import TensorValue, contract, raise_lower, symmetrize
-from .exprlang import ScalarField, eval_jet, parse, unparse
-from .geometry import (
-    BUILTINS,
-    AmbientParaKaehler,
-    CharteredStructure,
-    Domain,
-    Embedding,
-    builtin_heisenberg,
-    builtin_hyperboloid,
-    d_homothetic,
-    heisenberg_tables,
-    hyperboloid_embedding,
-    induce_structure,
-)
-from .connection import (
-    canonical_connection,
-    christoffel,
-    covariant_derivative,
-    get_frame,
-    lie_derivative_h,
-    parallel_check,
-    riemann,
-    riemann_tilde,
-    torsion,
-    torsion_closed_form,
-)
-from .analysis import (
-    BochnerData,
-    EtaEinsteinFit,
-    SpaceFormFit,
-    bochner_homothety_check,
-    bochner_pairing,
-    bochner_symmetries,
-    check_axioms,
-    classify,
-    eta_einstein_fit,
-    identity_suite,
-    nijenhuis,
-    pc_bochner,
-    phsc,
-    space_form_fit,
-    wpc,
-    xi_sectional,
-)
+from .geometry import builtin_heisenberg, builtin_hyperboloid, d_homothetic
+from .connection import get_frame
+from .analysis import check_axioms, classify, eta_einstein_fit, phsc, space_form_fit
 from .sampling import Sampler
-from .report import CheckReport, CheckResult, nres
-from .manifest import (
-    ALL_CHECKS,
-    build_structure,
-    dumps_report,
-    load_manifest,
-    run_checks,
-    transform_manifest,
-    validate_manifest,
-    write_report,
-)
+from .manifest import build_structure, load_manifest, run_checks
 
 __all__ = [
     "__version__",
-    "Jet",
-    "jet_arith",
-    "jet_matrix_inverse",
-    "TensorValue",
-    "contract",
-    "raise_lower",
-    "symmetrize",
-    "ScalarField",
-    "parse",
-    "unparse",
-    "eval_jet",
-    "BUILTINS",
-    "AmbientParaKaehler",
-    "CharteredStructure",
-    "Domain",
-    "Embedding",
     "builtin_heisenberg",
     "builtin_hyperboloid",
     "d_homothetic",
-    "heisenberg_tables",
-    "hyperboloid_embedding",
-    "induce_structure",
-    "christoffel",
-    "canonical_connection",
-    "riemann",
-    "riemann_tilde",
-    "covariant_derivative",
-    "lie_derivative_h",
-    "torsion",
-    "torsion_closed_form",
-    "parallel_check",
     "get_frame",
     "check_axioms",
     "classify",
-    "nijenhuis",
-    "xi_sectional",
+    "eta_einstein_fit",
     "phsc",
     "space_form_fit",
-    "eta_einstein_fit",
-    "pc_bochner",
-    "bochner_symmetries",
-    "bochner_homothety_check",
-    "bochner_pairing",
-    "wpc",
-    "identity_suite",
-    "SpaceFormFit",
-    "EtaEinsteinFit",
-    "BochnerData",
     "Sampler",
-    "CheckReport",
-    "CheckResult",
-    "nres",
-    "ALL_CHECKS",
-    "load_manifest",
-    "validate_manifest",
     "build_structure",
+    "load_manifest",
     "run_checks",
-    "transform_manifest",
-    "dumps_report",
-    "write_report",
     "ParacurvError",
     "DomainError",
     "ParseError",
     "UnknownCoordinate",
-    "SlotError",
     "SingularMetric",
     "RankDeficientJacobian",
     "InvalidAlpha",

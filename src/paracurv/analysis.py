@@ -3,8 +3,9 @@
 Covers the compatibility axioms, the Nijenhuis tensor and paraSasakian
 criteria, xi-sectional and paraholomorphic sectional curvature, space-form
 and eta-Einstein fitting, the PC-Bochner tensor with its W^pc counterpart,
-and the named identity suite.  Everything reduces over sample points by
-taking the maximum normalized residual.
+and the named identity suite.  Every function reads frames (see
+:func:`paracurv.connection.get_frame`), one per sample point, and reduces
+over them by taking the maximum normalized residual.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import get_frame
 from .errors import IsotropicSection, IsotropicVector, NotHorizontal
 from .report import CheckReport, nres
 from .sampling import NULL_EPS
-from .tensors import TensorValue
 
 HORIZONTAL_EPS = 1e-10
 
@@ -25,16 +24,18 @@ HORIZONTAL_EPS = 1e-10
 # -- axioms -----------------------------------------------------------------
 
 
-def check_axioms(structure, points, threshold=1e-9, order=1):
-    """Residuals of the paracontact-metric compatibility conditions."""
+def check_axioms(frames, threshold=1e-9):
+    """Residuals of the paracontact-metric compatibility conditions.
+
+    ``frames`` may be any iterable; it is read once, frame by frame.
+    """
     worst = {}
 
     def keep(name, value):
         worst[name] = max(worst.get(name, 0.0), value)
 
-    d = structure.dim
-    for p in points:
-        f = get_frame(structure, p, order)
+    for f in frames:
+        d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
         e = np.einsum
         keep("axiom_i_phi_xi", nres(ph @ xi))
@@ -70,30 +71,27 @@ def _nijenhuis(f):
     )
 
 
-def nijenhuis(structure, point):
-    f = get_frame(structure, point, order=1)
-    return TensorValue(f.dim, 1, 2, _nijenhuis(f))
-
-
 @dataclass
 class ClassifyResult:
     verdicts: dict
     report: CheckReport
 
 
-def classify(structure, points, threshold=1e-9, include_axioms=True):
+def classify(frames, threshold=1e-9, include_axioms=True):
     """ParaSasakian and para-CR verdicts with the residuals behind them.
+
+    ``frames`` is a sequence of frames of jet order 2 or more; it is read
+    twice, once for the axioms.
 
     The paraSasakian property is tested both through the Nijenhuis tensor
     and through the covariant-derivative identity for phi; the two criteria
     must agree, and a spread between them is itself a reported residual.
     """
-    d = structure.dim
-    axioms = check_axioms(structure, points, threshold)
+    axioms = check_axioms(frames, threshold)
     e = np.einsum
     res_nij = res_nphi = res_h = res_bracket = res_tphi = 0.0
-    for p in points:
-        f = get_frame(structure, p, order=2)
+    for f in frames:
+        d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
         res_nij = max(
             res_nij,
@@ -143,9 +141,8 @@ def classify(structure, points, threshold=1e-9, include_axioms=True):
 # -- sectional curvatures ------------------------------------------------------
 
 
-def xi_sectional(structure, point, u):
+def xi_sectional(f, u):
     """Sectional curvature of the plane spanned by xi and a horizontal u."""
-    f = get_frame(structure, point, order=2)
     g, xi = f.g.value, f.xi.value
     u = np.asarray(u, dtype=float)
     eps_u = float(u @ g @ u)
@@ -157,9 +154,8 @@ def xi_sectional(structure, point, u):
     return float(num / den)
 
 
-def phsc(structure, point, v, form="f8"):
+def phsc(f, v, form="f8"):
     """Paraholomorphic sectional curvature of the section (phi v, phi^2 v)."""
-    f = get_frame(structure, point, order=2)
     g, ph, eta = f.g.value, f.phi.value, f.eta.value
     v = np.asarray(v, dtype=float)
     pv = ph @ v
@@ -217,18 +213,17 @@ class SpaceFormFit:
     per_point: list = field(default_factory=list)
 
 
-def space_form_fit(structure, points):
+def space_form_fit(frames):
     """Least-squares constant k of the space-form curvature model.
 
     The model R = (k-3)/4 A + (k+1)/4 B is linear in k, so the fit is a
     one-parameter closed form; the fitted constant is cross-checked against
     the Ricci and scalar contractions it implies.
     """
-    n = structure.n
+    n = frames[0].n
     num = den = 0.0
     cache = []
-    for p in points:
-        f = get_frame(structure, p, order=2)
+    for f in frames:
         g, eta, phl = f.g.value, f.eta.value, f.phi_low.value
         a, b = _f20_blocks(g, eta, phl)
         r = f.riem_down.value
@@ -274,15 +269,14 @@ class EtaEinsteinFit:
     b_closed_residual: float
 
 
-def eta_einstein_fit(structure, points):
+def eta_einstein_fit(frames):
     """Least-squares (a, b) in r = a g + b eta (x) eta, with closed-form
     consistency checks a = s/2n + 1 and b = -s/2n - (2n+1)."""
-    n = structure.n
+    n = frames[0].n
     m = np.zeros((2, 2))
     rhs = np.zeros(2)
     cache = []
-    for p in points:
-        f = get_frame(structure, p, order=2)
+    for f in frames:
         g = f.g.value
         ee = np.outer(f.eta.value, f.eta.value)
         r = f.ricci.value
@@ -314,7 +308,7 @@ def eta_einstein_fit(structure, points):
 
 @dataclass
 class BochnerData:
-    tensor: TensorValue
+    tensor: np.ndarray  # B_{ijkl}
     kappa_B: float
 
 
@@ -362,13 +356,12 @@ def _bochner(f):
     return b, kappa
 
 
-def pc_bochner(structure, point):
-    f = get_frame(structure, point, order=2)
+def pc_bochner(f):
     b, kappa = _bochner(f)
-    return BochnerData(TensorValue(f.dim, 0, 4, b), float(kappa))
+    return BochnerData(b, float(kappa))
 
 
-def bochner_symmetries(structure, points, threshold=1e-10):
+def bochner_symmetries(frames, threshold=1e-10):
     """The algebraic identities of the PC-Bochner tensor."""
     worst = {}
 
@@ -376,8 +369,7 @@ def bochner_symmetries(structure, points, threshold=1e-10):
         worst[name] = max(worst.get(name, 0.0), value)
 
     e = np.einsum
-    for p in points:
-        f = get_frame(structure, p, order=2)
+    for f in frames:
         b, _ = _bochner(f)
         ph, ginv, xi = f.phi.value, f.ginv.value, f.xi.value
         keep("bochner_antisym", nres(b, -b.transpose(1, 0, 2, 3)))
@@ -400,21 +392,6 @@ def bochner_symmetries(structure, points, threshold=1e-10):
     return report
 
 
-def bochner_homothety_check(structure, alpha, points, threshold=1e-8):
-    """Invariance of B under D-homothety: B(alpha-transformed)/alpha = B."""
-    from .geometry import d_homothetic
-
-    transformed = d_homothetic(structure, alpha)
-    worst = 0.0
-    for p in points:
-        b, _ = _bochner(get_frame(structure, p, order=2))
-        b_bar, _ = _bochner(get_frame(transformed, p, order=2))
-        worst = max(worst, nres(b_bar / alpha, b))
-    report = CheckReport()
-    report.add("bochner_homothety", worst, threshold, detail=f"alpha={alpha:g}")
-    return report
-
-
 # -- W^pc -------------------------------------------------------------------------
 
 
@@ -425,9 +402,8 @@ def _require_horizontal(eta, vectors):
             raise NotHorizontal(f"eta(v) = {pairing:g} exceeds {HORIZONTAL_EPS:g}")
 
 
-def wpc(structure, point, x, y, z, w):
+def wpc(f, x, y, z, w):
     """The paracontact conformal curvature pairing on horizontal vectors."""
-    f = get_frame(structure, point, order=2)
     n = f.n
     g, ph, big_f = f.g.value, f.phi.value, f.phi_low.value
     eta = f.eta.value
@@ -472,9 +448,8 @@ def wpc(structure, point, x, y, z, w):
     return val
 
 
-def bochner_pairing(structure, point, x, y, z, w):
+def bochner_pairing(f, x, y, z, w):
     """B(X,Y,Z,W) for comparison against the W^pc pairing."""
-    f = get_frame(structure, point, order=2)
     b, _ = _bochner(f)
     return float(np.einsum("ijkl,i,j,k,l->", b, x, y, z, w))
 
@@ -494,26 +469,25 @@ def _project(t, proj):
     return t
 
 
-def identity_suite(structure, points, sampler=None, sections=50, threshold=1e-8):
+def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
     """Named residuals of the paraSasakian identity catalog.
 
-    Each entry is the normalized max residual over the sample points.  When
-    a sampler is supplied, the two equivalent forms of the paraholomorphic
-    sectional curvature are also compared on random sections.
+    Each entry is the normalized max residual over the frames, which need
+    jet order 3.  When a sampler is supplied, the two equivalent forms of
+    the paraholomorphic sectional curvature are also compared on random
+    sections.
     """
-    n = structure.n
-    d = structure.dim
-    ident = np.eye(d)
+    n = frames[0].n
+    ident = np.eye(frames[0].dim)
     worst = {}
 
     def keep(name, lhs, rhs=None):
         worst[name] = max(worst.get(name, 0.0), nres(lhs, rhs))
 
-    fit = space_form_fit(structure, points)
+    fit = space_form_fit(frames)
     k_hat = fit.k_hat
     e = np.einsum
-    for p in points:
-        f = get_frame(structure, p, order=3)
+    for f in frames:
         g, ph, phl = f.g.value, f.phi.value, f.phi_low.value
         xi, eta, h = f.xi.value, f.eta.value, f.h.value
         neta, nxi = f.nabla_eta.value, f.nabla_xi.value
@@ -651,13 +625,9 @@ def identity_suite(structure, points, sampler=None, sections=50, threshold=1e-8)
         report.add(name, value, threshold)
     if sampler is not None:
         worst_ph = 0.0
-        pts = list(points)
         for i in range(sections):
-            p = pts[i % len(pts)]
-            v = sampler.section_vector(p)
-            worst_ph = max(
-                worst_ph,
-                nres(phsc(structure, p, v, "f8"), phsc(structure, p, v, "f9")),
-            )
+            f = frames[i % len(frames)]
+            v = sampler.section_vector(f)
+            worst_ph = max(worst_ph, nres(phsc(f, v, "f8"), phsc(f, v, "f9")))
         report.add("f9_vs_f8_phsc", worst_ph, 1e-9)
     return report

@@ -105,9 +105,9 @@ def curvature(manifest_path, point_text):
             _fail(f"point outside the chart domain of {structure.name}")
         frame = get_frame(structure, point, order=2)
         sampler = Sampler(structure, seed=0)
-        u, _ = sampler.horizontal_unit(point)
-        v = sampler.section_vector(point)
-        bochner = pc_bochner(structure, point)
+        u, _ = sampler.horizontal_unit(frame)
+        v = sampler.section_vector(frame)
+        bochner = pc_bochner(frame)
         lines = [
             f"structure: {structure.name}",
             f"point: {', '.join(format(c, 'g') for c in point)}",
@@ -116,9 +116,9 @@ def curvature(manifest_path, point_text):
             f"|R|_inf: {np.max(np.abs(frame.riem_down.value)):.12g}",
             f"|r|_inf: {np.max(np.abs(frame.ricci.value)):.12g}",
             f"scalar_s: {float(frame.scalar.value):.12g}",
-            f"xi_sectional: {xi_sectional(structure, point, u):.12g}",
-            f"phsc: {phsc(structure, point, v):.12g}",
-            f"|B|_inf: {np.max(np.abs(bochner.tensor.components)):.12g}",
+            f"xi_sectional: {xi_sectional(frame, u):.12g}",
+            f"phsc: {phsc(frame, v):.12g}",
+            f"|B|_inf: {np.max(np.abs(bochner.tensor)):.12g}",
             f"kappa_B: {bochner.kappa_B:.12g}",
         ]
     except ParacurvError as e:

@@ -1,10 +1,11 @@
 """Levi-Civita and canonical paracontact connections with their curvature.
 
-Everything here is a pure function of (structure, point).  The per-point
-pipeline lives in :class:`PointGeometry`, which holds the structure jets
-and lazily computes and caches the inverse metric, Christoffel symbols (with their coordinate partials straight
-from the jets, never finite-differenced), both curvature tensors, the
-h-tensor and the canonical torsion.
+The per-point pipeline is a frame, a :class:`PointGeometry` made by
+:func:`get_frame`.  It holds the structure jets at one point and lazily
+computes and keeps the inverse metric, the Christoffel symbols (with their
+coordinate partials straight from the jets, never finite-differenced),
+both curvature tensors, the h-tensor and the canonical torsion.  The
+checks read frames; a frame lives as long as its caller holds it.
 
 Sign conventions, pinned once: R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z
 - nab_[X,Y] Z, so R^l_{ijk} = d_i Gam^l_{jk} - d_j Gam^l_{ik}
@@ -15,15 +16,12 @@ r_{jk} = g^{ml} R_{mjkl}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NotParacontact
-from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
+from .jetfields import jt_einsum, jt_metric_inverse
 from .report import CheckReport, nres
-from .tensors import TensorValue
 
 _SLOT_LETTERS = "ijklmnop"
 
@@ -68,7 +66,7 @@ class PointGeometry:
     """Lazily computed geometric data of one structure at one point.
 
     The structure jets are built up front and no reference to the structure
-    is kept, so a structure and the frames it caches form no reference cycle.
+    is kept, so a frame does not keep its structure alive.
     """
 
     def __init__(self, structure, point, order=3):
@@ -212,142 +210,19 @@ class PointGeometry:
 
 
 def get_frame(structure, point, order=3):
-    """The structure's frame at a point, of jet order ``order`` or higher.
+    """A new frame of the structure at a point, with jets up to ``order``.
 
-    Frames are cached per point, up to 2048 before the cache is emptied; a
-    cached frame of lower order is replaced by one built at ``order``.
+    Nothing is cached: the caller keeps the frame for as long as it needs
+    it, so memory follows what the caller holds.
     """
-    frames = structure.frames
-    key = np.asarray(point, dtype=float).tobytes()
-    frame = frames.get(key)
-    if frame is None or frame.order < order:
-        frame = PointGeometry(structure, point, order)
-        if len(frames) > 2048:
-            frames.clear()
-        frames[key] = frame
-    return frame
+    return PointGeometry(structure, point, order)
 
 
-# -- public operation surface ---------------------------------------------
-
-
-@dataclass
-class ConnectionCoeffs:
-    gamma: TensorValue  # Gam^l_{ij}, valence (1, 2)
-    dgamma: np.ndarray  # d_a Gam^l_{ij}, axes (a, l, i, j)
-    kind: str  # "levi_civita" | "canonical_tilde"
-
-
-@dataclass
-class CurvatureBundle:
-    riem_up: TensorValue  # R^l_{ijk}
-    riem_down: TensorValue  # R_{ijkl}
-    ricci: TensorValue  # r_{jk}
-    scalar: float
-    kind: str
-
-
-def _coeffs(jt, kind):
-    d = jt.dim
-    return ConnectionCoeffs(
-        gamma=TensorValue(d, 1, 2, jt.value),
-        dgamma=jt.parts[1].copy() if jt.order >= 1 else np.zeros((d,) * 4),
-        kind=kind,
-    )
-
-
-def christoffel(structure, point):
-    """Levi-Civita coefficients plus their first partials."""
-    return _coeffs(get_frame(structure, point).gamma, "levi_civita")
-
-
-def canonical_connection(structure, point):
-    """Canonical paracontact connection coefficients plus first partials."""
-    return _coeffs(get_frame(structure, point).gamma_tilde, "canonical_tilde")
-
-
-def riemann(structure, point, kind="levi_civita"):
-    f = get_frame(structure, point)
-    if kind == "levi_civita":
-        up, down, ric, sc = f.riem_up, f.riem_down, f.ricci, f.scalar
-    elif kind == "canonical_tilde":
-        up, down, ric, sc = (
-            f.riem_tilde_up,
-            f.riem_tilde_down,
-            f.ricci_tilde,
-            f.scalar_tilde,
-        )
-    else:
-        raise ValueError(f"unknown connection kind {kind!r}")
-    d = f.dim
-    return CurvatureBundle(
-        riem_up=TensorValue(d, 1, 3, up.value),
-        riem_down=TensorValue(d, 0, 4, down.value),
-        ricci=TensorValue(d, 0, 2, ric.value),
-        scalar=float(sc.value),
-        kind=kind,
-    )
-
-
-def covariant_derivative(field, point, coeffs, kinds):
-    """Covariant derivative of a sampled tensor field at a point.
-
-    ``field`` maps (point, order) to a JetTensor of order >= 1 whose base
-    axes are labeled by ``kinds`` ('u'/'l').  The result carries one extra
-    leading covariant slot.
-    """
-    t = field(point, 2) if callable(field) else field
-    d = coeffs.gamma.dim
-    gamma = JetTensor.const(coeffs.gamma.components, d, 0)
-    out = covariant(t, kinds, gamma)
-    n_up = kinds.count("u")
-    return TensorValue(d, n_up, len(kinds) - n_up + 1, np.moveaxis(out.value, 0, n_up))
-
-
-def lie_derivative_h(structure, point):
-    """h = (1/2) Lie_xi phi as a (1,1) tensor value."""
-    f = get_frame(structure, point)
-    return TensorValue(f.dim, 1, 1, f.h.value)
-
-
-def torsion(structure, point):
-    """Canonical-connection torsion T^l_{ij} from antisymmetrized Gam~."""
-    f = get_frame(structure, point)
-    return TensorValue(f.dim, 1, 2, f.torsion_up.value)
-
-
-def torsion_closed_form(structure, point):
-    """T(X,Y) = eta(X) phi hY - eta(Y) phi hX + 2 g(X, phi Y) xi."""
-    f = get_frame(structure, point)
-    eta, xi = f.eta.value, f.xi.value
-    phi_h = np.einsum("ls,sj->lj", f.phi.value, f.h.value)
-    t = (
-        np.einsum("i,lj->lij", eta, phi_h)
-        - np.einsum("j,li->lij", eta, phi_h)
-        + 2.0 * np.einsum("ij,l->lij", f.phi_low.value, xi)
-    )
-    return TensorValue(f.dim, 1, 2, t)
-
-
-def riemann_tilde(structure, point, cross_check=True):
-    """Canonical-connection curvature, optionally checked against the
-    Levi-Civita-side expression for it."""
-    bundle = riemann(structure, point, kind="canonical_tilde")
-    if not cross_check:
-        return bundle, None
-    f = get_frame(structure, point)
-    res = nres(f.riem_tilde_up.value, f.f21_rhs)
-    return bundle, res
-
-
-def parallel_check(structure, points, threshold=1e-8):
-    """Max components of nab~ T and nab~ R~ over the sample points."""
-    if structure.dim % 2 == 0:
-        raise NotParacontact("even-dimensional input")
+def parallel_check(frames, threshold=1e-8):
+    """Max components of nab~ T and nab~ R~ over the frames."""
     report = CheckReport()
     worst_t, worst_r = 0.0, 0.0
-    for p in points:
-        f = get_frame(structure, p)
+    for f in frames:
         nt = f.cov(f.torsion_up, "ull", kind="canonical_tilde")
         nr = f.cov(f.riem_tilde_up, "ulll", kind="canonical_tilde")
         worst_t = max(worst_t, nres(nt.value))

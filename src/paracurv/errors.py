@@ -18,10 +18,6 @@ class DomainError(ParacurvError):
         self.span = span
 
 
-class SlotError(ParacurvError):
-    """Tensor slot kinds do not match the requested operation."""
-
-
 class SingularMetric(ParacurvError):
     """Metric (or jet-valued matrix) is numerically singular."""
 

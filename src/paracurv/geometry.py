@@ -66,7 +66,6 @@ class CharteredStructure:
         self.components = components
         self.domain = domain
         self.name = name
-        self.frames = {}  # point bytes -> PointGeometry, see get_frame
         self._check_signature(probe)
 
     def _check_signature(self, probe):

@@ -18,9 +18,32 @@ from itertools import permutations
 
 import numpy as np
 
-from .tensors import plu_inverse
+from .errors import SingularMetric
 
 _DLETTERS = "ZYXW"
+_PIVOT_EPS = 1e-12
+
+
+def plu_inverse(a, pivot_eps=_PIVOT_EPS):
+    """Inverse via pivoted Gaussian elimination with an explicit pivot check.
+
+    np.linalg.inv would silently accept nearly-singular input; we want a
+    hard :class:`SingularMetric` once a pivot magnitude drops to 1e-12.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    aug = np.hstack([a, np.eye(n)])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) <= pivot_eps:
+            raise SingularMetric(f"pivot {aug[piv, col]:g} below threshold")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col] /= aug[col, col]
+        for r in range(n):
+            if r != col:
+                aug[r] -= aug[r, col] * aug[col]
+    return aug[:, n:]
 
 
 def _sym_leading(arr, m):

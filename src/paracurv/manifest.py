@@ -14,6 +14,7 @@ import json
 import math
 from collections.abc import Callable
 from copy import deepcopy
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -58,21 +59,19 @@ DEFAULT_COUNT = 200
 
 
 class _Context:
-    """What the checks of one run share: the structure, the sampler, the
-    verdicts and the space-form fit that ``phsc`` and ``space_form`` both
-    report."""
+    """What the checks of one run share: the sampler, the verdicts and the
+    space-form fit that ``phsc`` and ``space_form`` both report."""
 
-    def __init__(self, structure, sampler, tolerance, selected):
-        self.structure = structure
+    def __init__(self, sampler, tolerance, selected):
         self.sampler = sampler
         self.tolerance = tolerance
         self.selected = selected
         self.verdicts = {}
         self._fit = None
 
-    def space_fit(self, points):
+    def space_fit(self, frames):
         if self._fit is None:
-            self._fit = space_form_fit(self.structure, points)
+            self._fit = space_form_fit(frames)
         return self._fit
 
 
@@ -82,40 +81,40 @@ def _single(name, residual, threshold):
     return report
 
 
-def _axioms(ctx, points, budget):
-    return check_axioms(ctx.structure, points, ctx.tolerance)
+def _axioms(ctx, frames, budget):
+    return check_axioms(frames, ctx.tolerance)
 
 
-def _classification(ctx, points, budget):
-    sub = classify(ctx.structure, points, ctx.tolerance,
+def _classification(ctx, frames, budget):
+    sub = classify(frames, ctx.tolerance,
                    include_axioms="axioms" not in ctx.selected)
     ctx.verdicts.update(sub.verdicts)
     return sub.report
 
 
-def _xi_sectional(ctx, points, budget):
+def _xi_sectional(ctx, frames, budget):
     worst = 0.0
     for i in range(budget):
-        p = points[i % len(points)]
-        u, _ = ctx.sampler.horizontal_unit(p)
-        worst = max(worst, nres(xi_sectional(ctx.structure, p, u), -1.0))
+        f = frames[i % len(frames)]
+        u, _ = ctx.sampler.horizontal_unit(f)
+        worst = max(worst, nres(xi_sectional(f, u), -1.0))
     return _single("xi_sectional", worst, ctx.tolerance)
 
 
-def _phsc(ctx, points, budget):
-    k_hat = ctx.space_fit(points).k_hat
+def _phsc(ctx, frames, budget):
+    k_hat = ctx.space_fit(frames).k_hat
     worst = 0.0
     for i in range(budget):
-        p = points[i % len(points)]
-        v = ctx.sampler.section_vector(p)
-        worst = max(worst, nres(phsc(ctx.structure, p, v), k_hat))
+        f = frames[i % len(frames)]
+        v = ctx.sampler.section_vector(f)
+        worst = max(worst, nres(phsc(f, v), k_hat))
     report = _single("phsc_constancy", worst, ctx.tolerance)
     report.constants["k_hat"] = k_hat
     return report
 
 
-def _space_form(ctx, points, budget):
-    f = ctx.space_fit(points)
+def _space_form(ctx, frames, budget):
+    f = ctx.space_fit(frames)
     report = CheckReport(constants={"k_hat": f.k_hat})
     report.add("space_form_f20", f.residual_max, ctx.tolerance)
     report.add("space_form_f12", f.f12_residual, ctx.tolerance)
@@ -124,41 +123,40 @@ def _space_form(ctx, points, budget):
     return report
 
 
-def _eta_einstein(ctx, points, budget):
-    f = eta_einstein_fit(ctx.structure, points)
+def _eta_einstein(ctx, frames, budget):
+    f = eta_einstein_fit(frames)
     report = CheckReport(constants={"a": f.a, "b": f.b})
     report.add("eta_einstein_fit", f.residual_max, ctx.tolerance)
     report.add("eta_einstein_sum", f.sum_residual, 1e-10)
     return report
 
 
-def _bochner(ctx, points, budget):
+def _bochner(ctx, frames, budget):
     worst = 0.0
-    for p in points:
-        worst = max(worst, nres(pc_bochner(ctx.structure, p).tensor.components))
+    for f in frames:
+        worst = max(worst, nres(pc_bochner(f).tensor))
     report = _single("bochner_vanishing", worst, ctx.tolerance)
-    report.extend(bochner_symmetries(ctx.structure, points))
-    report.constants["kappa_B"] = pc_bochner(ctx.structure, points[0]).kappa_B
+    report.extend(bochner_symmetries(frames))
+    report.constants["kappa_B"] = pc_bochner(frames[0]).kappa_B
     return report
 
 
-def _wpc(ctx, points, budget):
+def _wpc(ctx, frames, budget):
     worst = 0.0
     for i in range(budget):
-        p = points[i % len(points)]
-        quad = [ctx.sampler.horizontal_unit(p)[0] for _ in range(4)]
-        pairing = bochner_pairing(ctx.structure, p, *quad)
-        worst = max(worst, nres(pairing, wpc(ctx.structure, p, *quad)))
+        f = frames[i % len(frames)]
+        quad = [ctx.sampler.horizontal_unit(f)[0] for _ in range(4)]
+        worst = max(worst, nres(bochner_pairing(f, *quad), wpc(f, *quad)))
     return _single("wpc_equals_bochner", worst, ctx.tolerance)
 
 
-def _identities(ctx, points, budget):
-    return identity_suite(ctx.structure, points, sampler=ctx.sampler,
-                          sections=budget, threshold=ctx.tolerance)
+def _identities(ctx, frames, budget):
+    return identity_suite(frames, sampler=ctx.sampler, sections=budget,
+                          threshold=ctx.tolerance)
 
 
-def _parallel(ctx, points, budget):
-    return parallel_check(ctx.structure, points, ctx.tolerance)
+def _parallel(ctx, frames, budget):
+    return parallel_check(frames, ctx.tolerance)
 
 
 class Check(NamedTuple):
@@ -168,7 +166,7 @@ class Check(NamedTuple):
     order: int  # jet order of the frames the check reads
     points: int | None  # runs on this many leading sample points; None: all
     budget: int  # vectors, sections or quadruples drawn from the sampler
-    run: Callable  # (context, points, budget) -> CheckReport
+    run: Callable  # (context, frames, budget) -> CheckReport
 
 
 # in report order; the sampler draws in this order too
@@ -399,10 +397,12 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     """Run the selected checks; returns (CheckReport, verdicts, meta).
 
     Each sample point gets one frame, at the highest jet order any selected
-    check needs there.  Frames above order 1 are built before the checks
-    run, since checks ask for lower orders first.  Order-1 frames are built
-    on first use: built ahead, more of them than the frame cache holds
-    would evict the rest.
+    check needs there.  The frames of the leading points, which every check
+    with a point limit reads, are built first and kept for the run.  A check
+    that reads every point (``axioms``) gets them followed by the frames of
+    the other points, each built when it is reached and dropped after use,
+    so memory does not grow with ``sampling.count``.  The arithmetic runs
+    with numpy warnings off: a non-finite result becomes a failed row.
     """
     sampling = manifest.get("sampling", {})
     if seed is None:
@@ -415,18 +415,25 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
         selected = ALL_CHECKS
     rows = [row for row in CHECKS if row.name in selected]
 
+    def order_at(i):
+        return max(r.order for r in rows if r.points is None or i < r.points)
+
     sampler = Sampler(structure, seed, sampling.get("box"))
     points = sampler.points(count)
-    for i, p in enumerate(points):
-        order = max((r.order for r in rows if r.points is None or i < r.points),
-                    default=0)
-        if order > 1:
-            get_frame(structure, p, order)
-
-    ctx = _Context(structure, sampler, tolerance, selected)
+    lead = min(count, max((r.points or 0 for r in rows), default=0))
+    ctx = _Context(sampler, tolerance, selected)
     report = CheckReport()
-    for row in rows:
-        report.extend(row.run(ctx, points[: row.points], row.budget))
+    with np.errstate(all="ignore"):
+        frames = [get_frame(structure, p, order_at(i))
+                  for i, p in enumerate(points[:lead])]
+        for row in rows:
+            if row.points is None:
+                rest = (get_frame(structure, p, order_at(lead))
+                        for p in points[lead:])
+                view = chain(frames, rest)
+            else:
+                view = frames[: row.points]
+            report.extend(row.run(ctx, view, row.budget))
     meta = {"seed": seed, "tolerance": tolerance, "point_count": count}
     return report, ctx.verdicts, meta
 
@@ -442,7 +449,10 @@ def assemble_report(structure, manifest, digest, report, verdicts, meta,
         "tolerance": meta["tolerance"],
         "point_count": meta["point_count"],
         "checks": [r.as_dict() for r in report.results],
-        "constants": report.constants,
+        # every constant enters a residual of its own check, so a constant
+        # written as null comes with a failed row
+        "constants": {k: v if math.isfinite(v) else None
+                      for k, v in report.constants.items()},
         "verdicts": verdicts,
         "pass": report.passed,
         "wall_time_s": wall_time_s,

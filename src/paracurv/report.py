@@ -30,19 +30,23 @@ class CheckResult:
     name: str
     residual: float
     threshold: float
-    detail: str = ""
 
     @property
     def passed(self):
         return self.residual < self.threshold
 
     def as_dict(self):
-        return {
+        row = {
             "name": self.name,
             "residual_max": self.residual,
             "threshold": self.threshold,
             "pass": self.passed,
         }
+        if not math.isfinite(self.residual):
+            # JSON has no inf or nan; such a row never passes
+            row["residual_max"] = None
+            row["non_finite"] = str(self.residual)
+        return row
 
 
 @dataclass
@@ -50,8 +54,8 @@ class CheckReport:
     results: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
 
-    def add(self, name, residual, threshold, detail=""):
-        self.results.append(CheckResult(name, float(residual), threshold, detail))
+    def add(self, name, residual, threshold):
+        self.results.append(CheckResult(name, float(residual), threshold))
 
     def extend(self, other):
         self.results.extend(other.results)

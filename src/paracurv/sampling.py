@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connection import get_frame
 from .errors import SamplingExhausted
 
 MAX_ATTEMPTS = 100
@@ -47,13 +46,13 @@ class Sampler:
     def raw_vector(self):
         return self.rng.uniform(-1.0, 1.0, self.structure.dim)
 
-    def horizontal_unit(self, point):
-        """Horizontal vector normalized to g(u,u) = +-1, with its sign.
+    def horizontal_unit(self, f):
+        """Horizontal vector at frame ``f``, normalized to g(u,u) = +-1,
+        with its sign.
 
         Coordinates are drawn uniformly, projected along xi, and rejected
         while nearly null; split signature makes both signs appear.
         """
-        f = get_frame(self.structure, point, 0)
         g, xi, eta = f.g.value, f.xi.value, f.eta.value
         for _ in range(MAX_ATTEMPTS):
             w = self.raw_vector()
@@ -67,9 +66,9 @@ class Sampler:
             f"no non-null horizontal vector after {MAX_ATTEMPTS} attempts"
         )
 
-    def section_vector(self, point):
-        """A vector whose phi-image and phi^2-image are both non-null."""
-        f = get_frame(self.structure, point, 0)
+    def section_vector(self, f):
+        """A vector at frame ``f`` whose phi-image and phi^2-image are both
+        non-null."""
         g, phi = f.g.value, f.phi.value
         for _ in range(MAX_ATTEMPTS):
             v = self.raw_vector()

@@ -132,3 +132,11 @@ def all_builtins(heis1, heis2, heis3, hyp1, hyp2):
 
 def sample_points(structure, seed=1234, count=10):
     return pc.Sampler(structure, seed).points(count)
+
+
+def frames_at(structure, points, order=2):
+    return [pc.get_frame(structure, p, order) for p in points]
+
+
+def sample_frames(structure, seed=1234, count=10, order=2):
+    return frames_at(structure, sample_points(structure, seed, count), order)

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import paracurv as pc
 from paracurv.analysis import (
-    bochner_homothety_check,
+    _f20_blocks,
     bochner_pairing,
     bochner_symmetries,
     check_axioms,
@@ -26,9 +26,10 @@ from paracurv.analysis import (
     xi_sectional,
 )
 from paracurv.cli import main
-from paracurv.connection import get_frame, parallel_check, riemann_tilde
+from paracurv.connection import get_frame, parallel_check
 from paracurv.exprlang import eval_jet, parse
 from paracurv.geometry import d_homothetic, heisenberg_tables
+from paracurv.report import nres
 
 from conftest import (
     CORPUS_COORDS,
@@ -36,8 +37,9 @@ from conftest import (
     EXPRESSION_CORPUS,
     fd_gradient,
     fd_hessian,
+    frames_at,
 )
-from test_connection import fd_christoffel
+from test_connection import f21_cross_check, fd_christoffel
 
 
 @pytest.fixture()
@@ -56,7 +58,7 @@ def test_criterion_01_axioms(criterion, all_builtins):
     ok = True
     for structure in all_builtins.values():
         points = pc.Sampler(structure, seed=2024).points(200)
-        report = check_axioms(structure, points, threshold=1e-9)
+        report = check_axioms(frames_at(structure, points, 1), threshold=1e-9)
         ok = ok and report.passed
         worst = max(worst, report.max_residual())
     criterion(
@@ -70,7 +72,7 @@ def test_criterion_02_parasasakian(criterion, heis2, hyp2):
     ok = True
     for structure in (heis2, hyp2):
         points = pc.Sampler(structure, seed=2025).points(25)
-        result = classify(structure, points, threshold=1e-9)
+        result = classify(frames_at(structure, points), threshold=1e-9)
         ok = ok and result.verdicts["paraSasakian"] and result.report.passed
         rows = {r.name: r.residual for r in result.report.results}
         worst_main = max(
@@ -91,11 +93,11 @@ def test_criterion_03_xi_sectional(criterion, all_builtins):
     worst = 0.0
     for structure in all_builtins.values():
         sampler = pc.Sampler(structure, seed=2026)
-        points = sampler.points(5)
+        frames = frames_at(structure, sampler.points(5))
         for i in range(50):
-            p = points[i % len(points)]
-            u, _ = sampler.horizontal_unit(p)
-            worst = max(worst, abs(xi_sectional(structure, p, u) + 1.0))
+            f = frames[i % len(frames)]
+            u, _ = sampler.horizontal_unit(f)
+            worst = max(worst, abs(xi_sectional(f, u) + 1.0))
     criterion(
         3, worst < 1e-8,
         f"xi-sectional = -1 over 50 vectors per builtin, max dev {worst:.3e}",
@@ -104,18 +106,18 @@ def test_criterion_03_xi_sectional(criterion, all_builtins):
 
 def _phsc_deviation(structure, k_expected, seed):
     sampler = pc.Sampler(structure, seed=seed)
-    points = sampler.points(5)
+    frames = frames_at(structure, sampler.points(5))
     worst = 0.0
     for i in range(50):
-        p = points[i % len(points)]
-        v = sampler.section_vector(p)
-        worst = max(worst, abs(phsc(structure, p, v) - k_expected))
-    return worst, points
+        f = frames[i % len(frames)]
+        v = sampler.section_vector(f)
+        worst = max(worst, abs(phsc(f, v) - k_expected))
+    return worst, frames
 
 
 def test_criterion_04_heisenberg_phsc(criterion, heis2):
-    dev, points = _phsc_deviation(heis2, 3.0, seed=2027)
-    fit = space_form_fit(heis2, points)
+    dev, frames = _phsc_deviation(heis2, 3.0, seed=2027)
+    fit = space_form_fit(frames)
     ok = dev < 1e-8 and abs(fit.k_hat - 3.0) < 1e-8 and fit.residual_max < 1e-8
     criterion(
         4, ok,
@@ -125,8 +127,8 @@ def test_criterion_04_heisenberg_phsc(criterion, heis2):
 
 
 def test_criterion_05_hyperboloid_phsc(criterion, hyp2):
-    dev, points = _phsc_deviation(hyp2, -1.0, seed=2028)
-    fit = space_form_fit(hyp2, points)
+    dev, frames = _phsc_deviation(hyp2, -1.0, seed=2028)
+    fit = space_form_fit(frames)
     ok = dev < 1e-8 and abs(fit.k_hat + 1.0) < 1e-8 and fit.residual_max < 1e-8
     criterion(
         5, ok,
@@ -140,20 +142,20 @@ def test_criterion_06_homothety_law(criterion, hyp2):
     details = []
     for alpha in (0.5, 2.0, 3.0):
         bar = d_homothetic(hyp2, alpha)
-        points = pc.Sampler(bar, seed=2029).points(200)
-        fit = space_form_fit(bar, points[:5])
+        frames = frames_at(bar, pc.Sampler(bar, seed=2029).points(200))
+        fit = space_form_fit(frames[:5])
         expected = (-1.0 - 3.0) / alpha + 3.0
         ok = ok and abs(fit.k_hat - expected) < 1e-8
         details.append(f"alpha={alpha:g}: k_hat={fit.k_hat:.12g}")
         # re-pass criteria 1-3 on the transformed structure
-        ok = ok and check_axioms(bar, points, threshold=1e-9).passed
-        result = classify(bar, points[:10], threshold=1e-9)
+        ok = ok and check_axioms(frames, threshold=1e-9).passed
+        result = classify(frames[:10], threshold=1e-9)
         ok = ok and result.verdicts["paraSasakian"]
         sampler = pc.Sampler(bar, seed=2030)
         for i in range(50):
-            p = points[i % 5]
-            u, _ = sampler.horizontal_unit(p)
-            ok = ok and abs(xi_sectional(bar, p, u) + 1.0) < 1e-8
+            f = frames[i % 5]
+            u, _ = sampler.horizontal_unit(f)
+            ok = ok and abs(xi_sectional(f, u) + 1.0) < 1e-8
         if alpha == 0.5:
             ok = ok and abs(fit.k_hat + 5.0) < 1e-8
     criterion(
@@ -167,19 +169,19 @@ def test_criterion_07_bochner(criterion, heis2, hyp2):
     worst_b = 0.0
     ok = True
     for structure in (heis2, hyp2):
-        points = pc.Sampler(structure, seed=2031).points(5)
-        for p in points:
-            worst_b = max(
-                worst_b,
-                np.max(np.abs(pc_bochner(structure, p).tensor.components)),
-            )
-        sym = bochner_symmetries(structure, points, threshold=1e-10)
+        frames = frames_at(structure, pc.Sampler(structure, seed=2031).points(5))
+        for f in frames:
+            worst_b = max(worst_b, np.max(np.abs(pc_bochner(f).tensor)))
+        sym = bochner_symmetries(frames, threshold=1e-10)
         ok = ok and sym.passed
     deformed = d_homothetic(hyp2, 2.0)
     pts = pc.Sampler(deformed, seed=2032).points(3)
-    ok = ok and bochner_symmetries(deformed, pts, threshold=1e-10).passed
-    inv = bochner_homothety_check(hyp2, 3.0, pts, threshold=1e-8)
-    ok = ok and inv.passed
+    ok = ok and bochner_symmetries(frames_at(deformed, pts), threshold=1e-10).passed
+    # B of the alpha = 3 transform, divided by alpha, is B
+    b_bar = [pc_bochner(f).tensor / 3.0
+             for f in frames_at(d_homothetic(hyp2, 3.0), pts)]
+    b = [pc_bochner(f).tensor for f in frames_at(hyp2, pts)]
+    ok = ok and nres(b_bar, b) < 1e-8
     criterion(
         7, ok and worst_b < 1e-8,
         f"PC-Bochner max |B| = {worst_b:.3e} < 1e-8, Lemma symmetries "
@@ -195,7 +197,7 @@ def test_criterion_08_eta_einstein(criterion, heis2, hyp2):
         (hyp2, (-4.0, 0.0)),
     ):
         fit = eta_einstein_fit(
-            structure, pc.Sampler(structure, seed=2033).points(5)
+            frames_at(structure, pc.Sampler(structure, seed=2033).points(5))
         )
         ok = ok and abs(fit.a - a_want) < 1e-8 and abs(fit.b - b_want) < 1e-8
         ok = ok and fit.sum_residual < 1e-10
@@ -211,9 +213,8 @@ def test_criterion_09_canonical_connection(criterion, heis2, hyp2):
     ok = True
     worst_pres = worst_f21 = 0.0
     for structure in (heis2, hyp2):
-        points = pc.Sampler(structure, seed=2034).points(3)
-        for p in points:
-            f = get_frame(structure, p, order=3)
+        frames = frames_at(structure, pc.Sampler(structure, seed=2034).points(3), 3)
+        for f in frames:
             for t, kinds in (
                 (f.g, "ll"), (f.xi, "u"), (f.eta, "l"), (f.phi, "ul"),
             ):
@@ -221,9 +222,8 @@ def test_criterion_09_canonical_connection(criterion, heis2, hyp2):
                     worst_pres,
                     np.max(np.abs(f.cov(t, kinds, kind="canonical_tilde").value)),
                 )
-            _, res = riemann_tilde(structure, p)
-            worst_f21 = max(worst_f21, res)
-        ok = ok and parallel_check(structure, points, threshold=1e-8).passed
+            worst_f21 = max(worst_f21, f21_cross_check(f))
+        ok = ok and parallel_check(frames, threshold=1e-8).passed
     heis_points = pc.Sampler(heis2, seed=2035).points(3)
     worst_flat = max(
         np.max(np.abs(get_frame(heis2, p, 2).riem_tilde_up.value))
@@ -233,11 +233,9 @@ def test_criterion_09_canonical_connection(criterion, heis2, hyp2):
     worst_f22 = 0.0
     for p in hyp_points:
         f = get_frame(hyp2, p, order=2)
-        from paracurv.analysis import _f20_blocks
-
         a_blk, b_blk = _f20_blocks(f.g.value, f.eta.value, f.phi_low.value)
         model = 0.25 * (-1.0 - 3.0) * (a_blk + b_blk)
-        worst_f22 = max(worst_f22, pc.nres(f.riem_tilde_down.value, model))
+        worst_f22 = max(worst_f22, nres(f.riem_tilde_down.value, model))
     ok = (
         ok
         and worst_pres < 1e-9
@@ -259,9 +257,9 @@ def test_criterion_10_identity_suite(criterion, heis2, hyp2):
     worst = worst_phsc = 0.0
     for structure in (heis2, hyp2):
         sampler = pc.Sampler(structure, seed=2037)
-        points = sampler.points(3)
+        frames = frames_at(structure, sampler.points(3), 3)
         report = identity_suite(
-            structure, points, sampler=sampler, sections=50, threshold=1e-8
+            frames, sampler=sampler, sections=50, threshold=1e-8
         )
         ok = ok and report.passed
         rows = {r.name: r.residual for r in report.results}
@@ -279,17 +277,11 @@ def test_criterion_11_wpc(criterion, all_builtins):
     worst = 0.0
     for structure in all_builtins.values():
         sampler = pc.Sampler(structure, seed=2038)
-        points = sampler.points(3)
+        frames = frames_at(structure, sampler.points(3))
         for i in range(100):
-            p = points[i % len(points)]
-            quad = [sampler.horizontal_unit(p)[0] for _ in range(4)]
-            worst = max(
-                worst,
-                pc.nres(
-                    bochner_pairing(structure, p, *quad),
-                    wpc(structure, p, *quad),
-                ),
-            )
+            f = frames[i % len(frames)]
+            quad = [sampler.horizontal_unit(f)[0] for _ in range(4)]
+            worst = max(worst, nres(bochner_pairing(f, *quad), wpc(f, *quad)))
     criterion(
         11, worst < 1e-8,
         f"B = W^pc on 100 horizontal quadruples per builtin, "
@@ -384,7 +376,7 @@ def test_criterion_13_differentiation_integrity(criterion, hyp1, hyp2):
     worst_gamma = 0.0
     for structure in (hyp1, hyp2):
         for p in pc.Sampler(structure, seed=2039).points(2):
-            got = pc.christoffel(structure, p).gamma.components
+            got = get_frame(structure, p, 1).gamma.value
             want = fd_christoffel(structure, p)
             worst_gamma = max(
                 worst_gamma,

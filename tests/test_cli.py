@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, reports, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,35 @@ def test_non_finite_structure_exits_2(runner, tmp_path, xi_t, message):
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert f"error: {message}" in result.stderr
     assert "PASS" not in result.stderr
+
+
+def test_overflowed_curvature_fails_with_a_readable_report(runner, tmp_path):
+    # the structure jets are finite; the curvature built from them is not
+    def scale_g(manifold):
+        manifold["g"] = [[f"1e160*({s})" for s in row] for row in manifold["g"]]
+
+    manifest = custom_heisenberg_manifest(n=1, mutate=scale_g, count=30)
+    manifest["checks"] = "all"
+    path = write_manifest(tmp_path / "m.json", manifest)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["check", path])
+    assert result.exit_code == 1, result.stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in result.stderr
+    assert "FAIL space_form_f20: residual inf" in result.stderr
+
+    def refuse(name):
+        raise AssertionError(f"{name} in the report")
+
+    report = json.loads(result.stdout, parse_constant=refuse)
+    rows = {row["name"]: row for row in report["checks"]}
+    assert rows["space_form_f20"]["residual_max"] is None
+    assert rows["space_form_f20"]["non_finite"] == "inf"
+    assert not rows["space_form_f20"]["pass"] and not report["pass"]
+    assert all(("non_finite" in row) == (row["residual_max"] is None)
+               for row in report["checks"])
+    assert "non_finite" not in rows["axiom_i_phi_xi"]
 
 
 def test_report_refuses_non_finite_numbers():

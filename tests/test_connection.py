@@ -2,33 +2,38 @@
 
 import gc
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 import paracurv as pc
 from paracurv.connection import (
     PointGeometry,
     _riemann_from_gamma,
-    canonical_connection,
-    christoffel,
     covariant,
-    covariant_derivative,
     get_frame,
-    lie_derivative_h,
     parallel_check,
-    riemann,
-    riemann_tilde,
-    torsion,
-    torsion_closed_form,
 )
-from paracurv.errors import NotParacontact
-from paracurv.jetfields import jt_einsum
+from paracurv.jetfields import jt_einsum, plu_inverse
 from paracurv.manifest import run_checks
-from paracurv.tensors import plu_inverse
+from paracurv.report import nres
 
-from conftest import sample_points
+from conftest import sample_frames, sample_points
+
+
+def torsion_closed_form(f):
+    """T(X,Y) = eta(X) phi hY - eta(Y) phi hX + 2 g(X, phi Y) xi."""
+    eta, xi = f.eta.value, f.xi.value
+    phi_h = np.einsum("ls,sj->lj", f.phi.value, f.h.value)
+    return (
+        np.einsum("i,lj->lij", eta, phi_h)
+        - np.einsum("j,li->lij", eta, phi_h)
+        + 2.0 * np.einsum("ij,l->lij", f.phi_low.value, xi)
+    )
+
+
+def f21_cross_check(f):
+    """Canonical curvature against its Levi-Civita-side expression."""
+    return nres(f.riem_tilde_up.value, f.f21_rhs)
 
 
 def fd_christoffel(structure, point, h=1e-5):
@@ -52,7 +57,7 @@ def fd_christoffel(structure, point, h=1e-5):
 
 def test_christoffel_matches_finite_differences(hyp1):
     for p in sample_points(hyp1, seed=21, count=3):
-        got = christoffel(hyp1, p).gamma.components
+        got = get_frame(hyp1, p, 1).gamma.value
         want = fd_christoffel(hyp1, p)
         assert np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))) < 1e-5
 
@@ -60,16 +65,16 @@ def test_christoffel_matches_finite_differences(hyp1):
 def test_christoffel_partials_match_finite_differences(hyp1):
     h = 1e-5
     p = sample_points(hyp1, seed=22, count=1)[0]
-    coeffs = christoffel(hyp1, p)
+    dgamma = get_frame(hyp1, p, 2).gamma.parts[1]
     d = hyp1.dim
     for a in range(d):
         e = np.zeros(d)
         e[a] = h
-        hi = christoffel(hyp1, p + e).gamma.components
-        lo = christoffel(hyp1, p - e).gamma.components
+        hi = get_frame(hyp1, p + e, 1).gamma.value
+        lo = get_frame(hyp1, p - e, 1).gamma.value
         fd = (hi - lo) / (2 * h)
         scale = 1.0 + np.max(np.abs(fd))
-        assert np.max(np.abs(coeffs.dgamma[a] - fd)) / scale < 1e-4
+        assert np.max(np.abs(dgamma[a] - fd)) / scale < 1e-4
 
 
 def test_metric_compatibility_and_symmetry(hyp2):
@@ -83,7 +88,7 @@ def test_metric_compatibility_and_symmetry(hyp2):
 
 def test_riemann_symmetries(hyp2):
     for p in sample_points(hyp2, seed=27, count=3):
-        r = riemann(hyp2, p).riem_down.components
+        r = get_frame(hyp2, p, 2).riem_down.value
         scale = 1.0 + np.max(np.abs(r))
         assert np.max(np.abs(r + r.transpose(1, 0, 2, 3))) / scale < 1e-12
         assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) / scale < 1e-12
@@ -94,15 +99,15 @@ def test_riemann_symmetries(hyp2):
 
 def test_curvature_bundle_contractions_agree(hyp1):
     p = sample_points(hyp1, seed=29, count=1)[0]
-    bundle = riemann(hyp1, p)
+    f = get_frame(hyp1, p, 2)
     g = hyp1.at(p, order=0).g.value
     ginv = plu_inverse(g)
-    down = np.einsum("lm,mijk->ijkl", g, bundle.riem_up.components)
-    assert np.allclose(down, bundle.riem_down.components, atol=1e-13)
+    down = np.einsum("lm,mijk->ijkl", g, f.riem_up.value)
+    assert np.allclose(down, f.riem_down.value, atol=1e-13)
     ricci = np.einsum("ml,mjkl->jk", ginv, down)
-    assert np.allclose(ricci, bundle.ricci.components, atol=1e-13)
+    assert np.allclose(ricci, f.ricci.value, atol=1e-13)
     scalar = np.einsum("jk,jk->", ginv, ricci)
-    assert abs(scalar - bundle.scalar) < 1e-11
+    assert abs(scalar - float(f.scalar.value)) < 1e-11
 
 
 def test_koszul_frame_oracle_on_heisenberg(heis1):
@@ -117,7 +122,7 @@ def test_koszul_frame_oracle_on_heisenberg(heis1):
     assert abs(u_vec @ g @ u_vec - 1.0) < 1e-14
     assert abs(v_vec @ g @ v_vec + 1.0) < 1e-14
     assert abs(u_vec @ g @ v_vec) < 1e-14
-    r = riemann(heis1, p).riem_down.components
+    r = get_frame(heis1, p, 2).riem_down.value
     num = np.einsum("ijkl,i,j,k,l->", r, u_vec, v_vec, v_vec, u_vec)
     assert abs(num + 3.0) < 1e-12
 
@@ -130,12 +135,10 @@ def test_nabla_xi_is_minus_phi_on_heisenberg(heis2):
 
 def test_covariant_derivative_of_eta_gives_phi_low(heis2):
     p = sample_points(heis2, seed=33, count=1)[0]
-    coeffs = christoffel(heis2, p)
-    field = lambda q, order: heis2.at(q, order).eta
-    out = covariant_derivative(field, p, coeffs, "l")
-    assert (out.p, out.q) == (0, 2)
-    phl = get_frame(heis2, p, order=1).phi_low.value
-    assert np.allclose(out.components, phl, atol=1e-13)
+    f = get_frame(heis2, p, order=2)
+    out = covariant(heis2.at(p, 2).eta, "l", f.gamma)
+    assert out.base_shape == (heis2.dim, heis2.dim)
+    assert np.allclose(out.value, f.phi_low.value, atol=1e-13)
 
 
 def test_canonical_connection_preserves_the_structure(hyp1):
@@ -145,55 +148,42 @@ def test_canonical_connection_preserves_the_structure(hyp1):
             assert np.max(
                 np.abs(f.cov(t, kinds, kind="canonical_tilde").value)
             ) < 1e-12
-    coeffs = canonical_connection(hyp1, p)
-    assert coeffs.kind == "canonical_tilde"
     # the canonical connection genuinely differs from Levi-Civita
-    assert np.max(
-        np.abs(coeffs.gamma.components - christoffel(hyp1, p).gamma.components)
-    ) > 1e-3
+    assert np.max(np.abs(f.gamma_tilde.value - f.gamma.value)) > 1e-3
 
 
 def test_heisenberg_is_canonically_flat(heis2):
-    for p in sample_points(heis2, seed=37, count=3):
-        bundle, res = riemann_tilde(heis2, p)
-        assert np.max(np.abs(bundle.riem_up.components)) < 1e-13
-        assert res < 1e-12
+    for f in sample_frames(heis2, seed=37, count=3, order=3):
+        assert np.max(np.abs(f.riem_tilde_up.value)) < 1e-13
+        assert f21_cross_check(f) < 1e-12
 
 
 def test_riemann_tilde_cross_check_on_hyperboloid(hyp1):
-    for p in sample_points(hyp1, seed=39, count=3):
-        bundle, res = riemann_tilde(hyp1, p)
-        assert res < 1e-12
-        assert np.max(np.abs(bundle.riem_down.components)) > 0.1
-    bundle_only, res_none = riemann_tilde(hyp1, p, cross_check=False)
-    assert res_none is None
-    assert np.array_equal(
-        bundle_only.riem_down.components, bundle.riem_down.components
-    )
+    for f in sample_frames(hyp1, seed=39, count=3, order=3):
+        assert f21_cross_check(f) < 1e-12
+        assert np.max(np.abs(f.riem_tilde_down.value)) > 0.1
 
 
 def test_torsion_closed_form(heis1, hyp2):
     for s in (heis1, hyp2):
-        for p in sample_points(s, seed=41, count=3):
-            got = torsion(s, p).components
-            want = torsion_closed_form(s, p).components
+        for f in sample_frames(s, seed=41, count=3):
+            got = f.torsion_up.value
+            want = torsion_closed_form(f)
             assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_h_tensor_vanishes_on_builtins(heis1, hyp1):
     for s in (heis1, hyp1):
-        for p in sample_points(s, seed=43, count=3):
-            assert np.max(np.abs(lie_derivative_h(s, p).components)) < 1e-13
+        for f in sample_frames(s, seed=43, count=3):
+            assert np.max(np.abs(f.h.value)) < 1e-13
 
 
 def test_parallel_check(heis2, hyp1):
     for s in (heis2, hyp1):
-        report = parallel_check(s, sample_points(s, seed=45, count=2))
+        report = parallel_check(sample_frames(s, seed=45, count=2, order=3))
         assert report.passed
         names = {r.name for r in report.results}
         assert names == {"parallel_torsion", "parallel_curvature"}
-    with pytest.raises(NotParacontact):
-        parallel_check(SimpleNamespace(dim=4), [])
 
 
 def covariant_at_input_order(t, kinds, gamma):
@@ -273,3 +263,44 @@ def test_structure_is_freed_without_the_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def axioms_and_classification(count):
+    return {
+        "schema": "paracurv-manifest/1",
+        "manifold": {"kind": "builtin", "name": "heisenberg", "n": 1},
+        "sampling": {"seed": 3, "count": count},
+        "checks": ["axioms", "classification"],
+    }
+
+
+def test_run_checks_builds_each_frame_once_above_2048_points(monkeypatch):
+    built = []
+    init = PointGeometry.__init__
+
+    def counting_init(self, structure, point, order=3):
+        built.append(order)
+        init(self, structure, point, order)
+
+    monkeypatch.setattr(PointGeometry, "__init__", counting_init)
+    run_checks(pc.builtin_heisenberg(1), axioms_and_classification(2100))
+    assert len(built) == 2100
+    assert built[:25] == [2] * 25 and set(built[25:]) == {1}
+
+
+def test_run_checks_keeps_only_the_leading_frames_alive(monkeypatch):
+    alive = weakref.WeakSet()
+    most = [0]
+    init = PointGeometry.__init__
+
+    def tracking_init(self, structure, point, order=3):
+        alive.add(self)
+        most[0] = max(most[0], len(alive))
+        init(self, structure, point, order)
+
+    monkeypatch.setattr(PointGeometry, "__init__", tracking_init)
+    report, _, _ = run_checks(pc.builtin_heisenberg(1),
+                              axioms_and_classification(3000))
+    assert report.passed
+    # the 25 leading frames, the one in use and the one being built
+    assert most[0] <= 27

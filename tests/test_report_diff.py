@@ -43,6 +43,14 @@ def change_threshold(r):
     r["checks"][0]["threshold"] = 1e-9
 
 
+def overflow_residual(r):
+    r["checks"][0].update(residual_max=None, non_finite="inf", **{"pass": False})
+
+
+def overflow_constant(r):
+    r["constants"]["a"] = None
+
+
 @pytest.mark.parametrize(
     "mutate, code, expected",
     [
@@ -54,6 +62,8 @@ def change_threshold(r):
         (change_verdict, 1, "DIFFERS verdicts"),
         (add_constant, 1, "DIFFERS constant keys"),
         (change_threshold, 1, "DIFFERS checks.axiom_i_phi_xi.threshold"),
+        (overflow_residual, 1, "DIFFERS checks.axiom_i_phi_xi.residual_max"),
+        (overflow_constant, 1, "DIFFERS constants.a: "),
     ],
 )
 def test_report_diff(tmp_path, mutate, code, expected):

@@ -1,115 +1,13 @@
-"""Index algebra on pointwise tensor values."""
+"""Tensor values at a point: the pivoted metric inverse and phi lowered."""
 
 import numpy as np
 import pytest
 
-from paracurv.errors import SingularMetric, SlotError
-from paracurv.tensors import (
-    TensorValue,
-    contract,
-    plu_inverse,
-    raise_lower,
-    symmetrize,
-)
+from paracurv.connection import get_frame
+from paracurv.errors import SingularMetric
+from paracurv.jetfields import plu_inverse
 
 from conftest import sample_points
-
-
-@pytest.fixture(scope="module")
-def rng():
-    return np.random.default_rng(42)
-
-
-def random_metric(rng, d=4):
-    # symmetric with split signature, comfortably nonsingular
-    a = rng.uniform(-0.2, 0.2, (d, d))
-    base = np.diag([1.0] * (d // 2 + d % 2) + [-1.0] * (d // 2))
-    return TensorValue.build(d, 0, 2, base + 0.5 * (a + a.T), sym="symmetric")
-
-
-def test_contract_traces_kronecker(rng):
-    d = 5
-    delta = TensorValue(d, 1, 1, np.eye(d))
-    out = contract(delta, 0, 1)
-    assert out.rank == 0
-    assert out.components == pytest.approx(d)
-
-
-def test_contract_requires_mixed_slots(rng):
-    t = TensorValue(3, 0, 2, rng.uniform(-1, 1, (3, 3)))
-    with pytest.raises(SlotError):
-        contract(t, 0, 1)
-    up = TensorValue(3, 2, 0, rng.uniform(-1, 1, (3, 3)))
-    with pytest.raises(SlotError):
-        contract(up, 0, 1)
-    with pytest.raises(SlotError):
-        contract(up, 0, 5)
-
-
-def test_raise_then_lower_round_trips(rng):
-    d = 4
-    g = random_metric(rng, d)
-    t = TensorValue(d, 0, 3, rng.uniform(-1, 1, (d,) * 3))
-    up = raise_lower(t, 1, g, "raise")
-    assert (up.p, up.q) == (1, 2)
-    back = raise_lower(up, 0, g, "lower")
-    assert (back.p, back.q) == (0, 3)
-    # the toggled slot comes back in front of the covariant block
-    assert np.allclose(back.components, np.moveaxis(t.components, 1, 0))
-
-
-def test_raise_lower_linearity(rng):
-    d = 4
-    g = random_metric(rng, d)
-    a = TensorValue(d, 0, 2, rng.uniform(-1, 1, (d, d)))
-    b = TensorValue(d, 0, 2, rng.uniform(-1, 1, (d, d)))
-    s = TensorValue(d, 0, 2, 2.0 * a.components - 3.0 * b.components)
-    lhs = raise_lower(s, 0, g, "raise").components
-    rhs = (
-        2.0 * raise_lower(a, 0, g, "raise").components
-        - 3.0 * raise_lower(b, 0, g, "raise").components
-    )
-    assert np.allclose(lhs, rhs, atol=1e-13)
-
-
-def test_raise_lower_slot_guards(rng):
-    d = 3
-    g = random_metric(rng, d)
-    t = TensorValue(d, 1, 1, rng.uniform(-1, 1, (d, d)))
-    with pytest.raises(SlotError):
-        raise_lower(t, 0, g, "raise")
-    with pytest.raises(SlotError):
-        raise_lower(t, 1, g, "lower")
-    bad_metric = TensorValue(d, 1, 1, np.eye(d))
-    with pytest.raises(SlotError):
-        raise_lower(t, 1, bad_metric, "raise")
-
-
-def test_symmetrize_projects(rng):
-    d = 3
-    t = TensorValue(d, 0, 3, rng.uniform(-1, 1, (d,) * 3))
-    sym = symmetrize(t, (0, 1, 2))
-    c = sym.components
-    assert np.allclose(c, c.transpose(1, 0, 2), atol=1e-15)
-    assert np.allclose(c, c.transpose(0, 2, 1), atol=1e-15)
-    # idempotent
-    again = symmetrize(sym, (0, 1, 2))
-    assert np.allclose(again.components, c, atol=1e-15)
-    mixed = TensorValue(d, 1, 1, rng.uniform(-1, 1, (d, d)))
-    with pytest.raises(SlotError):
-        symmetrize(mixed, (0, 1))
-
-
-def test_build_symmetry_tags(rng):
-    d = 3
-    raw = rng.uniform(-1, 1, (d, d))
-    s = TensorValue.build(d, 0, 2, raw, sym="symmetric").components
-    a = TensorValue.build(d, 0, 2, raw, sym="antisymmetric").components
-    assert np.array_equal(s, s.T)
-    assert np.array_equal(a, -a.T)
-    assert np.allclose(s + a, raw, atol=1e-15)
-    with pytest.raises(ValueError):
-        TensorValue.build(d, 0, 3, np.zeros((d,) * 3), sym="symmetric")
 
 
 def test_plu_inverse_rejects_singular():
@@ -123,8 +21,5 @@ def test_phi_low_is_antisymmetric_on_builtin(heis2):
     # gphi is the exterior-derivative half of eta, so lowering phi must
     # produce an antisymmetric bilinear form
     for p in sample_points(heis2, seed=5, count=5):
-        sj = heis2.at(p, order=0)
-        g = TensorValue(heis2.dim, 0, 2, sj.g.value)
-        phi = TensorValue(heis2.dim, 1, 1, sj.phi.value)
-        low = raise_lower(phi, 0, g, "lower").components
+        low = get_frame(heis2, p, 0).phi_low.value
         assert np.max(np.abs(low + low.T)) < 1e-13

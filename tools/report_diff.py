@@ -6,8 +6,10 @@ Check names and their order, thresholds, pass flags, verdicts, constant
 keys and every other report field must be equal; any difference is printed
 and the exit code is 1.  Residuals and constant values may move: each one
 that does is printed with its value in A, its value in B and the absolute
-change, and the exit code stays 0.  ``wall_time_s`` is ignored.  Unreadable
-input exits 2.
+change, and the exit code stays 0.  A residual or constant that is not a
+finite number is written as null, and its row carries ``non_finite``
+("inf" or "nan"); a change to or from null is a difference, not a move.
+``wall_time_s`` is ignored.  Unreadable input exits 2.
 
 Reads plain JSON and imports nothing from the package, so it compares the
 output of any two versions.
@@ -42,7 +44,9 @@ def diff(a, b):
         return True
 
     def compare_value(label, x, y):
-        if x != y:
+        if x is None or y is None:
+            same(label, x, y)
+        elif x != y:
             moved.append((label, x, y))
 
     for key in sorted((a.keys() | b.keys()) - IGNORED - NUMERIC):
