@@ -10,6 +10,7 @@ over them by taking the maximum normalized residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +171,8 @@ def phsc(f, v, form="f8"):
     if form == "f8":
         R = f.riem_down.value
         num = np.einsum("dcab,d,c,a,b->", R, pv, ppv, ppv, pv)
-        return float(num / (q1 * q2))
+        # an overflowed denominator would read as a curvature of 0
+        return float(num / (q1 * q2)) if np.isfinite(q1 * q2) else math.nan
     if form == "f9":
         R = f.riem_down.value
         e = np.einsum
@@ -180,7 +182,7 @@ def phsc(f, v, form="f8"):
         )
         num = e("kjhi,k,j,h,i->", core, v, v, v, v)
         den = float((v @ gh @ v) ** 2)
-        return float(-num / den)
+        return float(-num / den) if np.isfinite(den) else math.nan
     raise ValueError(f"unknown phsc form {form!r}")
 
 

@@ -103,24 +103,30 @@ def curvature(manifest_path, point_text):
             )
         if not structure.domain.contains(point):
             _fail(f"point outside the chart domain of {structure.name}")
-        frame = get_frame(structure, point, order=2)
-        sampler = Sampler(structure, seed=0)
-        u, _ = sampler.horizontal_unit(frame)
-        v = sampler.section_vector(frame)
-        bochner = pc_bochner(frame)
+        with np.errstate(all="ignore"):
+            frame = get_frame(structure, point, order=2)
+            sampler = Sampler(structure, seed=0)
+            u, _ = sampler.horizontal_unit(frame)
+            v = sampler.section_vector(frame)
+            bochner = pc_bochner(frame)
+            numbers = [
+                ("|g|_inf", np.max(np.abs(frame.g.value))),
+                ("|Gamma|_inf", np.max(np.abs(frame.gamma.value))),
+                ("|R|_inf", np.max(np.abs(frame.riem_down.value))),
+                ("|r|_inf", np.max(np.abs(frame.ricci.value))),
+                ("scalar_s", float(frame.scalar.value)),
+                ("xi_sectional", xi_sectional(frame, u)),
+                ("phsc", phsc(frame, v)),
+                ("|B|_inf", np.max(np.abs(bochner.tensor))),
+                ("kappa_B", bochner.kappa_B),
+            ]
+        bad = [name for name, x in numbers if not np.isfinite(x)]
+        if bad:
+            _fail(f"curvature is not finite at this point: {', '.join(bad)}")
         lines = [
             f"structure: {structure.name}",
             f"point: {', '.join(format(c, 'g') for c in point)}",
-            f"|g|_inf: {np.max(np.abs(frame.g.value)):.12g}",
-            f"|Gamma|_inf: {np.max(np.abs(frame.gamma.value)):.12g}",
-            f"|R|_inf: {np.max(np.abs(frame.riem_down.value)):.12g}",
-            f"|r|_inf: {np.max(np.abs(frame.ricci.value)):.12g}",
-            f"scalar_s: {float(frame.scalar.value):.12g}",
-            f"xi_sectional: {xi_sectional(frame, u):.12g}",
-            f"phsc: {phsc(frame, v):.12g}",
-            f"|B|_inf: {np.max(np.abs(bochner.tensor)):.12g}",
-            f"kappa_B: {bochner.kappa_B:.12g}",
-        ]
+        ] + [f"{name}: {x:.12g}" for name, x in numbers]
     except ParacurvError as e:
         _fail(e)
     click.echo("\n".join(lines))

@@ -1,7 +1,8 @@
 """Levi-Civita and canonical paracontact connections with their curvature.
 
 The per-point pipeline is a frame, a :class:`PointGeometry` made by
-:func:`get_frame`.  It holds the structure jets at one point and lazily
+:func:`get_frame` at one point, or by the check runner from a batch of
+structure jets.  It holds the structure jets at one point and lazily
 computes and keeps the inverse metric, the Christoffel symbols (with their
 coordinate partials straight from the jets, never finite-differenced),
 both curvature tensors, the h-tensor and the canonical torsion.  The
@@ -65,17 +66,16 @@ def _riemann_from_gamma(gamma):
 class PointGeometry:
     """Lazily computed geometric data of one structure at one point.
 
-    The structure jets are built up front and no reference to the structure
-    is kept, so a frame does not keep its structure alive.
+    Built from the point's structure jets, not from the structure, so a
+    frame does not keep its structure alive.
     """
 
-    def __init__(self, structure, point, order=3):
+    def __init__(self, jets, point, order=3):
         self.point = np.asarray(point, dtype=float)
         self.order = order
-        self.dim = structure.dim
-        self.n = structure.n
-        sj = structure.at(self.point, order)
-        self.g, self.phi, self.xi, self.eta = sj.g, sj.phi, sj.xi, sj.eta
+        self.g, self.phi, self.xi, self.eta = jets
+        self.dim = self.g.dim
+        self.n = (self.dim - 1) // 2
 
     @cached_property
     def ginv(self):
@@ -215,7 +215,8 @@ def get_frame(structure, point, order=3):
     Nothing is cached: the caller keeps the frame for as long as it needs
     it, so memory follows what the caller holds.
     """
-    return PointGeometry(structure, point, order)
+    point = np.asarray(point, dtype=float)
+    return PointGeometry(structure.at(point[None], order)[0], point, order)
 
 
 def parallel_check(frames, threshold=1e-8):

@@ -8,14 +8,16 @@ class ParacurvError(Exception):
 class DomainError(ParacurvError):
     """A scalar operation left its domain (sqrt of a negative, division by ~0).
 
-    Carries the offending value and, when raised during expression
-    evaluation, the source span of the failing subexpression.
+    Carries the offending value, the index of the first failing point of a
+    batch and, when raised during expression evaluation, the source span of
+    the failing subexpression.
     """
 
-    def __init__(self, message, value=None, span=None):
+    def __init__(self, message, value=None, span=None, index=None):
         super().__init__(message)
         self.value = value
         self.span = span
+        self.index = index
 
 
 class SingularMetric(ParacurvError):

@@ -9,17 +9,25 @@ Grammar (standard precedence, left associativity)::
     atom   := number | name | '(' expr ')' | func '(' expr ')'
 
 Only integer powers are allowed; fractional powers must be written via
-``sqrt``.  Names must be declared coordinates.  Evaluation produces a
-:class:`~paracurv.jets.Jet` of the requested order.
+``sqrt``.  Names must be declared coordinates.
+
+:func:`eval_jet` evaluates an AST over a batch of P points at once, to a
+:class:`~paracurv.jetfields.JetTensor` of truncated Taylor jets up to third
+order whose base shape is ``(P,)``: the point axis comes after the
+derivative axes.  The rules are those of Taylor arithmetic (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), elementwise over the
+points, so a point gets the same bits in any batch, one point included.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import DomainError, ParseError, UnknownCoordinate
-from .jets import Jet
+from .jetfields import JetTensor
 
 FUNCTIONS = ("sqrt", "exp", "ln", "sinh", "cosh")
 
@@ -196,14 +204,10 @@ class _Parser:
         if kind == "op" and val == "(":
             node = self.expr()
             _, _, endoff = self.expect_op(")")
-            return type(node)(**{**_fields(node), "span": (off, endoff + 1)})
+            return replace(node, span=(off, endoff + 1))
         raise ParseError(
             f"expected a number, coordinate or '('", off, expected={"atom"}
         )
-
-
-def _fields(node):
-    return {f: getattr(node, f) for f in node.__dataclass_fields__}
 
 
 def parse(text, coords):
@@ -213,63 +217,222 @@ def parse(text, coords):
     return _Parser(text, list(coords)).parse()
 
 
-# -- printing / round trip ---------------------------------------------------
-
-
-def unparse(ast):
-    """Render an AST back to text; re-parsing yields a structurally equal AST."""
-    if isinstance(ast, Num):
-        return repr(ast.value)
-    if isinstance(ast, Coord):
-        return ast.name
-    if isinstance(ast, Neg):
-        return f"-({unparse(ast.arg)})"
-    if isinstance(ast, Bin):
-        return f"({unparse(ast.left)}){ast.op}({unparse(ast.right)})"
-    if isinstance(ast, Pow):
-        return f"({unparse(ast.base)})^{ast.exponent}"
-    if isinstance(ast, Call):
-        return f"{ast.func}({unparse(ast.arg)})"
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
 # -- evaluation ---------------------------------------------------------------
+#
+# Inside the evaluator a jet is a Python float for a constant (a subtree
+# without coordinates) or a list [value, d1, ..., d_order] of arrays, part k
+# of shape (d,)*k + (P,); a part of order 2 or more is None while it is zero
+# by construction, as a coordinate's is.  Each rule adds its terms in a
+# fixed order and leaves out the None ones, which changes no bit of a sum
+# but the sign of a zero.
+
+_DIV_EPS = 1e-14
 
 
-def eval_jet(ast, point, order=3):
-    """Evaluate an AST to a Jet at the given point.
+def _refuse(bad, message, v):
+    """DomainError at the first point where ``bad`` holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        value = float(np.ravel(v)[i])
+        raise DomainError(message.format(value), value=value, index=i)
 
-    DomainErrors from jet arithmetic are re-raised with the span of the
-    offending subexpression attached.
-    """
+
+def _refuse_overflow(message, v, *results):
+    """DomainError at the first point where v is finite and a result is not."""
+    finite = np.isfinite(results[0])
+    for r in results[1:]:
+        finite &= np.isfinite(r)
+    _refuse(np.isfinite(v) & ~finite, message, v)
+
+
+def _sqrt_terms(v):
+    _refuse(v <= 0.0, "sqrt of non-positive value", v)
+    r = np.sqrt(v)
+    return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)
+
+
+def _exp_terms(v):
+    with np.errstate(over="ignore"):
+        e = np.exp(v)
+    _refuse_overflow("exp overflows at {:g}", v, e)
+    return e, e, e, e
+
+
+def _ln_terms(v):
+    _refuse(v <= 0.0, "ln of non-positive value", v)
+    with np.errstate(all="ignore"):
+        p2, p3 = v**2, v**3
+        terms = np.log(v), 1.0 / v, -1.0 / p2, 2.0 / p3
+    _refuse_overflow("derivatives of ln overflow at {:g}", v, p2, p3, *terms)
+    return terms
+
+
+def _sinh_cosh_terms(v):
+    """sinh, cosh, sinh, cosh, sinh at v: the first four are sinh and its
+    derivatives, the last four cosh and its."""
+    with np.errstate(over="ignore"):
+        s, c = np.sinh(v), np.cosh(v)
+    _refuse_overflow("sinh overflows at {:g}", v, s, c)
+    return s, c, s, c, s
+
+
+def _reciprocal_terms(v):
+    _refuse(np.abs(v) < _DIV_EPS, "division by ~0 value", v)
+    with np.errstate(over="ignore"):
+        p2, p3, p4 = v**2, v**3, v**4
+    _refuse_overflow("derivatives of 1/x overflow at {:g}", v, p2, p3, p4)
+    return 1.0 / v, -1.0 / p2, 2.0 / p3, -6.0 / p4
+
+
+# outer function -> its value and first three derivatives at a value
+_TERMS = {
+    "sqrt": _sqrt_terms,
+    "exp": _exp_terms,
+    "ln": _ln_terms,
+    "sinh": _sinh_cosh_terms,
+    "cosh": lambda v: _sinh_cosh_terms(v)[1:],
+}
+
+
+def _sum(terms):
+    """Left-to-right sum of the terms that are not None; None if all are."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _times(x, y):
+    return None if x is None else x * y
+
+
+def _compose(u, terms):
+    """Faa di Bruno through the order of u, for the outer function whose
+    value and derivatives at u's value ``terms`` returns."""
+    if isinstance(u, float):
+        return float(terms(np.float64(u))[0])
+    f = terms(u[0])
+    out = [f[0]]
+    if len(u) > 1:
+        out.append(f[1] * u[1])
+    if len(u) > 2:
+        out.append(_sum([f[2] * (u[1][:, None] * u[1][None]), _times(u[2], f[1])]))
+    if len(u) > 3:
+        d3 = [f[3] * (u[1][:, None, None] * u[1][None, :, None] * u[1][None, None])]
+        if u[2] is not None:
+            t = u[2][:, :, None] * u[1][None, None]
+            d3.append(f[2] * (t + np.moveaxis(t, 2, 1) + np.moveaxis(t, 2, 0)))
+        out.append(_sum(d3 + [_times(u[3], f[1])]))
+    return out
+
+
+def _jet_neg(a):
+    return -a if isinstance(a, float) else [None if p is None else -p for p in a]
+
+
+def _jet_add(a, b):
+    if isinstance(a, float):
+        return a + b if isinstance(b, float) else [b[0] + a] + b[1:]
+    if isinstance(b, float):
+        return [a[0] + b] + a[1:]
+    return [y if x is None else x if y is None else x + y for x, y in zip(a, b)]
+
+
+def _jet_sub(a, b):
+    if isinstance(b, float) or isinstance(a, float):
+        return _jet_add(a, _jet_neg(b))
+    return [x if y is None else -y if x is None else x - y for x, y in zip(a, b)]
+
+
+def _jet_mul(a, b):
+    """Leibniz product; a constant factor scales every part."""
+    if isinstance(a, float) or isinstance(b, float):
+        a, b = (a, b) if isinstance(b, float) else (b, a)
+        return a * b if isinstance(a, float) else [_times(p, b) for p in a]
+    out = [a[0] * b[0]]
+    if len(a) > 1:
+        out.append(a[1] * b[0] + a[0] * b[1])
+    if len(a) > 2:
+        o = a[1][:, None] * b[1][None]
+        out.append(_sum([_times(a[2], b[0]), o, np.swapaxes(o, 0, 1),
+                         _times(b[2], a[0])]))
+    if len(a) > 3:
+        terms = [_times(a[3], b[0]), _times(b[3], a[0])]
+        if a[2] is not None:
+            t = a[2][:, :, None] * b[1][None, None]
+            terms += [t, np.moveaxis(t, 2, 1), np.moveaxis(t, 2, 0)]
+        if b[2] is not None:
+            s = a[1][:, None, None] * b[2][None]
+            terms += [s, np.moveaxis(s, 0, 1), np.moveaxis(s, 0, 2)]
+        out.append(_sum(terms))
+    return out
+
+
+def _jet_pow(a, n):
+    if n == 0:
+        return 1.0
+    out = a
+    for _ in range(abs(n) - 1):
+        out = _jet_mul(out, a)
+    return _compose(out, _reciprocal_terms) if n < 0 else out
+
+
+_BINARY = {
+    "+": _jet_add,
+    "-": _jet_sub,
+    "*": _jet_mul,
+    "/": lambda a, b: _jet_mul(a, _compose(b, _reciprocal_terms)),
+}
+
+
+def _eval(ast, coordinate):
     if isinstance(ast, Num):
-        return Jet.constant(ast.value, len(point), order)
+        return ast.value
     if isinstance(ast, Coord):
-        return Jet.coordinate(ast.index, point, order)
+        return coordinate(ast.index)
     if isinstance(ast, Neg):
-        return -eval_jet(ast.arg, point, order)
+        return _jet_neg(_eval(ast.arg, coordinate))
     if isinstance(ast, Bin):
-        left = eval_jet(ast.left, point, order)
-        right = eval_jet(ast.right, point, order)
-        try:
-            if ast.op == "+":
-                return left + right
-            if ast.op == "-":
-                return left - right
-            if ast.op == "*":
-                return left * right
-            return left / right
-        except DomainError as e:
-            raise DomainError(str(e), value=e.value, span=ast.span) from None
-    if isinstance(ast, Pow):
-        return eval_jet(ast.base, point, order) ** ast.exponent
-    if isinstance(ast, Call):
-        arg = eval_jet(ast.arg, point, order)
-        try:
-            return getattr(arg, ast.func)()
-        except DomainError as e:
-            raise DomainError(str(e), value=e.value, span=ast.span) from None
-    raise TypeError(f"not an AST node: {ast!r}")
+        rule, args = _BINARY[ast.op], (_eval(ast.left, coordinate),
+                                       _eval(ast.right, coordinate))
+    elif isinstance(ast, Pow):
+        rule, args = _jet_pow, (_eval(ast.base, coordinate), ast.exponent)
+    elif isinstance(ast, Call):
+        rule, args = _compose, (_eval(ast.arg, coordinate), _TERMS[ast.func])
+    else:
+        raise TypeError(f"not an AST node: {ast!r}")
+    try:
+        return rule(*args)
+    except DomainError as e:
+        raise DomainError(str(e), e.value, ast.span, e.index) from None
+
+
+def eval_jet(ast, points, order=3):
+    """Jets of an AST over a (P, d) array of points, up to ``order``.
+
+    The result's base shape is ``(P,)``.  A DomainError carries the span of
+    the failing subexpression and, as ``index``, the first failing point.
+    """
+    points = np.asarray(points, dtype=float)
+    count, dim = points.shape
+
+    def coordinate(i):
+        jet = [points[:, i]] + [None] * order
+        if order:
+            jet[1] = np.zeros((dim, count))
+            jet[1][i] = 1.0
+        return jet
+
+    out = _eval(ast, coordinate)
+    if isinstance(out, float):
+        value = np.empty(count)
+        value.fill(out)
+        out = [value] + [None] * order
+    for k in range(1, order + 1):
+        if out[k] is None:
+            out[k] = np.zeros((dim,) * k + (count,))
+    return JetTensor(dim, order, out)
 
 
 # -- symbolic derivative (internal plumbing for embeddings) -------------------
@@ -367,32 +530,17 @@ def derivative(ast, index):
 
 
 class ScalarField:
-    """A coordinate component function, evaluable to a Jet at a point."""
+    """A coordinate component function, evaluable to jets over points."""
 
-    __slots__ = ("dim", "_ast", "_fn", "source_text")
+    __slots__ = ("ast", "source_text")
 
-    def __init__(self, dim, ast=None, fn=None, source_text=None):
-        if (ast is None) == (fn is None):
-            raise ValueError("exactly one of ast/fn is required")
-        self.dim = dim
-        self._ast = ast
-        self._fn = fn
+    def __init__(self, ast, source_text=None):
+        self.ast = ast
         self.source_text = source_text
 
     @classmethod
     def from_expr(cls, text, coords):
-        ast = parse(text, coords)
-        return cls(len(coords), ast=ast, source_text=text)
+        return cls(parse(text, coords), text)
 
-    @classmethod
-    def from_callable(cls, dim, fn):
-        return cls(dim, fn=fn)
-
-    @property
-    def ast(self):
-        return self._ast
-
-    def __call__(self, point, order=3):
-        if self._ast is not None:
-            return eval_jet(self._ast, point, order)
-        return self._fn(point, order)
+    def __call__(self, points, order=3):
+        return eval_jet(self.ast, points, order)

@@ -2,12 +2,16 @@
 
 A :class:`CharteredStructure` bundles the chart (coordinate names, domain
 box, optional guard) with a component strategy that produces jets of
-(g, phi, xi, eta) at a point.  Three strategies exist: explicit expression
-tables, induction from an embedding into the flat para-Kaehler ambient,
-and the D-homothetic transform of another structure.
+(g, phi, xi, eta) over a batch of points, one :class:`StructureJets` per
+point.  Three strategies exist: explicit expression tables, induction from
+an embedding into the flat para-Kaehler ambient, and the D-homothetic
+transform of another structure.  Each expression is evaluated once per
+batch; the induced and D-homothetic algebra runs point by point.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,24 +21,38 @@ from .errors import (
     NotParacontact,
     RankDeficientJacobian,
 )
-from .exprlang import ScalarField, derivative, parse
+from .exprlang import ScalarField, derivative, eval_jet, parse
 from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 
-class StructureJets:
+class StructureJets(NamedTuple):
     """Jets of the four structure tensors at one point."""
 
-    __slots__ = ("g", "phi", "xi", "eta")
+    g: JetTensor
+    phi: JetTensor
+    xi: JetTensor
+    eta: JetTensor
 
-    def __init__(self, g, phi, xi, eta):
-        self.g = g
-        self.phi = phi
-        self.xi = xi
-        self.eta = eta
+
+def _stack(jets, shape):
+    """Parts ``(P,) + (d,)*k + shape`` of a tensor from the batch jets of its
+    components in row-major order; contiguous, so that each point's slice is
+    laid out as jets built at that point alone."""
+    parts = []
+    for k in range(jets[0].order + 1):
+        a = np.array([j.parts[k] for j in jets])  # (N,) + (d,)*k + (P,)
+        a = np.ascontiguousarray(a.transpose((k + 1, *range(1, k + 1), 0)))
+        parts.append(a.reshape(a.shape[:-1] + shape))
+    return parts
+
+
+def _at_point(parts, i, dim):
+    """Point i of stacked parts, as a jet tensor of views."""
+    return JetTensor(dim, len(parts) - 1, [p[i] for p in parts])
 
 
 class Domain:
-    """Coordinate box with an optional guard predicate."""
+    """Coordinate box with an optional guard: (P, d) points -> P booleans."""
 
     def __init__(self, box, guard=None, guard_desc=None):
         self.box = np.asarray(box, dtype=float)  # shape (d, 2)
@@ -45,11 +63,17 @@ class Domain:
     def cube(cls, dim, half_width=2.0):
         return cls([[-half_width, half_width]] * dim)
 
+    def inside(self, points):
+        """Which points of a (P, d) batch lie in the box and pass the guard."""
+        points = np.asarray(points, dtype=float)
+        out = ~(np.any(points < self.box[:, 0], axis=1)
+                | np.any(points > self.box[:, 1], axis=1))
+        if self.guard is not None:
+            out &= self.guard(points)
+        return out
+
     def contains(self, point):
-        point = np.asarray(point, dtype=float)
-        if np.any(point < self.box[:, 0]) or np.any(point > self.box[:, 1]):
-            return False
-        return self.guard is None or bool(self.guard(point))
+        return bool(self.inside(np.asarray(point, dtype=float)[None])[0])
 
 
 class CharteredStructure:
@@ -72,7 +96,7 @@ class CharteredStructure:
         # fail fast on manifestly bad input: g must have signature (n+1, n)
         if probe is None:
             probe = self.domain.box.mean(axis=1)
-        sj = self.at(np.asarray(probe, dtype=float), order=0)
+        sj = self.at([np.asarray(probe, dtype=float)], order=0)[0]
         eigs = np.linalg.eigvalsh(sj.g.value)
         pos = int(np.sum(eigs > 0))
         neg = int(np.sum(eigs < 0))
@@ -82,26 +106,32 @@ class CharteredStructure:
                 f"({self.n + 1},{self.n})"
             )
 
-    def at(self, point, order=3):
-        """Structure jets at a point of the chart domain.
+    def at(self, points, order=3):
+        """Structure jets over a (P, d) batch of points in the chart domain,
+        one :class:`StructureJets` per point.
 
-        Raises DomainError when a jet is not finite, which no check could
-        then judge.
+        Raises DomainError, with the index of the first such point, for a
+        point outside the domain or jets that are not finite, which no check
+        could then judge.
         """
-        point = np.asarray(point, dtype=float)
-        if not self.domain.contains(point):
-            raise DomainError(
-                f"point outside chart domain of {self.name}", value=point
-            )
-        sj = self.components.at(point, order)
-        # one isfinite over every part: a per-array test costs twice as much
-        parts = [p.ravel() for t in (sj.g, sj.phi, sj.xi, sj.eta) for p in t.parts]
+        points = np.asarray(points, dtype=float)
+        outside = ~self.domain.inside(points)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DomainError(f"point outside chart domain of {self.name}",
+                              value=points[i], index=i)
+        with np.errstate(all="ignore"):
+            jets = self.components.at(points, order)
+        # one isfinite over every part of the batch
+        parts = [p.ravel() for sj in jets for t in sj for p in t.parts]
         if not np.isfinite(np.concatenate(parts)).all():
+            i = next(i for i, sj in enumerate(jets)
+                     if not all(np.isfinite(p).all() for t in sj for p in t.parts))
             raise DomainError(
-                f"structure jets of {self.name} are not finite at {point}",
-                value=point,
+                f"structure jets of {self.name} are not finite at {points[i]}",
+                value=points[i], index=i,
             )
-        return sj
+        return jets
 
 
 # -- component strategies -----------------------------------------------------
@@ -116,22 +146,21 @@ class ExprTableComponents:
         self.xi = xi
         self.eta = eta
 
-    def at(self, point, order):
-        def pack(table):
-            jets = np.array(
-                [[f(point, order) for f in row] for row in table], dtype=object
-            )
-            return JetTensor.from_jets(jets)
+    def at(self, points, order):
+        d = len(self.xi)
 
-        def pack_vec(vec):
-            return JetTensor.from_jets(
-                np.array([f(point, order) for f in vec], dtype=object)
-            )
+        def stack(fields, shape):
+            return _stack([f(points, order) for f in fields], shape)
 
-        g = pack(self.g)
+        g = stack([f for row in self.g for f in row], (d, d))
         # enforce exact symmetry of the metric jets
-        g = JetTensor(g.dim, g.order, [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
-        return StructureJets(g, pack(self.phi), pack_vec(self.xi), pack_vec(self.eta))
+        g = [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g]
+        phi = stack([f for row in self.phi for f in row], (d, d))
+        xi, eta = stack(self.xi, (d,)), stack(self.eta, (d,))
+        return [
+            StructureJets(*(_at_point(t, i, d) for t in (g, phi, xi, eta)))
+            for i in range(len(points))
+        ]
 
 
 class HomotheticComponents:
@@ -145,12 +174,14 @@ class HomotheticComponents:
         self.base = base
         self.alpha = float(alpha)
 
-    def at(self, point, order):
-        sj = self.base.at(point, order)
+    def at(self, points, order):
         a = self.alpha
-        eta_eta = jt_einsum("i,j->ij", sj.eta, sj.eta)
-        g = a * sj.g + (a * a - a) * eta_eta
-        return StructureJets(g, sj.phi, (1.0 / a) * sj.xi, a * sj.eta)
+        out = []
+        for sj in self.base.at(points, order):
+            eta_eta = jt_einsum("i,j->ij", sj.eta, sj.eta)
+            g = a * sj.g + (a * a - a) * eta_eta
+            out.append(StructureJets(g, sj.phi, (1.0 / a) * sj.xi, a * sj.eta))
+        return out
 
 
 class AmbientParaKaehler:
@@ -189,34 +220,30 @@ class Embedding:
         ]
 
 
-def induce_structure(embedding, point, order=3):
-    """Induced (g, phi, xi, eta) jets at a chart point.
+def induce_structure(embedding, points, order=3):
+    """Induced (g, phi, xi, eta) jets over a (P, d) batch of chart points,
+    one :class:`StructureJets` per point.
 
     The paracontact-compatible induced metric is the *negative* of the
     ambient restriction: the ambient pairing gives the tangent space
     signature (n, n+1) and g(xi, xi) = -1, so the sign flip is forced by
     eta(xi) = 1.  With it, every compatibility axiom comes out right.
     """
-    from .exprlang import eval_jet
+    d, m = embedding.dim, embedding.ambient.dim
 
+    def stack(asts, shape):
+        return _stack([eval_jet(a, points, order) for a in asts], shape)
+
+    normal = stack(embedding.normal, (m,))
+    e = stack([a for row in embedding.tangent for a in row], (d, m))  # (a, C)
+    return [_induce_at(embedding, _at_point(e, i, d), _at_point(normal, i, d), p)
+            for i, p in enumerate(points)]
+
+
+def _induce_at(embedding, e, normal, point):
     amb = embedding.ambient
-    d = embedding.dim
+    d, order = embedding.dim, e.order
     eps = amb.eps
-
-    def pack(asts):
-        return JetTensor.from_jets(
-            np.array([eval_jet(a, point, order) for a in asts], dtype=object)
-        )
-
-    iota = pack(embedding.immersion)
-    normal = pack(embedding.normal)
-    e = JetTensor.from_jets(
-        np.array(
-            [[eval_jet(a, point, order) for a in row] for row in embedding.tangent],
-            dtype=object,
-        )
-    )  # base (a, C)
-
     jac = e.value
     if np.linalg.matrix_rank(jac, tol=1e-9) < d:
         raise RankDeficientJacobian(f"immersion Jacobian rank-deficient at {point}")
@@ -254,8 +281,8 @@ class InducedComponents:
     def __init__(self, embedding):
         self.embedding = embedding
 
-    def at(self, point, order):
-        return induce_structure(self.embedding, point, order)
+    def at(self, points, order):
+        return induce_structure(self.embedding, points, order)
 
 
 # -- builtin catalog ------------------------------------------------------------
@@ -342,10 +369,9 @@ def builtin_hyperboloid(n):
     embedding, radicand_text = hyperboloid_embedding(n)
     coords = embedding.coords
     radicand_ast = parse(radicand_text, coords)
-    from .exprlang import eval_jet
 
-    def guard(point):
-        return eval_jet(radicand_ast, point, order=0).value >= HYPERBOLOID_GUARD_MIN
+    def guard(points):
+        return eval_jet(radicand_ast, points, order=0).value >= HYPERBOLOID_GUARD_MIN
 
     d = 2 * n + 1
     domain = Domain(

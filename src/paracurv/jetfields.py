@@ -6,6 +6,8 @@ coordinate partials of every component (derivative axes leading and kept
 symmetric, since partials commute).  This lets curvature formulas run as
 plain einsums with an exact Leibniz rule instead of per-component jet
 objects, which matters once rank-4 tensors at hundreds of points show up.
+Expression evaluation (:func:`paracurv.exprlang.eval_jet`) gives jet tensors
+whose base shape ends in a point axis, one entry per point of a batch.
 
 ``partial()`` is free: the (k+1)-st derivative array of a field *is* the
 k-th derivative array of its gradient, with the last derivative axis
@@ -60,7 +62,7 @@ def _sym_leading(arr, m):
 
 
 class JetTensor:
-    """Stacked jets of a tensor field's components at one point."""
+    """Stacked jets of a tensor field's components."""
 
     __slots__ = ("dim", "order", "parts")
 
@@ -83,26 +85,6 @@ class JetTensor:
         parts = [array]
         for k in range(1, order + 1):
             parts.append(np.zeros((dim,) * k + array.shape))
-        return cls(dim, order, parts)
-
-    @classmethod
-    def from_jets(cls, jets):
-        """Pack an object array (or nested list) of Jets."""
-        jets = np.array(jets, dtype=object)
-        flat = jets.ravel()
-        dim = flat[0].dim
-        order = min(j.order for j in flat)
-        shape = jets.shape
-        parts = [np.empty((dim,) * k + shape) for k in range(order + 1)]
-        for idx, j in np.ndenumerate(jets):
-            sl = (Ellipsis,) + idx
-            parts[0][idx] = j.value
-            if order >= 1:
-                parts[1][sl] = j.d1
-            if order >= 2:
-                parts[2][sl] = j.d2
-            if order >= 3:
-                parts[3][sl] = j.d3
         return cls(dim, order, parts)
 
     def cut(self, order):

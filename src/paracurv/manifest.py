@@ -14,7 +14,7 @@ import json
 import math
 from collections.abc import Callable
 from copy import deepcopy
-from itertools import chain
+from itertools import chain, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .analysis import (
     wpc,
     xi_sectional,
 )
-from .connection import get_frame, parallel_check
+from .connection import PointGeometry, parallel_check
 from .errors import ManifestError, ParacurvError
 from .exprlang import ScalarField, parse
 from .geometry import (
@@ -53,6 +53,9 @@ MANIFEST_SCHEMA = "paracurv-manifest/1"
 REPORT_SCHEMA = "paracurv-report/1"
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_COUNT = 200
+# sample points whose structure jets are built as one batch; larger batches
+# gain little time and raise the peak memory of a 1000-point run
+CHUNK = 8
 
 
 # -- the check table ------------------------------------------------------------
@@ -323,69 +326,51 @@ def build_structure(manifest):
     kind = manifold["kind"]
     if kind == "builtin":
         structure = BUILTINS[manifold["name"]](manifold["n"])
-    elif kind == "custom":
-        structure = _build_custom(manifold)
     else:
-        structure = _build_embedded(manifold)
+        structure = _build_chart(manifold)
     transform = manifest.get("transform")
     if transform is not None:
         structure = d_homothetic(structure, float(transform["alpha"]))
     return structure
 
 
-def _build_custom(manifold):
+def _build_chart(manifold):
+    """The structure of a custom (expression tables) or embedded manifold."""
     coords = manifold["coords"]
     dim = len(coords)
 
-    def field(text, name):
-        try:
-            return ScalarField.from_expr(text, coords)
-        except ParacurvError as e:
-            raise ManifestError(f"{name}: {e}", field=name) from None
+    def parsed(key, texts):
+        asts = []
+        for i, text in enumerate(texts):
+            try:
+                asts.append(parse(text, coords))
+            except ParacurvError as e:
+                name = f"manifold.{key}[{i}]"
+                raise ManifestError(f"{name}: {e}", field=name) from None
+        return asts
 
-    g = [[field(manifold["g"][i][j], f"manifold.g[{i}][{j}]")
-          for j in range(dim)] for i in range(dim)]
-    phi = [[field(manifold["phi"][i][j], f"manifold.phi[{i}][{j}]")
-            for j in range(dim)] for i in range(dim)]
-    xi = [field(manifold["xi"][i], f"manifold.xi[{i}]") for i in range(dim)]
-    eta = [field(manifold["eta"][i], f"manifold.eta[{i}]") for i in range(dim)]
+    def fields(key, texts):
+        return [ScalarField(a, t) for a, t in zip(parsed(key, texts), texts)]
+
+    if manifold["kind"] == "custom":
+        g, phi = ([fields(f"{key}[{i}]", row) for i, row in enumerate(manifold[key])]
+                  for key in ("g", "phi"))
+        components = ExprTableComponents(g, phi, fields("xi", manifold["xi"]),
+                                         fields("eta", manifold["eta"]))
+        n, default_name = (dim - 1) // 2, "custom"
+    else:
+        n, default_name = manifold["n"], "embedded"
+        immersion = parsed("immersion", manifold["immersion"])
+        normal = parsed("normal", manifold.get("normal", manifold["immersion"]))
+        components = InducedComponents(
+            Embedding(AmbientParaKaehler(n + 1), coords, immersion, normal))
     box = manifold.get("box")
-    domain = Domain(box) if box is not None else Domain.cube(dim)
-    return CharteredStructure(
-        (dim - 1) // 2,
-        coords,
-        ExprTableComponents(g, phi, xi, eta),
-        domain,
-        name=manifold.get("name", "custom"),
-        probe=manifold.get("probe"),
-    )
-
-
-def _build_embedded(manifold):
-    n = manifold["n"]
-    coords = manifold["coords"]
-
-    def ast(text, name):
-        try:
-            return parse(text, coords)
-        except ParacurvError as e:
-            raise ManifestError(f"{name}: {e}", field=name) from None
-
-    immersion = [ast(t, f"manifold.immersion[{i}]")
-                 for i, t in enumerate(manifold["immersion"])]
-    normal_texts = manifold.get("normal", manifold["immersion"])
-    normal = [ast(t, f"manifold.normal[{i}]")
-              for i, t in enumerate(normal_texts)]
-    embedding = Embedding(AmbientParaKaehler(n + 1), coords, immersion, normal)
-    dim = 2 * n + 1
-    box = manifold.get("box")
-    domain = Domain(box) if box is not None else Domain.cube(dim)
     return CharteredStructure(
         n,
         coords,
-        InducedComponents(embedding),
-        domain,
-        name=manifold.get("name", "embedded"),
+        components,
+        Domain(box) if box is not None else Domain.cube(dim),
+        name=manifold.get("name", default_name),
         probe=manifold.get("probe"),
     )
 
@@ -393,16 +378,27 @@ def _build_embedded(manifold):
 # -- check execution -----------------------------------------------------------
 
 
+def _frames(structure, points, order):
+    """Frames at the points, each built when it is reached, from batches of
+    the structure jets of at most ``CHUNK`` points."""
+    for start in range(0, len(points), CHUNK):
+        batch = points[start : start + CHUNK]
+        for jets, point in zip(structure.at(batch, order), batch):
+            yield PointGeometry(jets, point, order)
+
+
 def run_checks(structure, manifest, seed=None, tolerance=None):
     """Run the selected checks; returns (CheckReport, verdicts, meta).
 
     Each sample point gets one frame, at the highest jet order any selected
-    check needs there.  The frames of the leading points, which every check
-    with a point limit reads, are built first and kept for the run.  A check
-    that reads every point (``axioms``) gets them followed by the frames of
-    the other points, each built when it is reached and dropped after use,
-    so memory does not grow with ``sampling.count``.  The arithmetic runs
-    with numpy warnings off: a non-finite result becomes a failed row.
+    check needs there.  Structure jets are built for batches of up to
+    ``CHUNK`` points of one jet order, and each frame from its point's jets.
+    The frames of the leading points, which every check with a point limit
+    reads, are built first and kept for the run.  A check that reads every
+    point (``axioms``) gets them followed by the frames of the other points,
+    each built when it is reached and dropped after use, so memory does not
+    grow with ``sampling.count``.  The arithmetic runs with numpy warnings
+    off: a non-finite result becomes a failed row.
     """
     sampling = manifest.get("sampling", {})
     if seed is None:
@@ -424,12 +420,12 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     ctx = _Context(sampler, tolerance, selected)
     report = CheckReport()
     with np.errstate(all="ignore"):
-        frames = [get_frame(structure, p, order_at(i))
-                  for i, p in enumerate(points[:lead])]
+        frames = []
+        for order, group in groupby(range(lead), order_at):
+            frames += _frames(structure, [points[i] for i in group], order)
         for row in rows:
             if row.points is None:
-                rest = (get_frame(structure, p, order_at(lead))
-                        for p in points[lead:])
+                rest = _frames(structure, points[lead:], order_at(lead))
                 view = chain(frames, rest)
             else:
                 view = frames[: row.points]

@@ -64,9 +64,3 @@ class CheckReport:
     @property
     def passed(self):
         return all(r.passed for r in self.results)
-
-    def failing(self):
-        return [r for r in self.results if not r.passed]
-
-    def max_residual(self):
-        return max((r.residual for r in self.results), default=0.0)

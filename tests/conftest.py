@@ -34,21 +34,16 @@ EXPRESSION_CORPUS = [
 ]
 
 
-def scalar_eval(ast, point):
-    return eval_jet(ast, np.asarray(point, dtype=float), order=0).value
+def values(ast, points):
+    """Values of an AST at a list of points, one batch."""
+    return eval_jet(ast, np.asarray(points, dtype=float), order=0).value
 
 
 def fd_gradient(ast, point, h=1e-5):
     point = np.asarray(point, dtype=float)
     d = len(point)
-    grad = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        grad[i] = (scalar_eval(ast, point + e) - scalar_eval(ast, point - e)) / (
-            2 * h
-        )
-    return grad
+    eye = np.eye(d) * h
+    return (values(ast, point + eye) - values(ast, point - eye)) / (2 * h)
 
 
 def fd_hessian(ast, point, h=1e-4):
@@ -61,12 +56,9 @@ def fd_hessian(ast, point, h=1e-4):
             ej = np.zeros(d)
             ei[i] = h
             ej[j] = h
-            hess[i, j] = (
-                scalar_eval(ast, point + ei + ej)
-                - scalar_eval(ast, point + ei - ej)
-                - scalar_eval(ast, point - ei + ej)
-                + scalar_eval(ast, point - ei - ej)
-            ) / (4 * h * h)
+            f = values(ast, [point + ei + ej, point + ei - ej,
+                             point - ei + ej, point - ei - ej])
+            hess[i, j] = (f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
     return hess
 
 
@@ -74,20 +66,27 @@ def fd_third(ast, point, h=1e-3):
     point = np.asarray(point, dtype=float)
     d = len(point)
     out = np.zeros((d, d, d))
+    signs = [(si, sj, sk) for si in (1, -1) for sj in (1, -1) for sk in (1, -1)]
     for i in range(d):
         for j in range(d):
             for k in range(d):
+                shifted = []
+                for si, sj, sk in signs:
+                    shift = np.zeros(d)
+                    shift[i] += si * h
+                    shift[j] += sj * h
+                    shift[k] += sk * h
+                    shifted.append(point + shift)
+                f = values(ast, shifted)
                 acc = 0.0
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        for sk in (1, -1):
-                            shift = np.zeros(d)
-                            shift[i] += si * h
-                            shift[j] += sj * h
-                            shift[k] += sk * h
-                            acc += si * sj * sk * scalar_eval(ast, point + shift)
+                for (si, sj, sk), fv in zip(signs, f):
+                    acc += si * sj * sk * fv
                 out[i, j, k] = acc / (8 * h ** 3)
     return out
+
+
+def max_residual(report):
+    return max((r.residual for r in report.results), default=0.0)
 
 
 def corpus_asts():

@@ -191,11 +191,12 @@ def test_non_finite_structure_exits_2(runner, tmp_path, xi_t, message):
     assert "PASS" not in result.stderr
 
 
+def scale_g(manifold):
+    manifold["g"] = [[f"1e160*({s})" for s in row] for row in manifold["g"]]
+
+
 def test_overflowed_curvature_fails_with_a_readable_report(runner, tmp_path):
     # the structure jets are finite; the curvature built from them is not
-    def scale_g(manifold):
-        manifold["g"] = [[f"1e160*({s})" for s in row] for row in manifold["g"]]
-
     manifest = custom_heisenberg_manifest(n=1, mutate=scale_g, count=30)
     manifest["checks"] = "all"
     path = write_manifest(tmp_path / "m.json", manifest)
@@ -205,16 +206,21 @@ def test_overflowed_curvature_fails_with_a_readable_report(runner, tmp_path):
     assert result.exit_code == 1, result.stderr
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in result.stderr
-    assert "FAIL space_form_f20: residual inf" in result.stderr
+    # phsc divides by an overflowed g(phi v, phi v) g(phi^2 v, phi^2 v),
+    # which must not read as a curvature of 0
+    for name in ("space_form_f20", "f9_vs_f8_phsc"):
+        assert f"FAIL {name}: residual inf" in result.stderr
 
     def refuse(name):
         raise AssertionError(f"{name} in the report")
 
     report = json.loads(result.stdout, parse_constant=refuse)
     rows = {row["name"]: row for row in report["checks"]}
-    assert rows["space_form_f20"]["residual_max"] is None
-    assert rows["space_form_f20"]["non_finite"] == "inf"
-    assert not rows["space_form_f20"]["pass"] and not report["pass"]
+    for name in ("space_form_f20", "f9_vs_f8_phsc"):
+        assert rows[name]["residual_max"] is None
+        assert rows[name]["non_finite"] == "inf"
+        assert not rows[name]["pass"]
+    assert not report["pass"]
     assert all(("non_finite" in row) == (row["residual_max"] is None)
                for row in report["checks"])
     assert "non_finite" not in rows["axiom_i_phi_xi"]
@@ -367,6 +373,19 @@ def test_curvature_summary(runner, tmp_path):
         main, ["curvature", manifest, "--point", "a,b,c"]
     )
     assert not_numbers.exit_code == 2
+
+
+def test_curvature_refuses_non_finite_numbers(runner, tmp_path):
+    manifest = write_manifest(
+        tmp_path / "m.json", custom_heisenberg_manifest(n=1, mutate=scale_g))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["curvature", manifest, "--point", "0.1,0.2,0.3"])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: curvature is not finite at this point")
+    assert len(result.stderr.splitlines()) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_builtins_listing(runner):

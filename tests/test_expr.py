@@ -16,15 +16,15 @@ from paracurv.exprlang import (
     ScalarField,
     eval_jet,
     parse,
-    unparse,
 )
 
 COORDS = ("u1", "v1", "t")
 POINT = np.array([1.0, 2.0, 3.0])
+POINTS = POINT[None]  # a batch of one
 
 
 def value(text, point=POINT, coords=COORDS):
-    return eval_jet(parse(text, coords), point, order=0).value
+    return eval_jet(parse(text, coords), [point], order=0).value[0]
 
 
 def test_precedence_and_associativity():
@@ -79,13 +79,30 @@ def test_unknown_coordinate_carries_name_and_offset():
 def test_domain_error_carries_source_span():
     ast = parse("1 + sqrt(u1 - 10)", COORDS)
     with pytest.raises(DomainError) as exc:
-        eval_jet(ast, POINT, order=1)
+        eval_jet(ast, POINTS, order=1)
     lo, hi = exc.value.span
     assert "sqrt(u1 - 10)" == "1 + sqrt(u1 - 10)"[lo:hi]
     ast = parse("v1 / (u1 - 1)", COORDS)
     with pytest.raises(DomainError) as exc:
-        eval_jet(ast, POINT, order=1)
+        eval_jet(ast, POINTS, order=1)
     assert exc.value.span is not None
+    ast = parse("2 + v1^-1", COORDS)
+    with pytest.raises(DomainError) as exc:
+        eval_jet(ast, [[1.0, 0.0, 3.0]], order=1)
+    lo, hi = exc.value.span
+    assert "2 + v1^-1"[lo:hi] == "v1^-1"
+
+
+def test_domain_error_names_the_first_failing_point_of_a_batch():
+    text = "u1 + sqrt(t - 1)"
+    points = np.array([[0.0, 0.0, 2.0], [1.0, 1.0, 3.0], [0.5, 0.5, -1.0],
+                       [0.0, 0.0, 4.0]])
+    with pytest.raises(DomainError) as exc:
+        eval_jet(parse(text, COORDS), points, order=2)
+    assert exc.value.index == 2
+    assert exc.value.value == -2.0
+    lo, hi = exc.value.span
+    assert text[lo:hi] == "sqrt(t - 1)"
 
 
 def test_spans_cover_the_source_text():
@@ -101,10 +118,27 @@ def test_deterministic_reparse():
     a = parse(text, COORDS)
     b = parse(text, COORDS)
     assert a == b
-    assert eval_jet(a, POINT, 2).value == eval_jet(b, POINT, 2).value
+    assert eval_jet(a, POINTS, 2).value == eval_jet(b, POINTS, 2).value
 
 
 # -- round trip -----------------------------------------------------------
+
+
+def unparse(ast):
+    """Render an AST back to text; re-parsing yields a structurally equal AST."""
+    if isinstance(ast, Num):
+        return repr(ast.value)
+    if isinstance(ast, Coord):
+        return ast.name
+    if isinstance(ast, Neg):
+        return f"-({unparse(ast.arg)})"
+    if isinstance(ast, Bin):
+        return f"({unparse(ast.left)}){ast.op}({unparse(ast.right)})"
+    if isinstance(ast, Pow):
+        return f"({unparse(ast.base)})^{ast.exponent}"
+    if isinstance(ast, Call):
+        return f"{ast.func}({unparse(ast.arg)})"
+    raise TypeError(f"not an AST node: {ast!r}")
 
 
 def _leaves():
@@ -151,18 +185,15 @@ def test_round_trip_preserves_evaluation():
     for text in texts:
         a = parse(text, COORDS)
         b = parse(unparse(a), COORDS)
-        ja = eval_jet(a, POINT, 2)
-        jb = eval_jet(b, POINT, 2)
-        assert ja.value == jb.value
-        assert np.array_equal(ja.d1, jb.d1)
-        assert np.array_equal(ja.d2, jb.d2)
+        ja = eval_jet(a, POINTS, 2)
+        jb = eval_jet(b, POINTS, 2)
+        assert all(np.array_equal(x, y) for x, y in zip(ja.parts, jb.parts))
 
 
 def test_scalar_field_wrappers():
     f = ScalarField.from_expr("u1 + 2*t", COORDS)
-    assert f(POINT, 1).value == 7.0
+    jet = f(POINTS, 1)
+    assert jet.value[0] == 7.0
+    assert np.array_equal(jet.parts[1][:, 0], [1.0, 0.0, 2.0])
     assert f.source_text == "u1 + 2*t"
-    g = ScalarField.from_callable(3, lambda p, order: eval_jet(f.ast, p, order))
-    assert g(POINT, 0).value == 7.0
-    with pytest.raises(ValueError):
-        ScalarField(3)
+    assert f.ast == parse("u1 + 2*t", COORDS)
