@@ -4,14 +4,14 @@ Covers the compatibility axioms, the Nijenhuis tensor and paraSasakian
 criteria, xi-sectional and paraholomorphic sectional curvature, space-form
 and eta-Einstein fitting, the PC-Bochner tensor with its W^pc counterpart,
 and the named identity suite.  Every function reads frames (see
-:func:`paracurv.connection.get_frame`), one per sample point, and reduces
-over them by taking the maximum normalized residual.
+:func:`paracurv.connection.get_frame`), one per sample point, and adds one
+normalized residual per frame to its report's rows, which keep the maximum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,10 @@ def check_axioms(frames, threshold=1e-9):
 
     ``frames`` may be any iterable; it is read once, frame by frame.
     """
-    worst = {}
+    report = CheckReport()
 
     def keep(name, value):
-        worst[name] = max(worst.get(name, 0.0), value)
+        report.add(name, value, threshold)
 
     for f in frames:
         d = f.dim
@@ -49,10 +49,6 @@ def check_axioms(frames, threshold=1e-9):
         )
         keep("axiom_iv_deta", nres(g @ ph, f.deta.value))
         keep("metric_duality", nres(g @ xi, eta))
-
-    report = CheckReport()
-    for name, value in worst.items():
-        report.add(name, value, threshold)
     return report
 
 
@@ -78,19 +74,21 @@ class ClassifyResult:
     report: CheckReport
 
 
-def classify(frames, threshold=1e-9, include_axioms=True):
+def classify(frames, threshold=1e-9):
     """ParaSasakian and para-CR verdicts with the residuals behind them.
 
     ``frames`` is a sequence of frames of jet order 2 or more; it is read
-    twice, once for the axioms.
+    twice, once for the axioms, whose rows lead the report.
 
     The paraSasakian property is tested both through the Nijenhuis tensor
     and through the covariant-derivative identity for phi; the two criteria
     must agree, and a spread between them is itself a reported residual.
     """
-    axioms = check_axioms(frames, threshold)
+    report = check_axioms(frames, threshold)
+    axioms_ok = report.passed
+    tail = CheckReport()  # the rows after the three sasakian ones
     e = np.einsum
-    res_nij = res_nphi = res_h = res_bracket = res_tphi = 0.0
+    res_nij = res_nphi = 0.0
     for f in frames:
         d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
@@ -100,7 +98,7 @@ def classify(frames, threshold=1e-9, include_axioms=True):
         )
         target = e("i,rs->rsi", eta, np.eye(d)) - e("s,ri->rsi", xi, g)
         res_nphi = max(res_nphi, nres(f.nabla_phi.value, target))
-        res_h = max(res_h, nres(f.h.value))
+        tail.add("h_vanishing", nres(f.h.value), 1e-10)
         # eta([phi X, Y] + [X, phi Y]) on the horizontal frame X_i = P d_i,
         # P = id - xi (x) eta; brackets of the extensions need dP as well
         dph, dxi, deta = f.phi.parts[1], f.xi.parts[1], f.eta.parts[1]
@@ -113,28 +111,22 @@ def classify(frames, threshold=1e-9, include_axioms=True):
             return e("si,skj->kij", u, dw) - e("sj,ski->kij", w, du)
 
         bracket = brk(php, dphp, proj, dproj) + brk(proj, dproj, php, dphp)
-        res_bracket = max(res_bracket, nres(e("k,kij->ij", eta, bracket)))
-        res_tphi = max(
-            res_tphi, nres(f.cov(f.phi, "ul", kind="canonical_tilde").value)
-        )
+        tail.add("para_cr_bracket", nres(e("k,kij->ij", eta, bracket)),
+                 threshold)
+        tail.add("para_cr_nabla_phi",
+                 nres(f.cov(f.phi, "ul", kind="canonical_tilde").value),
+                 threshold)
 
-    report = CheckReport()
-    if include_axioms:
-        report.extend(axioms)
     report.add("sasakian_nijenhuis", res_nij, threshold)
     report.add("sasakian_nabla_phi", res_nphi, threshold)
     report.add("sasakian_agreement", abs(res_nij - res_nphi), 1e-10)
-    report.add("h_vanishing", res_h, 1e-10)
-    report.add("para_cr_bracket", res_bracket, threshold)
-    report.add("para_cr_nabla_phi", res_tphi, threshold)
+    report.extend(tail)
+    rows = report.rows
     verdicts = {
-        "paracontact_metric": axioms.passed,
-        "paraSasakian": axioms.passed
-        and res_nij < threshold
-        and res_nphi < threshold,
-        "para_CR": axioms.passed
-        and res_bracket < threshold
-        and res_tphi < threshold,
+        "paracontact_metric": axioms_ok,
+        "paraSasakian": axioms_ok and res_nij < threshold and res_nphi < threshold,
+        "para_CR": axioms_ok and rows["para_cr_bracket"].passed
+        and rows["para_cr_nabla_phi"].passed,
     }
     return ClassifyResult(verdicts, report)
 
@@ -208,14 +200,10 @@ def _f20_blocks(g, eta, phl):
 @dataclass
 class SpaceFormFit:
     k_hat: float
-    residual_max: float
-    f12_residual: float
-    f13_residual: float
-    f36_residual: float
-    per_point: list = field(default_factory=list)
+    report: CheckReport
 
 
-def space_form_fit(frames):
+def space_form_fit(frames, threshold=1e-8):
     """Least-squares constant k of the space-form curvature model.
 
     The model R = (k-3)/4 A + (k+1)/4 B is linear in k, so the fit is a
@@ -235,45 +223,36 @@ def space_form_fit(frames):
         den += float(np.sum(slope * slope))
         cache.append((f, r, slope, offset))
     k_hat = num / den
-    per_point, res12, res13, res36 = [], 0.0, 0.0, 0.0
+    report = CheckReport(constants={"k_hat": k_hat})
     for f, r, slope, offset in cache:
-        per_point.append(nres(r, offset + k_hat * slope))
+        report.add("space_form_f20", nres(r, offset + k_hat * slope), threshold)
         g, eta = f.g.value, f.eta.value
         lhs12 = 2.0 * f.ricci.value
         rhs12 = (n * (k_hat - 3.0) + k_hat + 1.0) * g - (n + 1.0) * (
             k_hat + 1.0
         ) * np.outer(eta, eta)
-        res12 = max(res12, nres(lhs12, rhs12))
+        report.add("space_form_f12", nres(lhs12, rhs12), threshold)
         s = float(f.scalar.value)
-        res13 = max(
-            res13,
+        report.add(
+            "space_form_f13",
             nres(2.0 * s, n * (2 * n + 1) * (k_hat - 3.0) + n * (k_hat + 1.0)),
+            threshold,
         )
         k_s = (s + 3.0 * n * n + n) / (n * (n + 1.0))
-        res36 = max(res36, nres(r, offset + k_s * slope))
-    return SpaceFormFit(
-        k_hat=float(k_hat),
-        residual_max=max(per_point),
-        f12_residual=res12,
-        f13_residual=res13,
-        f36_residual=res36,
-        per_point=per_point,
-    )
+        report.add("space_form_f36", nres(r, offset + k_s * slope), threshold)
+    return SpaceFormFit(k_hat, report)
 
 
 @dataclass
 class EtaEinsteinFit:
     a: float
     b: float
-    residual_max: float
-    sum_residual: float
-    a_closed_residual: float
-    b_closed_residual: float
+    report: CheckReport
 
 
-def eta_einstein_fit(frames):
-    """Least-squares (a, b) in r = a g + b eta (x) eta, with closed-form
-    consistency checks a = s/2n + 1 and b = -s/2n - (2n+1)."""
+def eta_einstein_fit(frames, threshold=1e-8):
+    """Least-squares (a, b) in r = a g + b eta (x) eta, with the
+    consistency check a + b = -2n."""
     n = frames[0].n
     m = np.zeros((2, 2))
     rhs = np.zeros(2)
@@ -287,22 +266,13 @@ def eta_einstein_fit(frames):
             [np.sum(ee * g), np.sum(ee * ee)],
         ]
         rhs += [np.sum(g * r), np.sum(ee * r)]
-        cache.append((f, g, ee, r))
-    a, b = np.linalg.solve(m, rhs)
-    residual = res_a = res_b = 0.0
-    for f, g, ee, r in cache:
-        residual = max(residual, nres(r, a * g + b * ee))
-        s = float(f.scalar.value)
-        res_a = max(res_a, nres(a, s / (2 * n) + 1.0))
-        res_b = max(res_b, nres(b, -s / (2 * n) - (2 * n + 1.0)))
-    return EtaEinsteinFit(
-        a=float(a),
-        b=float(b),
-        residual_max=residual,
-        sum_residual=nres(a + b, -2.0 * n),
-        a_closed_residual=res_a,
-        b_closed_residual=res_b,
-    )
+        cache.append((g, ee, r))
+    a, b = (float(c) for c in np.linalg.solve(m, rhs))
+    report = CheckReport(constants={"a": a, "b": b})
+    for g, ee, r in cache:
+        report.add("eta_einstein_fit", nres(r, a * g + b * ee), threshold)
+    report.add("eta_einstein_sum", nres(a + b, -2.0 * n), 1e-10)
+    return EtaEinsteinFit(a, b, report)
 
 
 # -- PC-Bochner tensor ----------------------------------------------------------
@@ -365,10 +335,10 @@ def pc_bochner(f):
 
 def bochner_symmetries(frames, threshold=1e-10):
     """The algebraic identities of the PC-Bochner tensor."""
-    worst = {}
+    report = CheckReport()
 
     def keep(name, value):
-        worst[name] = max(worst.get(name, 0.0), value)
+        report.add(name, value, threshold)
 
     e = np.einsum
     for f in frames:
@@ -388,9 +358,6 @@ def bochner_symmetries(frames, threshold=1e-10):
                 e("sjkl,si->ijkl", b, ph), -e("iskl,sj->ijkl", b, ph)
             ),
         )
-    report = CheckReport()
-    for name, value in worst.items():
-        report.add(name, value, threshold)
     return report
 
 
@@ -481,13 +448,12 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
     """
     n = frames[0].n
     ident = np.eye(frames[0].dim)
-    worst = {}
+    k_hat = space_form_fit(frames).k_hat
+    report = CheckReport(constants={"k_hat": k_hat})
 
     def keep(name, lhs, rhs=None):
-        worst[name] = max(worst.get(name, 0.0), nres(lhs, rhs))
+        report.add(name, nres(lhs, rhs), threshold)
 
-    fit = space_form_fit(frames)
-    k_hat = fit.k_hat
     e = np.einsum
     for f in frames:
         g, ph, phl = f.g.value, f.phi.value, f.phi_low.value
@@ -622,14 +588,10 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
             0.25 * (k_hat - 3.0) * (a_blk + b_blk),
         )
 
-    report = CheckReport(constants={"k_hat": k_hat})
-    for name, value in worst.items():
-        report.add(name, value, threshold)
     if sampler is not None:
-        worst_ph = 0.0
         for i in range(sections):
             f = frames[i % len(frames)]
             v = sampler.section_vector(f)
-            worst_ph = max(worst_ph, nres(phsc(f, v, "f8"), phsc(f, v, "f9")))
-        report.add("f9_vs_f8_phsc", worst_ph, 1e-9)
+            report.add("f9_vs_f8_phsc", nres(phsc(f, v, "f8"), phsc(f, v, "f9")),
+                       1e-9)
     return report

@@ -6,6 +6,7 @@ Exit codes: 0 all selected checks pass, 1 at least one check fails,
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 
@@ -52,8 +53,8 @@ def check(manifest_path, out_path, tol, seed):
     """Run the manifest's checks and write a report."""
     start = time.monotonic()
     try:
-        if tol is not None and not tol > 0:
-            _fail("--tol must be > 0")
+        if tol is not None and not 0 < tol < math.inf:
+            _fail("--tol must be a finite number > 0")
         if seed is not None and not 0 <= seed < 2 ** 64:
             _fail("--seed must be an unsigned 64-bit integer")
         manifest, digest = load_manifest(manifest_path)
@@ -71,7 +72,7 @@ def check(manifest_path, out_path, tol, seed):
             click.echo(dumps_report(document), nl=False)
     except ParacurvError as e:
         _fail(e)
-    for result in report.results:
+    for result in report.rows.values():
         status = "PASS" if result.passed else "FAIL"
         click.echo(
             f"{status} {result.name}: residual {result.residual:.3e} "

@@ -222,12 +222,9 @@ def get_frame(structure, point, order=3):
 def parallel_check(frames, threshold=1e-8):
     """Max components of nab~ T and nab~ R~ over the frames."""
     report = CheckReport()
-    worst_t, worst_r = 0.0, 0.0
     for f in frames:
         nt = f.cov(f.torsion_up, "ull", kind="canonical_tilde")
         nr = f.cov(f.riem_tilde_up, "ulll", kind="canonical_tilde")
-        worst_t = max(worst_t, nres(nt.value))
-        worst_r = max(worst_r, nres(nr.value))
-    report.add("parallel_torsion", worst_t, threshold)
-    report.add("parallel_curvature", worst_r, threshold)
+        report.add("parallel_torsion", nres(nt.value), threshold)
+        report.add("parallel_curvature", nres(nr.value), threshold)
     return report

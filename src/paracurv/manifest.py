@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections.abc import Callable
 from copy import deepcopy
 from itertools import chain, groupby
@@ -65,23 +66,16 @@ class _Context:
     """What the checks of one run share: the sampler, the verdicts and the
     space-form fit that ``phsc`` and ``space_form`` both report."""
 
-    def __init__(self, sampler, tolerance, selected):
+    def __init__(self, sampler, tolerance):
         self.sampler = sampler
         self.tolerance = tolerance
-        self.selected = selected
         self.verdicts = {}
         self._fit = None
 
     def space_fit(self, frames):
         if self._fit is None:
-            self._fit = space_form_fit(frames)
+            self._fit = space_form_fit(frames, self.tolerance)
         return self._fit
-
-
-def _single(name, residual, threshold):
-    report = CheckReport()
-    report.add(name, residual, threshold)
-    return report
 
 
 def _axioms(ctx, frames, budget):
@@ -89,68 +83,56 @@ def _axioms(ctx, frames, budget):
 
 
 def _classification(ctx, frames, budget):
-    sub = classify(frames, ctx.tolerance,
-                   include_axioms="axioms" not in ctx.selected)
+    # its axiom rows fold into those of ``axioms`` when both run
+    sub = classify(frames, ctx.tolerance)
     ctx.verdicts.update(sub.verdicts)
     return sub.report
 
 
 def _xi_sectional(ctx, frames, budget):
-    worst = 0.0
+    report = CheckReport()
     for i in range(budget):
         f = frames[i % len(frames)]
         u, _ = ctx.sampler.horizontal_unit(f)
-        worst = max(worst, nres(xi_sectional(f, u), -1.0))
-    return _single("xi_sectional", worst, ctx.tolerance)
+        report.add("xi_sectional", nres(xi_sectional(f, u), -1.0), ctx.tolerance)
+    return report
 
 
 def _phsc(ctx, frames, budget):
     k_hat = ctx.space_fit(frames).k_hat
-    worst = 0.0
+    report = CheckReport(constants={"k_hat": k_hat})
     for i in range(budget):
         f = frames[i % len(frames)]
         v = ctx.sampler.section_vector(f)
-        worst = max(worst, nres(phsc(f, v), k_hat))
-    report = _single("phsc_constancy", worst, ctx.tolerance)
-    report.constants["k_hat"] = k_hat
+        report.add("phsc_constancy", nres(phsc(f, v), k_hat), ctx.tolerance)
     return report
 
 
 def _space_form(ctx, frames, budget):
-    f = ctx.space_fit(frames)
-    report = CheckReport(constants={"k_hat": f.k_hat})
-    report.add("space_form_f20", f.residual_max, ctx.tolerance)
-    report.add("space_form_f12", f.f12_residual, ctx.tolerance)
-    report.add("space_form_f13", f.f13_residual, ctx.tolerance)
-    report.add("space_form_f36", f.f36_residual, ctx.tolerance)
-    return report
+    return ctx.space_fit(frames).report
 
 
 def _eta_einstein(ctx, frames, budget):
-    f = eta_einstein_fit(frames)
-    report = CheckReport(constants={"a": f.a, "b": f.b})
-    report.add("eta_einstein_fit", f.residual_max, ctx.tolerance)
-    report.add("eta_einstein_sum", f.sum_residual, 1e-10)
-    return report
+    return eta_einstein_fit(frames, ctx.tolerance).report
 
 
 def _bochner(ctx, frames, budget):
-    worst = 0.0
+    report = CheckReport()
     for f in frames:
-        worst = max(worst, nres(pc_bochner(f).tensor))
-    report = _single("bochner_vanishing", worst, ctx.tolerance)
+        report.add("bochner_vanishing", nres(pc_bochner(f).tensor), ctx.tolerance)
     report.extend(bochner_symmetries(frames))
     report.constants["kappa_B"] = pc_bochner(frames[0]).kappa_B
     return report
 
 
 def _wpc(ctx, frames, budget):
-    worst = 0.0
+    report = CheckReport()
     for i in range(budget):
         f = frames[i % len(frames)]
         quad = [ctx.sampler.horizontal_unit(f)[0] for _ in range(4)]
-        worst = max(worst, nres(bochner_pairing(f, *quad), wpc(f, *quad)))
-    return _single("wpc_equals_bochner", worst, ctx.tolerance)
+        report.add("wpc_equals_bochner",
+                   nres(bochner_pairing(f, *quad), wpc(f, *quad)), ctx.tolerance)
+    return report
 
 
 def _identities(ctx, frames, budget):
@@ -231,6 +213,13 @@ def _expr_vector(entries, dim, field):
                  f"{field}[{i}] must be an expression string", field)
 
 
+def _finite_number(v):
+    """A JSON number that converts to a finite float (not nan, inf or an
+    integer beyond the float range)."""
+    return (isinstance(v, (int, float))
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
 def _validate_box(box, dim, field):
     if box is None:
         return
@@ -240,10 +229,11 @@ def _validate_box(box, dim, field):
         ok = (
             isinstance(interval, list)
             and len(interval) == 2
-            and all(isinstance(v, (int, float)) for v in interval)
+            and all(_finite_number(v) for v in interval)
             and interval[0] < interval[1]
         )
-        _require(ok, f"{field}[{i}] must be [lo, hi] with lo < hi", field)
+        _require(ok, f"{field}[{i}] must be [lo, hi], finite, with lo < hi",
+                 field)
 
 
 def validate_manifest(manifest):
@@ -273,7 +263,6 @@ def validate_manifest(manifest):
         _expr_table(manifold.get("phi"), dim, "manifold.phi")
         _expr_vector(manifold.get("xi"), dim, "manifold.xi")
         _expr_vector(manifold.get("eta"), dim, "manifold.eta")
-        _validate_box(manifold.get("box"), dim, "manifold.box")
     else:
         n = manifold.get("n")
         _require(isinstance(n, int) and n >= 1,
@@ -283,7 +272,15 @@ def validate_manifest(manifest):
         _require(isinstance(coords, list) and len(coords) == dim,
                  f"manifold.coords must have {dim} names", "manifold.coords")
         _expr_vector(manifold.get("immersion"), 2 * n + 2, "manifold.immersion")
+        if "normal" in manifold:
+            _expr_vector(manifold["normal"], 2 * n + 2, "manifold.normal")
+    if kind != "builtin":
         _validate_box(manifold.get("box"), dim, "manifold.box")
+        probe = manifold.get("probe")
+        _require(probe is None or isinstance(probe, list) and len(probe) == dim
+                 and all(_finite_number(v) for v in probe),
+                 f"manifold.probe must list {dim} finite numbers",
+                 "manifold.probe")
 
     transform = manifest.get("transform")
     if transform is not None:
@@ -304,8 +301,8 @@ def validate_manifest(manifest):
     _validate_box(sampling.get("box"), dim, "sampling.box")
 
     tolerance = manifest.get("tolerance", DEFAULT_TOLERANCE)
-    _require(isinstance(tolerance, (int, float)) and tolerance > 0,
-             "tolerance must be > 0", "tolerance")
+    _require(_finite_number(tolerance) and tolerance > 0,
+             "tolerance must be a finite number > 0", "tolerance")
 
     checks = manifest.get("checks", "all")
     if checks != "all":
@@ -417,7 +414,7 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     sampler = Sampler(structure, seed, sampling.get("box"))
     points = sampler.points(count)
     lead = min(count, max((r.points or 0 for r in rows), default=0))
-    ctx = _Context(sampler, tolerance, selected)
+    ctx = _Context(sampler, tolerance)
     report = CheckReport()
     with np.errstate(all="ignore"):
         frames = []
@@ -444,7 +441,7 @@ def assemble_report(structure, manifest, digest, report, verdicts, meta,
         "seed": meta["seed"],
         "tolerance": meta["tolerance"],
         "point_count": meta["point_count"],
-        "checks": [r.as_dict() for r in report.results],
+        "checks": [r.as_dict() for r in report.rows.values()],
         # every constant enters a residual of its own check, so a constant
         # written as null comes with a failed row
         "constants": {k: v if math.isfinite(v) else None

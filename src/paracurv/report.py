@@ -11,8 +11,7 @@ import numpy as np
 def nres(lhs, rhs=None):
     """Normalized max residual |L - R|_inf / (1 + |L|_inf + |R|_inf).
 
-    A non-finite result is ``inf``: a NaN would be dropped by the max
-    reductions over sample points and a check could pass on it.
+    A non-finite result is ``inf``, so the row it enters fails.
     """
     lhs = np.asarray(lhs, dtype=float)
     if rhs is None:
@@ -51,16 +50,28 @@ class CheckResult:
 
 @dataclass
 class CheckReport:
-    results: list = field(default_factory=list)
+    """Rows by name in first-add order: the one place where residuals are
+    reduced over frames and draws."""
+
+    rows: dict = field(default_factory=dict)  # name -> CheckResult
     constants: dict = field(default_factory=dict)
 
     def add(self, name, residual, threshold):
-        self.results.append(CheckResult(name, float(residual), threshold))
+        """Fold ``residual`` into the row ``name``, created where the name is
+        first added.  The row keeps the largest residual; once it holds a
+        non-finite one (inf or nan) it keeps that, so it can never pass."""
+        residual = float(residual)
+        row = self.rows.get(name)
+        if row is None:
+            self.rows[name] = CheckResult(name, residual, threshold)
+        elif math.isfinite(row.residual) and not residual <= row.residual:
+            row.residual = residual
 
     def extend(self, other):
-        self.results.extend(other.results)
+        for r in other.rows.values():
+            self.add(r.name, r.residual, r.threshold)
         self.constants.update(other.constants)
 
     @property
     def passed(self):
-        return all(r.passed for r in self.results)
+        return all(r.passed for r in self.rows.values())

@@ -86,7 +86,7 @@ def fd_third(ast, point, h=1e-3):
 
 
 def max_residual(report):
-    return max((r.residual for r in report.results), default=0.0)
+    return max((r.residual for r in report.rows.values()), default=0.0)
 
 
 def corpus_asts():

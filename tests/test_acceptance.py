@@ -75,7 +75,7 @@ def test_criterion_02_parasasakian(criterion, heis2, hyp2):
         points = pc.Sampler(structure, seed=2025).points(25)
         result = classify(frames_at(structure, points), threshold=1e-9)
         ok = ok and result.verdicts["paraSasakian"] and result.report.passed
-        rows = {r.name: r.residual for r in result.report.results}
+        rows = {k: r.residual for k, r in result.report.rows.items()}
         worst_main = max(
             worst_main, rows["sasakian_nijenhuis"], rows["sasakian_nabla_phi"]
         )
@@ -119,22 +119,24 @@ def _phsc_deviation(structure, k_expected, seed):
 def test_criterion_04_heisenberg_phsc(criterion, heis2):
     dev, frames = _phsc_deviation(heis2, 3.0, seed=2027)
     fit = space_form_fit(frames)
-    ok = dev < 1e-8 and abs(fit.k_hat - 3.0) < 1e-8 and fit.residual_max < 1e-8
+    model = fit.report.rows["space_form_f20"].residual
+    ok = dev < 1e-8 and abs(fit.k_hat - 3.0) < 1e-8 and model < 1e-8
     criterion(
         4, ok,
         f"Heisenberg phsc = 3 (max dev {dev:.3e}), k_hat = {fit.k_hat:.12g}, "
-        f"model residual {fit.residual_max:.3e} < 1e-8",
+        f"model residual {model:.3e} < 1e-8",
     )
 
 
 def test_criterion_05_hyperboloid_phsc(criterion, hyp2):
     dev, frames = _phsc_deviation(hyp2, -1.0, seed=2028)
     fit = space_form_fit(frames)
-    ok = dev < 1e-8 and abs(fit.k_hat + 1.0) < 1e-8 and fit.residual_max < 1e-8
+    model = fit.report.rows["space_form_f20"].residual
+    ok = dev < 1e-8 and abs(fit.k_hat + 1.0) < 1e-8 and model < 1e-8
     criterion(
         5, ok,
         f"hyperboloid n=2 phsc = -1 (max dev {dev:.3e}), "
-        f"k_hat = {fit.k_hat:.12g}, model residual {fit.residual_max:.3e}",
+        f"k_hat = {fit.k_hat:.12g}, model residual {model:.3e}",
     )
 
 
@@ -201,7 +203,7 @@ def test_criterion_08_eta_einstein(criterion, heis2, hyp2):
             frames_at(structure, pc.Sampler(structure, seed=2033).points(5))
         )
         ok = ok and abs(fit.a - a_want) < 1e-8 and abs(fit.b - b_want) < 1e-8
-        ok = ok and fit.sum_residual < 1e-10
+        ok = ok and fit.report.rows["eta_einstein_sum"].residual < 1e-10
         details.append(f"{structure.name}: (a,b)=({fit.a:.10g},{fit.b:.10g})")
     criterion(
         8, ok,
@@ -263,7 +265,7 @@ def test_criterion_10_identity_suite(criterion, heis2, hyp2):
             frames, sampler=sampler, sections=50, threshold=1e-8
         )
         ok = ok and report.passed
-        rows = {r.name: r.residual for r in report.results}
+        rows = {k: r.residual for k, r in report.rows.items()}
         worst_phsc = max(worst_phsc, rows.pop("f9_vs_f8_phsc"))
         worst = max(worst, max(rows.values()))
     ok = ok and worst < 1e-8 and worst_phsc < 1e-9

@@ -31,7 +31,8 @@ from paracurv.geometry import (
     ExprTableComponents,
     heisenberg_tables,
 )
-from paracurv.report import nres
+from paracurv.manifest import run_checks
+from paracurv.report import CheckReport, nres
 
 from conftest import frames_at, max_residual, sample_frames, sample_points
 
@@ -67,23 +68,55 @@ def test_classify_builtins(heis1, hyp1):
         assert max_residual(result.report) < 1e-12
 
 
-def test_classify_include_axioms_flag(heis1):
-    frames = sample_frames(heis1, seed=53, count=3)
-    with_ax = classify(frames, include_axioms=True)
-    without = classify(frames, include_axioms=False)
-    names_with = {r.name for r in with_ax.report.results}
-    names_without = {r.name for r in without.report.results}
-    assert "axiom_iv_deta" in names_with
-    assert "axiom_iv_deta" not in names_without
-    assert "sasakian_nijenhuis" in names_without
-    assert with_ax.verdicts == without.verdicts
+def test_check_report_rows_keep_their_maximum():
+    inf, nan = float("inf"), float("nan")
+    report = CheckReport()
+    for name, residual in [("b", 1e-12), ("a", 3e-12), ("b", 5e-12),
+                           ("a", 2e-12), ("inf", inf), ("inf", 1.0),
+                           ("nan", nan), ("nan", 1.0), ("late", 1.0),
+                           ("late", nan), ("late", 2.0)]:
+        report.add(name, residual, 1e-9)
+    rows = report.rows
+    assert list(rows) == ["b", "a", "inf", "nan", "late"]  # first-add order
+    assert rows["b"].residual == 5e-12 and rows["a"].residual == 3e-12
+    assert rows["inf"].residual == inf
+    assert np.isnan(rows["nan"].residual) and np.isnan(rows["late"].residual)
+    assert not any(rows[k].passed for k in ("inf", "nan", "late"))
+    other = CheckReport(constants={"k_hat": 3.0})
+    other.add("c", 1e-15, 1e-9)
+    other.add("a", 4e-12, 1e-9)
+    other.add("b", 1e-15, 1e-9)
+    report.extend(other)
+    assert list(rows) == ["b", "a", "inf", "nan", "late", "c"]
+    assert rows["a"].residual == 4e-12 and rows["b"].residual == 5e-12
+    assert report.constants == {"k_hat": 3.0}
+
+
+def test_run_checks_reports_each_row_once():
+    manifest = {
+        "schema": "paracurv-manifest/1",
+        "manifold": {"kind": "builtin", "name": "heisenberg", "n": 1},
+        "sampling": {"seed": 53, "count": 30},
+    }
+    structure = pc.builtin_heisenberg(1)
+
+    def names(checks):
+        report, _, _ = run_checks(structure, dict(manifest, checks=checks))
+        return list(report.rows)
+
+    both = names(["axioms", "classification"])
+    assert len(both) == len(set(both))
+    # classification alone reports the axiom rows, ahead of its own
+    axioms = names(["axioms"])
+    assert both[: len(axioms)] == axioms
+    assert names(["classification"]) == both
 
 
 def test_perturbed_phi_is_not_parasasakian():
     bad = perturbed_phi_structure()
     result = classify(sample_frames(bad, seed=55, count=6))
     assert not result.verdicts["paraSasakian"]
-    failing = {r.name for r in result.report.results if not r.passed}
+    failing = {r.name for r in result.report.rows.values() if not r.passed}
     assert failing  # the residual rows name the broken criteria
 
 
@@ -127,21 +160,25 @@ def test_space_form_fit(heis2, hyp2):
     for s, k_want in ((heis2, 3.0), (hyp2, -1.0)):
         fit = space_form_fit(sample_frames(s, seed=61, count=5))
         assert fit.k_hat == pytest.approx(k_want, abs=1e-10)
-        assert fit.residual_max < 1e-12
-        assert fit.f12_residual < 1e-12
-        assert fit.f13_residual < 1e-12
-        assert fit.f36_residual < 1e-12
+        rows = fit.report.rows
+        for name in ("space_form_f20", "space_form_f12", "space_form_f13",
+                     "space_form_f36"):
+            assert rows[name].residual < 1e-12
+        assert fit.report.constants == {"k_hat": fit.k_hat}
 
 
 def test_eta_einstein_fit_closed_forms(heis1):
     # n = 1: s = 2, so a = s/2n + 1 = 2 and b = -s/2n - 3 = -4
-    fit = eta_einstein_fit(sample_frames(heis1, seed=63, count=5))
+    frames = sample_frames(heis1, seed=63, count=5)
+    fit = eta_einstein_fit(frames)
     assert fit.a == pytest.approx(2.0, abs=1e-10)
     assert fit.b == pytest.approx(-4.0, abs=1e-10)
-    assert fit.residual_max < 1e-12
-    assert fit.sum_residual < 1e-12
-    assert fit.a_closed_residual < 1e-12
-    assert fit.b_closed_residual < 1e-12
+    assert fit.report.rows["eta_einstein_fit"].residual < 1e-12
+    assert fit.report.rows["eta_einstein_sum"].residual < 1e-12
+    for f in frames:
+        s = float(f.scalar.value)
+        assert nres(fit.a, s / 2 + 1.0) < 1e-12
+        assert nres(fit.b, -s / 2 - 3.0) < 1e-12
 
 
 def test_bochner_constant_and_vanishing(heis1, hyp2):
@@ -161,7 +198,7 @@ def test_bochner_symmetries_hold_on_deformed_input(hyp1):
     bar = pc.d_homothetic(hyp1, 3.0)
     report = bochner_symmetries(sample_frames(bar, seed=67, count=3))
     assert report.passed
-    names = {r.name for r in report.results}
+    names = set(report.rows)
     assert "bochner_bianchi" in names and "bochner_phi_swap" in names
 
 
@@ -247,7 +284,7 @@ def test_identity_suite_on_heisenberg(heis1):
     report = identity_suite(frames, sampler=sampler, sections=10)
     assert report.passed
     assert max_residual(report) < 1e-10
-    names = {r.name for r in report.results}
+    names = set(report.rows)
     for expected in ("f1_eta", "f5", "f21", "f22", "f50", "f54",
                      "f56_scalar", "f9_vs_f8_phsc", "tprtw"):
         assert expected in names
@@ -257,7 +294,7 @@ def test_identity_suite_on_heisenberg(heis1):
 def test_identity_suite_without_sampler(hyp1):
     report = identity_suite(sample_frames(hyp1, seed=77, count=2, order=3))
     assert report.passed
-    assert "f9_vs_f8_phsc" not in {r.name for r in report.results}
+    assert "f9_vs_f8_phsc" not in report.rows
     assert report.constants["k_hat"] == pytest.approx(-1.0, abs=1e-10)
 
 

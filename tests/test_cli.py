@@ -55,6 +55,20 @@ def custom_heisenberg_manifest(n=2, mutate=None, checks=("axioms",), count=20):
     }
 
 
+def embedded_hyperboloid_manifest():
+    return {
+        "schema": "paracurv-manifest/1",
+        "manifold": {
+            "kind": "embedded",
+            "n": 1,
+            "coords": ["x1", "y0", "y1"],
+            "immersion": ["sqrt(1-x1^2+y0^2+y1^2)", "x1", "y0", "y1"],
+        },
+        "sampling": {"seed": 3, "count": 5},
+        "checks": ["axioms"],
+    }
+
+
 def strip_wall_time(text):
     return "\n".join(
         line for line in text.splitlines() if "wall_time_s" not in line
@@ -108,6 +122,9 @@ def test_check_seed_and_tol_overrides(runner, tmp_path):
     assert report["tolerance"] == 1e-6
     assert runner.invoke(main, ["check", manifest, "--tol", "0"]).exit_code == 2
     assert runner.invoke(main, ["check", manifest, "--tol", "-1"]).exit_code == 2
+    result = runner.invoke(main, ["check", manifest, "--tol", "inf"])
+    assert result.exit_code == 2 and "--tol" in result.stderr
+    assert not result.stdout
     assert runner.invoke(main, ["check", manifest, "--seed", "-3"]).exit_code == 2
 
 
@@ -153,6 +170,33 @@ def test_invalid_manifests_exit_2_and_name_the_field(runner, tmp_path):
         main, ["check", write_manifest(tmp_path / "e.json", bad_box)]
     )
     assert result.exit_code == 2 and "sampling.box" in result.stderr
+
+    # fields that reached numpy unchecked; 1e400 is how JSON spells inf
+    def with_field(manifest, key, value):
+        manifest["manifold"][key] = value
+        return manifest
+
+    embedded, custom = embedded_hyperboloid_manifest, custom_heisenberg_manifest
+    cases = [
+        (with_field(embedded(), "normal", 5), "manifold.normal"),
+        (with_field(embedded(), "normal", ["x1"]), "manifold.normal"),
+        (with_field(embedded(), "normal", [1, 2, 3, 4]), "manifold.normal"),
+        (with_field(embedded(), "probe", "abc"), "manifold.probe"),
+        (with_field(embedded(), "probe", [0.0]), "manifold.probe"),
+        (with_field(custom(n=1), "probe", [0, 0]), "manifold.probe"),
+        (with_field(custom(n=1), "probe", [0, "INF", 0]), "manifold.probe"),
+        (with_field(embedded(), "box", [[-0.5, "INF"]] * 3), "manifold.box"),
+        (dict(builtin_manifest(), sampling={"box": [[0, "INF"]] * 3}),
+         "sampling.box"),
+        (dict(builtin_manifest(), tolerance="INF"), "tolerance"),
+    ]
+    for i, (manifest, field) in enumerate(cases):
+        path = tmp_path / f"field{i}.json"
+        path.write_text(json.dumps(manifest).replace('"INF"', "1e400"))
+        result = runner.invoke(main, ["check", str(path)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert field in result.stderr and not result.stdout
+        assert "PASS" not in result.stderr and not result.stdout
 
 
 def test_overflow_in_an_expression_exits_2(runner, tmp_path):

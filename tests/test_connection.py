@@ -182,7 +182,7 @@ def test_parallel_check(heis2, hyp1):
     for s in (heis2, hyp1):
         report = parallel_check(sample_frames(s, seed=45, count=2, order=3))
         assert report.passed
-        names = {r.name for r in report.results}
+        names = set(report.rows)
         assert names == {"parallel_torsion", "parallel_curvature"}
 
 
