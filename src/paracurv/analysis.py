@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connection import kulkarni_nomizu, phi_block
 from .errors import IsotropicSection, IsotropicVector, NotHorizontal
 from .report import CheckReport, nres
 from .sampling import NULL_EPS
@@ -182,19 +183,21 @@ def phsc(f, v, form="f8"):
 
 
 def _f20_blocks(g, eta, phl):
-    """The two g-blocks of the constant-phsc curvature model."""
-    e = np.einsum
-    a = e("ml,hj->mjhl", g, g) - e("jl,hm->mjhl", g, g)
-    b = (
-        e("hm,j,l->mjhl", g, eta, eta)
-        + e("lj,m,h->mjhl", g, eta, eta)
-        - e("lm,j,h->mjhl", g, eta, eta)
-        - e("hj,l,m->mjhl", g, eta, eta)
-        + e("hj,ml->mjhl", phl, phl)
-        - e("hm,jl->mjhl", phl, phl)
-        + 2.0 * e("mj,hl->mjhl", phl, phl)
-    )
+    """The two blocks A, B of the constant-phsc curvature model."""
+    a = -0.5 * kulkarni_nomizu(g, g)
+    b = kulkarni_nomizu(g, np.outer(eta, eta)) + 0.5 * phi_block(phl, phl)
     return a, b
+
+
+def _f12_rhs(n, k, g, eta):
+    """2r of the space form of constant phsc k."""
+    ee = np.outer(eta, eta)
+    return (n * (k - 3.0) + k + 1.0) * g - (n + 1.0) * (k + 1.0) * ee
+
+
+def _f13_rhs(n, k):
+    """2s of the space form of constant phsc k."""
+    return n * (2 * n + 1) * (k - 3.0) + n * (k + 1.0)
 
 
 @dataclass
@@ -226,18 +229,11 @@ def space_form_fit(frames, threshold=1e-8):
     report = CheckReport(constants={"k_hat": k_hat})
     for f, r, slope, offset in cache:
         report.add("space_form_f20", nres(r, offset + k_hat * slope), threshold)
-        g, eta = f.g.value, f.eta.value
-        lhs12 = 2.0 * f.ricci.value
-        rhs12 = (n * (k_hat - 3.0) + k_hat + 1.0) * g - (n + 1.0) * (
-            k_hat + 1.0
-        ) * np.outer(eta, eta)
-        report.add("space_form_f12", nres(lhs12, rhs12), threshold)
+        rhs12 = _f12_rhs(n, k_hat, f.g.value, f.eta.value)
+        report.add("space_form_f12", nres(2.0 * f.ricci.value, rhs12), threshold)
         s = float(f.scalar.value)
-        report.add(
-            "space_form_f13",
-            nres(2.0 * s, n * (2 * n + 1) * (k_hat - 3.0) + n * (k_hat + 1.0)),
-            threshold,
-        )
+        report.add("space_form_f13", nres(2.0 * s, _f13_rhs(n, k_hat)),
+                   threshold)
         k_s = (s + 3.0 * n * n + n) / (n * (n + 1.0))
         report.add("space_form_f36", nres(r, offset + k_s * slope), threshold)
     return SpaceFormFit(k_hat, report)
@@ -284,53 +280,9 @@ class BochnerData:
     kappa_B: float
 
 
-def _bochner(f):
-    n = f.n
-    g, eta = f.g.value, f.eta.value
-    ph, phl = f.phi.value, f.phi_low.value
-    r, s = f.ricci.value, float(f.scalar.value)
-    big_r = f.riem_down.value
-    kappa = -(s - 2.0 * n) / (2.0 * n + 2.0)
-    c = 1.0 / (2.0 * n + 4.0)
-    e = np.einsum
-    rp = e("sk,si->ik", r, ph)  # r_{sk} phi^s_i
-    t = (
-        e("ik,jl->ijkl", r, g)
-        - e("jk,il->ijkl", r, g)
-        + e("jl,ik->ijkl", r, g)
-        - e("il,jk->ijkl", r, g)
-        + e("ik,jl->ijkl", rp, phl)
-        - e("jk,il->ijkl", rp, phl)
-        + e("jl,ik->ijkl", rp, phl)
-        - e("il,jk->ijkl", rp, phl)
-        + 2.0 * e("ij,kl->ijkl", rp, phl)
-        + 2.0 * e("kl,ij->ijkl", rp, phl)
-        - e("ik,j,l->ijkl", r, eta, eta)
-        + e("jk,i,l->ijkl", r, eta, eta)
-        - e("jl,i,k->ijkl", r, eta, eta)
-        + e("il,j,k->ijkl", r, eta, eta)
-    )
-    b = big_r + c * t
-    b -= (kappa + 2.0 * n) * c * (
-        e("ik,jl->ijkl", phl, phl)
-        - e("jk,il->ijkl", phl, phl)
-        + 2.0 * e("ij,kl->ijkl", phl, phl)
-    )
-    b += (kappa - 4.0) * c * (
-        e("ik,jl->ijkl", g, g) - e("jk,il->ijkl", g, g)
-    )
-    b -= kappa * c * (
-        e("ik,j,l->ijkl", g, eta, eta)
-        - e("jk,i,l->ijkl", g, eta, eta)
-        + e("jl,i,k->ijkl", g, eta, eta)
-        - e("il,j,k->ijkl", g, eta, eta)
-    )
-    return b, kappa
-
-
 def pc_bochner(f):
-    b, kappa = _bochner(f)
-    return BochnerData(b, float(kappa))
+    """The frame's PC-Bochner tensor, built once per frame."""
+    return BochnerData(*f.bochner)
 
 
 def bochner_symmetries(frames, threshold=1e-10):
@@ -342,7 +294,7 @@ def bochner_symmetries(frames, threshold=1e-10):
 
     e = np.einsum
     for f in frames:
-        b, _ = _bochner(f)
+        b, _ = f.bochner
         ph, ginv, xi = f.phi.value, f.ginv.value, f.xi.value
         keep("bochner_antisym", nres(b, -b.transpose(1, 0, 2, 3)))
         keep("bochner_pair_sym", nres(b, b.transpose(2, 3, 0, 1)))
@@ -419,7 +371,7 @@ def wpc(f, x, y, z, w):
 
 def bochner_pairing(f, x, y, z, w):
     """B(X,Y,Z,W) for comparison against the W^pc pairing."""
-    b, _ = _bochner(f)
+    b, _ = f.bochner
     return float(np.einsum("ijkl,i,j,k,l->", b, x, y, z, w))
 
 
@@ -491,15 +443,11 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
             e("kisl,l->kis", big_r, xi),
             e("ks,i->kis", g, eta) - e("is,k->kis", g, eta),
         )
-        keep(
-            "f5",
-            e("aj,bi,ablk->jilk", ph, ph, big_r),
-            -big_r
-            - e("ik,lj->jilk", phl, phl)
-            + e("il,kj->jilk", phl, phl)
-            - e("kj,il->jilk", g, g)
-            + e("lj,ik->jilk", g, g),
-        )
+        a_blk, b_blk = _f20_blocks(g, eta, phl)
+        ff = 0.5 * phi_block(phl, phl)
+        # the target f5 and f7 share
+        f5_f7 = 0.5 * (kulkarni_nomizu(g, g) + kulkarni_nomizu(phl, phl)) - big_r
+        keep("f5", e("aj,bi,ablk->jilk", ph, ph, big_r), f5_f7)
         keep(
             "f6",
             e("bm,lh,bilk->mihk", ph, ph, big_r)
@@ -515,11 +463,7 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
             "f7",
             e("bi,lh,bmlk->ihmk", ph, ph, big_r)
             - e("bh,li,bmlk->ihmk", ph, ph, big_r),
-            -big_r
-            - e("ki,mh->ihmk", g, g)
-            + e("mi,hk->ihmk", g, g)
-            + e("hm,ki->ihmk", phl, phl)
-            - e("hk,mi->ihmk", phl, phl),
+            f5_f7,
         )
         keep("f51_xi", nxi, (-ph + ph @ h).T)
         keep("f51_phi_h", ph @ h + h @ ph)
@@ -548,21 +492,7 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
             - e("jsrk,s,r->jk", big_r, xi, xi)
             - e("rk,jr->jk", neta, nxi),
         )
-        ff = (
-            e("ik,jl->ijkl", phl, phl)
-            - e("jk,il->ijkl", phl, phl)
-            + 2.0 * e("ij,kl->ijkl", phl, phl)
-        )
-        keep(
-            "f54",
-            big_rt,
-            big_r
-            - ff
-            - e("ik,j,l->ijkl", g, eta, eta)
-            + e("jk,i,l->ijkl", g, eta, eta)
-            + e("il,j,k->ijkl", g, eta, eta)
-            - e("jl,i,k->ijkl", g, eta, eta),
-        )
+        keep("f54", big_rt, big_r - b_blk)
         keep("f53", rt, r - 2.0 * g + 2.0 * (n + 1.0) * np.outer(eta, eta))
         proj = ident - np.outer(xi, eta)
         keep("f55", _project(big_rt, proj), _project(big_r - ff, proj))
@@ -572,21 +502,9 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
             e("ai,bj,ab->ij", proj, proj, r - 2.0 * g),
         )
         keep("f56_scalar", st, s - 2.0 * n)
-        rhs12 = (n * (k_hat - 3.0) + k_hat + 1.0) * g - (n + 1.0) * (
-            k_hat + 1.0
-        ) * np.outer(eta, eta)
-        keep("f12", 2.0 * r, rhs12)
-        keep(
-            "f13",
-            2.0 * s,
-            n * (2 * n + 1) * (k_hat - 3.0) + n * (k_hat + 1.0),
-        )
-        a_blk, b_blk = _f20_blocks(g, eta, phl)
-        keep(
-            "f22",
-            big_rt,
-            0.25 * (k_hat - 3.0) * (a_blk + b_blk),
-        )
+        keep("f12", 2.0 * r, _f12_rhs(n, k_hat, g, eta))
+        keep("f13", 2.0 * s, _f13_rhs(n, k_hat))
+        keep("f22", big_rt, 0.25 * (k_hat - 3.0) * (a_blk + b_blk))
 
     if sampler is not None:
         for i in range(sections):

@@ -107,7 +107,7 @@ def curvature(manifest_path, point_text):
         with np.errstate(all="ignore"):
             frame = get_frame(structure, point, order=2)
             sampler = Sampler(structure, seed=0)
-            u, _ = sampler.horizontal_unit(frame)
+            u = sampler.horizontal_unit(frame)
             v = sampler.section_vector(frame)
             bochner = pc_bochner(frame)
             numbers = [

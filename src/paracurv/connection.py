@@ -13,6 +13,9 @@ Sign conventions, pinned once: R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z
 + Gam^l_{is} Gam^s_{jk} - Gam^l_{js} Gam^s_{ik}; fully covariant
 R_{ijkl} = g_{lm} R^m_{ijk}; Ricci by the first-with-last contraction
 r_{jk} = g^{ml} R_{mjkl}.
+
+The curvature models (space form, PC-Bochner tensor, identity targets) are
+Kulkarni-Nomizu products, built by :func:`kulkarni_nomizu` and :func:`phi_block`.
 """
 
 from __future__ import annotations
@@ -61,6 +64,19 @@ def _riemann_from_gamma(gamma):
     q1 = jt_einsum("lis,sjk->lijk", low, low)
     r = t1 - t1.tb((0, 2, 1, 3)) + q1 - q1.tb((0, 2, 1, 3))
     return r
+
+
+def kulkarni_nomizu(a, b):
+    """(a o b)_{ijkl} = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il."""
+    t = np.einsum("ik,jl->ijkl", a, b)
+    return (t + t.transpose(1, 0, 3, 2)
+            - t.transpose(0, 1, 3, 2) - t.transpose(1, 0, 2, 3))
+
+
+def phi_block(a, b):
+    """a o b + 2 (a (x) b + b (x) a), the block of a phi-type product."""
+    t = np.multiply.outer(a, b)
+    return kulkarni_nomizu(a, b) + 2.0 * (t + t.transpose(2, 3, 0, 1))
 
 
 class PointGeometry:
@@ -116,6 +132,23 @@ class PointGeometry:
     @cached_property
     def scalar(self):
         return jt_einsum("jk,jk->", self.ginv, self.ricci)
+
+    @cached_property
+    def bochner(self):
+        """The PC-Bochner tensor B_{ijkl} and its constant kappa_B."""
+        n = self.n
+        g, eta, phl = self.g.value, self.eta.value, self.phi_low.value
+        r, s = self.ricci.value, float(self.scalar.value)
+        kappa = -(s - 2.0 * n) / (2.0 * n + 2.0)
+        c = 1.0 / (2.0 * n + 4.0)
+        ee = np.outer(eta, eta)
+        rp = np.einsum("sk,si->ik", r, self.phi.value)  # r_{sk} phi^s_i
+        b = self.riem_down.value + c * (
+            kulkarni_nomizu(r, g - ee) + phi_block(rp, phl))
+        b -= 0.5 * (kappa + 2.0 * n) * c * phi_block(phl, phl)
+        b += 0.5 * (kappa - 4.0) * c * kulkarni_nomizu(g, g)
+        b -= kappa * c * kulkarni_nomizu(g, ee)
+        return b, kappa
 
     @cached_property
     def h(self):

@@ -532,15 +532,14 @@ def derivative(ast, index):
 class ScalarField:
     """A coordinate component function, evaluable to jets over points."""
 
-    __slots__ = ("ast", "source_text")
+    __slots__ = ("ast",)
 
-    def __init__(self, ast, source_text=None):
+    def __init__(self, ast):
         self.ast = ast
-        self.source_text = source_text
 
     @classmethod
     def from_expr(cls, text, coords):
-        return cls(parse(text, coords), text)
+        return cls(parse(text, coords))
 
     def __call__(self, points, order=3):
         return eval_jet(self.ast, points, order)

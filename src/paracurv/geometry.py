@@ -54,10 +54,9 @@ def _at_point(parts, i, dim):
 class Domain:
     """Coordinate box with an optional guard: (P, d) points -> P booleans."""
 
-    def __init__(self, box, guard=None, guard_desc=None):
+    def __init__(self, box, guard=None):
         self.box = np.asarray(box, dtype=float)  # shape (d, 2)
         self.guard = guard
-        self.guard_desc = guard_desc
 
     @classmethod
     def cube(cls, dim, half_width=2.0):
@@ -374,11 +373,7 @@ def builtin_hyperboloid(n):
         return eval_jet(radicand_ast, points, order=0).value >= HYPERBOLOID_GUARD_MIN
 
     d = 2 * n + 1
-    domain = Domain(
-        [[-2.0, 2.0]] * d,
-        guard=guard,
-        guard_desc=f"{radicand_text} >= {HYPERBOLOID_GUARD_MIN}",
-    )
+    domain = Domain([[-2.0, 2.0]] * d, guard=guard)
     # probe the origin: radicand 1 there, comfortably inside the guard
     return CharteredStructure(
         n,

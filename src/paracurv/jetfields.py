@@ -144,10 +144,6 @@ def jt_einsum(sub, a, b):
     """
     ins, out = sub.split("->")
     sa, sb = ins.split(",")
-    if isinstance(b, np.ndarray):
-        b = JetTensor.const(b, a.dim, a.order)
-    if isinstance(a, np.ndarray):
-        a = JetTensor.const(a, b.dim, b.order)
     order = min(a.order, b.order)
     parts = []
     for k in range(order + 1):

@@ -93,7 +93,7 @@ def _xi_sectional(ctx, frames, budget):
     report = CheckReport()
     for i in range(budget):
         f = frames[i % len(frames)]
-        u, _ = ctx.sampler.horizontal_unit(f)
+        u = ctx.sampler.horizontal_unit(f)
         report.add("xi_sectional", nres(xi_sectional(f, u), -1.0), ctx.tolerance)
     return report
 
@@ -129,7 +129,7 @@ def _wpc(ctx, frames, budget):
     report = CheckReport()
     for i in range(budget):
         f = frames[i % len(frames)]
-        quad = [ctx.sampler.horizontal_unit(f)[0] for _ in range(4)]
+        quad = [ctx.sampler.horizontal_unit(f) for _ in range(4)]
         report.add("wpc_equals_bochner",
                    nres(bochner_pairing(f, *quad), wpc(f, *quad)), ctx.tolerance)
     return report
@@ -213,10 +213,15 @@ def _expr_vector(entries, dim, field):
                  f"{field}[{i}] must be an expression string", field)
 
 
+def _integer(v):
+    """A JSON integer; JSON's true and false are Python ints too."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _finite_number(v):
-    """A JSON number that converts to a finite float (not nan, inf or an
-    integer beyond the float range)."""
-    return (isinstance(v, (int, float))
+    """A JSON number that converts to a finite float (not nan, inf, a
+    boolean or an integer beyond the float range)."""
+    return ((_integer(v) or isinstance(v, float))
             and -sys.float_info.max <= v <= sys.float_info.max)
 
 
@@ -245,12 +250,14 @@ def validate_manifest(manifest):
     kind = manifold.get("kind")
     _require(kind in ("builtin", "custom", "embedded"),
              "manifold.kind must be builtin, custom or embedded", "manifold.kind")
+    _require("name" not in manifold or isinstance(manifold["name"], str),
+             "manifold.name must be a string", "manifold.name")
 
     if kind == "builtin":
         _require(manifold.get("name") in BUILTINS,
                  f"manifold.name must be one of {sorted(BUILTINS)}", "manifold.name")
         n = manifold.get("n")
-        _require(isinstance(n, int) and n >= 1,
+        _require(_integer(n) and n >= 1,
                  "manifold.n must be an integer >= 1", "manifold.n")
         dim = 2 * n + 1
     elif kind == "custom":
@@ -265,7 +272,7 @@ def validate_manifest(manifest):
         _expr_vector(manifold.get("eta"), dim, "manifold.eta")
     else:
         n = manifold.get("n")
-        _require(isinstance(n, int) and n >= 1,
+        _require(_integer(n) and n >= 1,
                  "manifold.n must be an integer >= 1", "manifold.n")
         coords = manifold.get("coords")
         dim = 2 * n + 1
@@ -287,16 +294,16 @@ def validate_manifest(manifest):
         _require(isinstance(transform, dict), "transform must be an object",
                  "transform")
         alpha = transform.get("alpha")
-        _require(isinstance(alpha, (int, float)) and alpha > 0,
-                 "transform.alpha must be > 0", "transform.alpha")
+        _require(_finite_number(alpha) and alpha > 0,
+                 "transform.alpha must be a finite number > 0", "transform.alpha")
 
     sampling = manifest.get("sampling", {})
     _require(isinstance(sampling, dict), "sampling must be an object", "sampling")
     seed = sampling.get("seed", 0)
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64,
+    _require(_integer(seed) and 0 <= seed < 2 ** 64,
              "sampling.seed must be an unsigned 64-bit integer", "sampling.seed")
     count = sampling.get("count", DEFAULT_COUNT)
-    _require(isinstance(count, int) and count >= 1,
+    _require(_integer(count) and count >= 1,
              "sampling.count must be >= 1", "sampling.count")
     _validate_box(sampling.get("box"), dim, "sampling.box")
 
@@ -347,7 +354,7 @@ def _build_chart(manifold):
         return asts
 
     def fields(key, texts):
-        return [ScalarField(a, t) for a, t in zip(parsed(key, texts), texts)]
+        return [ScalarField(a) for a in parsed(key, texts)]
 
     if manifold["kind"] == "custom":
         g, phi = ([fields(f"{key}[{i}]", row) for i, row in enumerate(manifold[key])]
@@ -462,13 +469,17 @@ def transform_manifest(manifest, alpha):
     expression tables are rewritten textually.
     """
     alpha = float(alpha)
-    if not alpha > 0:
-        raise ManifestError("transform.alpha must be > 0", field="transform.alpha")
     out = deepcopy(manifest)
     manifold = out["manifold"]
-    if manifold["kind"] != "custom":
-        prior = (out.get("transform") or {}).get("alpha", 1.0)
-        out["transform"] = {"alpha": prior * alpha}
+    custom = manifold["kind"] == "custom"
+    if not custom:
+        alpha *= (out.get("transform") or {}).get("alpha", 1.0)
+    # checked after composing, so an overflowed product is refused too
+    if not 0 < alpha < math.inf:
+        raise ManifestError("transform.alpha must be a finite number > 0",
+                            field="transform.alpha")
+    if not custom:
+        out["transform"] = {"alpha": alpha}
         return out
     dim = len(manifold["coords"])
     eta = manifold["eta"]

@@ -47,8 +47,7 @@ class Sampler:
         return self.rng.uniform(-1.0, 1.0, self.structure.dim)
 
     def horizontal_unit(self, f):
-        """Horizontal vector at frame ``f``, normalized to g(u,u) = +-1,
-        with its sign.
+        """Horizontal vector at frame ``f``, normalized to g(u,u) = +-1.
 
         Coordinates are drawn uniformly, projected along xi, and rejected
         while nearly null; split signature makes both signs appear.
@@ -60,8 +59,7 @@ class Sampler:
             q = float(w @ g @ w)
             if abs(q) < NULL_EPS:
                 continue
-            u = w / np.sqrt(abs(q))
-            return u, float(np.sign(q))
+            return w / np.sqrt(abs(q))
         raise SamplingExhausted(
             f"no non-null horizontal vector after {MAX_ATTEMPTS} attempts"
         )

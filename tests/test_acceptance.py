@@ -97,7 +97,7 @@ def test_criterion_03_xi_sectional(criterion, all_builtins):
         frames = frames_at(structure, sampler.points(5))
         for i in range(50):
             f = frames[i % len(frames)]
-            u, _ = sampler.horizontal_unit(f)
+            u = sampler.horizontal_unit(f)
             worst = max(worst, abs(xi_sectional(f, u) + 1.0))
     criterion(
         3, worst < 1e-8,
@@ -157,7 +157,7 @@ def test_criterion_06_homothety_law(criterion, hyp2):
         sampler = pc.Sampler(bar, seed=2030)
         for i in range(50):
             f = frames[i % 5]
-            u, _ = sampler.horizontal_unit(f)
+            u = sampler.horizontal_unit(f)
             ok = ok and abs(xi_sectional(f, u) + 1.0) < 1e-8
         if alpha == 0.5:
             ok = ok and abs(fit.k_hat + 5.0) < 1e-8
@@ -283,7 +283,7 @@ def test_criterion_11_wpc(criterion, all_builtins):
         frames = frames_at(structure, sampler.points(3))
         for i in range(100):
             f = frames[i % len(frames)]
-            quad = [sampler.horizontal_unit(f)[0] for _ in range(4)]
+            quad = [sampler.horizontal_unit(f) for _ in range(4)]
             worst = max(worst, nres(bochner_pairing(f, *quad), wpc(f, *quad)))
     criterion(
         11, worst < 1e-8,

@@ -1,11 +1,14 @@
 """Classification, curvature fits, Bochner tensor and the identity suite."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paracurv as pc
 from paracurv.analysis import (
-    _bochner,
     _project,
     bochner_pairing,
     bochner_symmetries,
@@ -31,7 +34,7 @@ from paracurv.geometry import (
     ExprTableComponents,
     heisenberg_tables,
 )
-from paracurv.manifest import run_checks
+from paracurv.manifest import build_structure, run_checks
 from paracurv.report import CheckReport, nres
 
 from conftest import frames_at, max_residual, sample_frames, sample_points
@@ -125,7 +128,7 @@ def test_xi_sectional_constant(heis1, hyp2):
         sampler = pc.Sampler(s, seed=57)
         f = get_frame(s, sampler.point(), 2)
         for _ in range(10):
-            u, _ = sampler.horizontal_unit(f)
+            u = sampler.horizontal_unit(f)
             assert xi_sectional(f, u) == pytest.approx(-1.0, abs=1e-10)
 
 
@@ -245,12 +248,12 @@ def test_d_homothety_scales_bochner_and_k_hat(hyp1):
     for s in (hyp1, fibred):
         points = sample_points(s, seed=69, count=3)
         frames = frames_at(s, points)
-        b = np.array([_bochner(f)[0] for f in frames])
+        b = np.array([f.bochner[0] for f in frames])
         k_hat = space_form_fit(frames).k_hat
         verdicts = classify(frames).verdicts
         for alpha in (0.5, 2.0):
             bar = frames_at(pc.d_homothetic(s, alpha), points)
-            assert nres([_bochner(f)[0] for f in bar], alpha * b) < 1e-12
+            assert nres([f.bochner[0] for f in bar], alpha * b) < 1e-12
             assert classify(bar).verdicts == verdicts
             if s is hyp1:
                 k_bar = space_form_fit(bar).k_hat
@@ -260,10 +263,84 @@ def test_d_homothety_scales_bochner_and_k_hat(hyp1):
     assert all(verdicts.values())
 
 
+def linear_chart_change(tables, a):
+    """Expression tables in coordinates y with x = a y, for an integer a
+    with an integer inverse: every function is composed with y -> a y, g
+    and eta are pulled back, phi and xi pushed forward by a^-1."""
+    coords, g, phi, xi, eta = tables
+    d = len(coords)
+    inv = np.rint(np.linalg.inv(a)).astype(int)
+    assert np.array_equal(a @ inv, np.eye(d))
+    ys = [f"y{i}" for i in range(d)]
+    x_of_y = {c: "(" + "+".join(f"({int(k)})*{y}" for k, y in zip(row, ys) if k)
+              + ")" for c, row in zip(coords, a)}
+
+    def sub(text):
+        return "(" + re.sub(r"[A-Za-z_]\w*",
+                            lambda m: x_of_y.get(m[0], m[0]), text) + ")"
+
+    def combine(terms):
+        return "+".join(f"({int(k)})*{sub(t)}" for k, t in terms if k) or "0"
+
+    r = range(d)
+    return (
+        ys,
+        [[combine([(a[i, p] * a[j, q], g[i][j]) for i in r for j in r])
+          for q in r] for p in r],
+        [[combine([(inv[p, i] * a[j, q], phi[i][j]) for i in r for j in r])
+          for q in r] for p in r],
+        [combine([(inv[p, i], xi[i]) for i in r]) for p in r],
+        [combine([(a[i, p], eta[i]) for i in r]) for p in r],
+    )
+
+
+@st.composite
+def unimodular(draw, d):
+    """A permutation times integer shears: integer, with integer inverse."""
+    a = np.eye(d, dtype=int)[draw(st.permutations(range(d)))]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                             unique=True))
+        a[:, j] += draw(st.sampled_from([-2, -1, 1, 2])) * a[:, i]
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_linear_chart_change_keeps_verdicts_and_constants(n, data):
+    # a metamorphic relation: the same structure in other coordinates
+    a = data.draw(unimodular(2 * n + 1))
+    runs = []
+    for coords, g, phi, xi, eta in (heisenberg_tables(n), linear_chart_change(
+            heisenberg_tables(n), a)):
+        manifest = {
+            "schema": "paracurv-manifest/1",
+            # the sampler keeps to [-0.8, 0.8]; x = a y may leave it
+            "manifold": {"kind": "custom", "coords": coords, "g": g,
+                         "phi": phi, "xi": xi, "eta": eta,
+                         "box": [[-100, 100]] * len(coords)},
+            "sampling": {"seed": 5, "count": 30},
+            "checks": "all",
+        }
+        structure = build_structure(manifest)
+        report, verdicts, _ = run_checks(structure, manifest)
+        runs.append((structure, report.constants, verdicts))
+    (x_chart, consts, verdicts), (y_chart, consts_y, verdicts_y) = runs
+    assert verdicts_y == verdicts and all(verdicts.values())
+    assert sorted(consts_y) == sorted(consts) == ["a", "b", "k_hat", "kappa_B"]
+    for key in consts:
+        assert consts_y[key] == pytest.approx(consts[key], abs=1e-9)
+    for y in sample_points(y_chart, seed=5, count=3):
+        s_y = get_frame(y_chart, y, 2).scalar.value
+        s_x = get_frame(x_chart, a @ y, 2).scalar.value
+        assert s_y == pytest.approx(s_x, abs=1e-9)
+
+
 def test_wpc_requires_horizontal_arguments(heis1):
     f = sample_frames(heis1, seed=71, count=1)[0]
     sampler = pc.Sampler(heis1, seed=71)
-    u, _ = sampler.horizontal_unit(f)
+    u = sampler.horizontal_unit(f)
     with pytest.raises(NotHorizontal):
         wpc(f, f.xi.value, u, u, u)
 
@@ -272,7 +349,7 @@ def test_wpc_equals_bochner_pairing(hyp1):
     sampler = pc.Sampler(hyp1, seed=73)
     f = get_frame(hyp1, sampler.point(), 2)
     for _ in range(10):
-        quad = [sampler.horizontal_unit(f)[0] for _ in range(4)]
+        quad = [sampler.horizontal_unit(f) for _ in range(4)]
         b = bochner_pairing(f, *quad)
         w = wpc(f, *quad)
         assert w == pytest.approx(b, abs=1e-10)

@@ -189,6 +189,17 @@ def test_invalid_manifests_exit_2_and_name_the_field(runner, tmp_path):
         (dict(builtin_manifest(), sampling={"box": [[0, "INF"]] * 3}),
          "sampling.box"),
         (dict(builtin_manifest(), tolerance="INF"), "tolerance"),
+        (with_field(custom(n=1), "name", 5), "manifold.name"),
+        (with_field(custom(n=1), "name", ["x"]), "manifold.name"),
+        (with_field(builtin_manifest(), "name", ["x"]), "manifold.name"),
+        (dict(builtin_manifest(), transform={"alpha": "INF"}),
+         "transform.alpha must be a finite number > 0"),
+        # JSON booleans are not numbers
+        (dict(builtin_manifest(), tolerance=True), "tolerance"),
+        (dict(builtin_manifest(), transform={"alpha": True}), "transform.alpha"),
+        (dict(builtin_manifest(), sampling={"seed": True}), "sampling.seed"),
+        (dict(builtin_manifest(), sampling={"count": True}), "sampling.count"),
+        (with_field(builtin_manifest(), "n", True), "manifold.n"),
     ]
     for i, (manifest, field) in enumerate(cases):
         path = tmp_path / f"field{i}.json"
@@ -384,12 +395,13 @@ def test_transform_rewrites_custom_tables(runner, tmp_path):
 
 def test_transform_rejects_bad_alpha(runner, tmp_path):
     manifest = write_manifest(tmp_path / "m.json", builtin_manifest())
-    for alpha in ("-1", "inf"):
+    for alpha in ("-1", "inf", "nan"):
         result = runner.invoke(
             main,
             ["transform", manifest, "--alpha", alpha, "--out", str(tmp_path / "t")],
         )
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "transform.alpha must be a finite number > 0" in result.stderr
     assert not (tmp_path / "t").exists()
 
 

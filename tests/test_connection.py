@@ -4,6 +4,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 
 import paracurv as pc
 from paracurv.connection import (
@@ -11,6 +12,7 @@ from paracurv.connection import (
     _riemann_from_gamma,
     covariant,
     get_frame,
+    kulkarni_nomizu,
     parallel_check,
 )
 from paracurv.jetfields import jt_einsum, plu_inverse
@@ -95,6 +97,20 @@ def test_riemann_symmetries(hyp2):
         assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) / scale < 1e-12
         bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)
         assert np.max(np.abs(bianchi)) / scale < 1e-12
+
+
+def test_kulkarni_nomizu_has_the_curvature_symmetries():
+    rng = np.random.default_rng(29)
+    for d in (3, 5, 7):
+        a, b = (m + m.T for m in rng.standard_normal((2, d, d)))
+        t = kulkarni_nomizu(a, b)
+        assert nres(t, -t.transpose(1, 0, 2, 3)) < 1e-14
+        assert nres(t, -t.transpose(0, 1, 3, 2)) < 1e-14
+        assert nres(t, t.transpose(2, 3, 0, 1)) < 1e-14
+        assert nres(t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) < 1e-13
+        assert nres(t, kulkarni_nomizu(b, a)) < 1e-14
+        assert t[0, 1, 0, 1] == pytest.approx(
+            a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - 2.0 * a[0, 1] * b[0, 1])
 
 
 def test_curvature_bundle_contractions_agree(hyp1):

@@ -195,5 +195,4 @@ def test_scalar_field_wrappers():
     jet = f(POINTS, 1)
     assert jet.value[0] == 7.0
     assert np.array_equal(jet.parts[1][:, 0], [1.0, 0.0, 2.0])
-    assert f.source_text == "u1 + 2*t"
     assert f.ast == parse("u1 + 2*t", COORDS)
