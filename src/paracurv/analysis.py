@@ -248,7 +248,8 @@ class EtaEinsteinFit:
 
 def eta_einstein_fit(frames, threshold=1e-8):
     """Least-squares (a, b) in r = a g + b eta (x) eta, with the
-    consistency check a + b = -2n."""
+    consistency check a + b = -2n.  Singular normal equations (eta = 0,
+    say) give a = b = nan, so both rows fail."""
     n = frames[0].n
     m = np.zeros((2, 2))
     rhs = np.zeros(2)
@@ -263,7 +264,10 @@ def eta_einstein_fit(frames, threshold=1e-8):
         ]
         rhs += [np.sum(g * r), np.sum(ee * r)]
         cache.append((g, ee, r))
-    a, b = (float(c) for c in np.linalg.solve(m, rhs))
+    try:
+        a, b = (float(c) for c in np.linalg.solve(m, rhs))
+    except np.linalg.LinAlgError:
+        a = b = math.nan
     report = CheckReport(constants={"a": a, "b": b})
     for g, ee, r in cache:
         report.add("eta_einstein_fit", nres(r, a * g + b * ee), threshold)

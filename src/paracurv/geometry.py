@@ -2,15 +2,17 @@
 
 A :class:`CharteredStructure` bundles the chart (coordinate names, domain
 box, optional guard) with a component strategy that produces jets of
-(g, phi, xi, eta) over a batch of points, one :class:`StructureJets` per
-point.  Three strategies exist: explicit expression tables, induction from
-an embedding into the flat para-Kaehler ambient, and the D-homothetic
-transform of another structure.  Each expression is evaluated once per
-batch; the induced and D-homothetic algebra runs point by point.
+(g, phi, xi, eta) over a batch of points.  Three strategies exist: explicit
+expression tables, induction from an embedding into the flat para-Kaehler
+ambient, and the D-homothetic transform of another structure.  Each
+computes on the whole batch: one :class:`StructureJets` whose bases lead
+with the point axis.  :meth:`CharteredStructure.at` checks that batch and
+splits it into one :class:`StructureJets` per point.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +28,8 @@ from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 
 class StructureJets(NamedTuple):
-    """Jets of the four structure tensors at one point."""
+    """Jets of the four structure tensors at one point, or over a batch of
+    points with the point axis leading each base."""
 
     g: JetTensor
     phi: JetTensor
@@ -34,21 +37,24 @@ class StructureJets(NamedTuple):
     eta: JetTensor
 
 
-def _stack(jets, shape):
-    """Parts ``(P,) + (d,)*k + shape`` of a tensor from the batch jets of its
-    components in row-major order; contiguous, so that each point's slice is
-    laid out as jets built at that point alone."""
+@cache
+def _point_axis(k, ndim):
+    """Axes that move the point axis of a part after its k derivative axes
+    to the front, and those that move it back."""
+    return (k, *range(k), *range(k + 1, ndim)), (*range(1, k + 1), 0, *range(k + 1, ndim))
+
+
+def _batch_tensor(jets, shape):
+    """Jet tensor with base ``(P,) + shape`` from the batch jets of its
+    components in row-major order, as views of a point-first array: each
+    point's slice is laid out as jets built at that point alone."""
     parts = []
     for k in range(jets[0].order + 1):
         a = np.array([j.parts[k] for j in jets])  # (N,) + (d,)*k + (P,)
-        a = np.ascontiguousarray(a.transpose((k + 1, *range(1, k + 1), 0)))
-        parts.append(a.reshape(a.shape[:-1] + shape))
-    return parts
-
-
-def _at_point(parts, i, dim):
-    """Point i of stacked parts, as a jet tensor of views."""
-    return JetTensor(dim, len(parts) - 1, [p[i] for p in parts])
+        a = np.ascontiguousarray(np.swapaxes(a, 0, -1))
+        a = a.reshape(a.shape[:-1] + shape)
+        parts.append(a.transpose(_point_axis(k, a.ndim)[1]))
+    return JetTensor(jets[0].dim, jets[0].order, parts)
 
 
 class Domain:
@@ -106,8 +112,8 @@ class CharteredStructure:
             )
 
     def at(self, points, order=3):
-        """Structure jets over a (P, d) batch of points in the chart domain,
-        one :class:`StructureJets` per point.
+        """Structure jets over a (P, d) batch of points in the chart domain:
+        the strategy's batch, split into one :class:`StructureJets` per point.
 
         Raises DomainError, with the index of the first such point, for a
         point outside the domain or jets that are not finite, which no check
@@ -120,17 +126,21 @@ class CharteredStructure:
             raise DomainError(f"point outside chart domain of {self.name}",
                               value=points[i], index=i)
         with np.errstate(all="ignore"):
-            jets = self.components.at(points, order)
-        # one isfinite over every part of the batch
-        parts = [p.ravel() for sj in jets for t in sj for p in t.parts]
-        if not np.isfinite(np.concatenate(parts)).all():
-            i = next(i for i, sj in enumerate(jets)
-                     if not all(np.isfinite(p).all() for t in sj for p in t.parts))
+            batch = self.components.at(points, order)
+        # point axis first and contiguous, so each point's parts are views
+        tensors = [[np.ascontiguousarray(p.transpose(_point_axis(k, p.ndim)[0]))
+                    for k, p in enumerate(t.parts)] for t in batch]
+        parts = [p for t in tensors for p in t]
+        if not np.isfinite(np.concatenate([p.ravel() for p in parts])).all():
+            i = next(i for i in range(len(points))
+                     if not all(np.isfinite(p[i]).all() for p in parts))
             raise DomainError(
                 f"structure jets of {self.name} are not finite at {points[i]}",
                 value=points[i], index=i,
             )
-        return jets
+        return [StructureJets(*(JetTensor(self.dim, t.order, [p[i] for p in ps])
+                                for t, ps in zip(batch, tensors)))
+                for i in range(len(points))]
 
 
 # -- component strategies -----------------------------------------------------
@@ -149,21 +159,17 @@ class ExprTableComponents:
         d = len(self.xi)
 
         def stack(fields, shape):
-            return _stack([f(points, order) for f in fields], shape)
+            return _batch_tensor([f(points, order) for f in fields], shape)
 
         g = stack([f for row in self.g for f in row], (d, d))
         # enforce exact symmetry of the metric jets
-        g = [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g]
+        g = JetTensor(d, order, [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
         phi = stack([f for row in self.phi for f in row], (d, d))
-        xi, eta = stack(self.xi, (d,)), stack(self.eta, (d,))
-        return [
-            StructureJets(*(_at_point(t, i, d) for t in (g, phi, xi, eta)))
-            for i in range(len(points))
-        ]
+        return StructureJets(g, phi, stack(self.xi, (d,)), stack(self.eta, (d,)))
 
 
 class HomotheticComponents:
-    """D-homothetic transform of a base structure's components.
+    """D-homothetic transform of a base component strategy.
 
     gbar = alpha g + (alpha^2 - alpha) eta (x) eta, phibar = phi,
     xibar = xi / alpha, etabar = alpha eta.
@@ -175,12 +181,10 @@ class HomotheticComponents:
 
     def at(self, points, order):
         a = self.alpha
-        out = []
-        for sj in self.base.at(points, order):
-            eta_eta = jt_einsum("i,j->ij", sj.eta, sj.eta)
-            g = a * sj.g + (a * a - a) * eta_eta
-            out.append(StructureJets(g, sj.phi, (1.0 / a) * sj.xi, a * sj.eta))
-        return out
+        sj = self.base.at(points, order)
+        eta_eta = jt_einsum("pi,pj->pij", sj.eta, sj.eta)
+        g = a * sj.g + (a * a - a) * eta_eta
+        return StructureJets(g, sj.phi, (1.0 / a) * sj.xi, a * sj.eta)
 
 
 class AmbientParaKaehler:
@@ -219,61 +223,6 @@ class Embedding:
         ]
 
 
-def induce_structure(embedding, points, order=3):
-    """Induced (g, phi, xi, eta) jets over a (P, d) batch of chart points,
-    one :class:`StructureJets` per point.
-
-    The paracontact-compatible induced metric is the *negative* of the
-    ambient restriction: the ambient pairing gives the tangent space
-    signature (n, n+1) and g(xi, xi) = -1, so the sign flip is forced by
-    eta(xi) = 1.  With it, every compatibility axiom comes out right.
-    """
-    d, m = embedding.dim, embedding.ambient.dim
-
-    def stack(asts, shape):
-        return _stack([eval_jet(a, points, order) for a in asts], shape)
-
-    normal = stack(embedding.normal, (m,))
-    e = stack([a for row in embedding.tangent for a in row], (d, m))  # (a, C)
-    return [_induce_at(embedding, _at_point(e, i, d), _at_point(normal, i, d), p)
-            for i, p in enumerate(points)]
-
-
-def _induce_at(embedding, e, normal, point):
-    amb = embedding.ambient
-    d, order = embedding.dim, e.order
-    eps = amb.eps
-    jac = e.value
-    if np.linalg.matrix_rank(jac, tol=1e-9) < d:
-        raise RankDeficientJacobian(f"immersion Jacobian rank-deficient at {point}")
-
-    def inner(u, v, sub):
-        """Paracontact pairing -<u, v>_ambient over the last (ambient) axis."""
-        lhs, out = sub.split("->")
-        su, sv = lhs.split(",")
-        scaled = JetTensor(v.dim, v.order, [p * eps for p in v.parts])
-        return -1.0 * jt_einsum(f"{su}C,{sv}C->{out}", u, scaled)
-
-    g = inner(e, e, "a,b->ab")
-    g = JetTensor(g.dim, g.order, [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
-    ginv = jt_metric_inverse(g)
-
-    i_mat = amb.product
-    i_n = jt_einsum("CD,D->C", JetTensor.const(i_mat, d, order), normal)
-    eta = inner(i_n, e, ",a->a")
-    xi = jt_einsum("ab,b->a", ginv, eta)
-
-    # phi^b_a solves  sum_b phi^b_a e_b = -(I e_a - eta_a N); the rhs is
-    # tangent, and the overall minus partners the metric flip above so that
-    # g(X, phi Y) = d eta(X, Y) comes out with the right sign
-    i_e = jt_einsum("CD,aD->aC", JetTensor.const(i_mat, d, order), e)
-    rhs = i_e - jt_einsum("a,C->aC", eta, normal)
-    proj = inner(e, rhs, "c,a->ca")
-    phi = -1.0 * jt_einsum("bc,ca->ba", ginv, proj)
-
-    return StructureJets(g, phi, xi, eta)
-
-
 class InducedComponents:
     """Component strategy backed by an embedding."""
 
@@ -281,7 +230,45 @@ class InducedComponents:
         self.embedding = embedding
 
     def at(self, points, order):
-        return induce_structure(self.embedding, points, order)
+        """Induced (g, phi, xi, eta) jets over a (P, d) batch of chart points.
+
+        The paracontact-compatible induced metric is the *negative* of the
+        ambient restriction: the ambient pairing gives the tangent space
+        signature (n, n+1) and g(xi, xi) = -1, so the sign flip is forced by
+        eta(xi) = 1.  With it, every compatibility axiom comes out right.
+        """
+        emb = self.embedding
+        d, m = emb.dim, emb.ambient.dim
+
+        def stack(asts, shape):
+            return _batch_tensor([eval_jet(a, points, order) for a in asts], shape)
+
+        normal = stack(emb.normal, (m,))
+        e = stack([a for row in emb.tangent for a in row], (d, m))  # (p, a, C)
+        deficient = np.linalg.matrix_rank(e.value, tol=1e-9) < d
+        if deficient.any():
+            point = points[int(np.argmax(deficient))]
+            raise RankDeficientJacobian(f"immersion Jacobian rank-deficient at {point}")
+
+        # the paracontact pairing is minus the ambient one, over the axis C
+        e_flat = JetTensor(d, order, [p * emb.ambient.eps for p in e.parts])
+        g = -1.0 * jt_einsum("paC,pbC->pab", e, e_flat)
+        g = JetTensor(d, order, [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
+        ginv = jt_metric_inverse(g)
+
+        i_mat = JetTensor.const(emb.ambient.product, d, order)
+        i_n = jt_einsum("CD,pD->pC", i_mat, normal)
+        eta = -1.0 * jt_einsum("pC,paC->pa", i_n, e_flat)
+        xi = jt_einsum("pab,pb->pa", ginv, eta)
+
+        # phi^b_a solves  sum_b phi^b_a e_b = -(I e_a - eta_a N); the rhs is
+        # tangent, and the overall minus partners the metric flip above so
+        # that g(X, phi Y) = d eta(X, Y) comes out with the right sign
+        i_e = jt_einsum("CD,paD->paC", i_mat, e)
+        rhs = i_e - jt_einsum("pa,pC->paC", eta, normal)
+        proj = -1.0 * jt_einsum("pcC,paC->pca", e_flat, rhs)
+        phi = -1.0 * jt_einsum("pbc,pca->pba", ginv, proj)
+        return StructureJets(g, phi, xi, eta)
 
 
 # -- builtin catalog ------------------------------------------------------------
@@ -400,7 +387,7 @@ def d_homothetic(structure, alpha):
     return CharteredStructure(
         structure.n,
         structure.coords,
-        HomotheticComponents(structure, alpha),
+        HomotheticComponents(structure.components, alpha),
         structure.domain,
         name=f"d_homothetic({structure.name}, {alpha:g})",
     )

@@ -17,6 +17,7 @@ reinterpreted as a component axis.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -27,25 +28,31 @@ _PIVOT_EPS = 1e-12
 
 
 def plu_inverse(a, pivot_eps=_PIVOT_EPS):
-    """Inverse via pivoted Gaussian elimination with an explicit pivot check.
+    """Inverse of each matrix of a (..., n, n) stack via pivoted Gaussian
+    elimination with an explicit pivot check.
 
     np.linalg.inv would silently accept nearly-singular input; we want a
     hard :class:`SingularMetric` once a pivot magnitude drops to 1e-12.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n)])
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    aug = np.empty((a.size // (n * n), n, 2 * n))
+    aug[:, :, :n] = a.reshape(-1, n, n)
+    aug[:, :, n:] = np.eye(n)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) <= pivot_eps:
-            raise SingularMetric(f"pivot {aug[piv, col]:g} below threshold")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        for r in range(n):
-            if r != col:
-                aug[r] -= aug[r, col] * aug[col]
-    return aug[:, n:]
+        piv = col + np.abs(aug[:, col:, col]).argmax(axis=1)
+        if (piv != col).any():
+            stack = np.arange(len(aug))
+            aug[stack, col], aug[stack, piv] = aug[stack, piv], aug[stack, col]
+        pivot = aug[:, col, col].copy()
+        small = np.abs(pivot) <= pivot_eps
+        if small.any():
+            raise SingularMetric(f"pivot {pivot[small.argmax()]:g} below threshold")
+        aug[:, col] /= pivot[:, None]
+        row = aug[:, None, col]
+        aug[:, :col] -= aug[:, :col, col, None] * row
+        aug[:, col + 1 :] -= aug[:, col + 1 :, col, None] * row
+    return aug[:, :, n:].reshape(a.shape)
 
 
 def _sym_leading(arr, m):
@@ -53,12 +60,9 @@ def _sym_leading(arr, m):
     if m < 2:
         return arr
     acc = np.zeros_like(arr)
-    n = 0
     for perm in permutations(range(m)):
-        axes = list(perm) + list(range(m, arr.ndim))
-        acc += np.transpose(arr, axes)
-        n += 1
-    return acc / n
+        acc += np.transpose(arr, (*perm, *range(m, arr.ndim)))
+    return acc / factorial(m)
 
 
 class JetTensor:
@@ -125,9 +129,6 @@ class JetTensor:
         a, b = self._other(b)
         return JetTensor(a.dim, a.order, [x - y for x, y in zip(a.parts, b.parts)])
 
-    def __neg__(self):
-        return JetTensor(self.dim, self.order, [-x for x in self.parts])
-
     def __mul__(self, c):
         c = float(c)
         return JetTensor(self.dim, self.order, [c * x for x in self.parts])
@@ -169,7 +170,8 @@ def jt_einsum(sub, a, b):
 
 
 def jt_metric_inverse(g):
-    """Jets of the inverse of a jet-valued symmetric matrix.
+    """Jets of the inverse of a jet-valued symmetric matrix, or of each
+    matrix of a stack (base ``(..., d, d)``).
 
     Built order by order from dG = -G (dg) G, seeded with a pivoted
     inverse of the value part (raises SingularMetric when degenerate).
@@ -178,11 +180,10 @@ def jt_metric_inverse(g):
     parts = [plu_inverse(g.parts[0])]
     if order == 0:
         return JetTensor(d, 0, parts)
-    dg = g.partial()  # base (a, i, j)
+    dg = g.partial()  # base (a, ..., i, j)
     for k in range(order):
         gk = JetTensor(d, k, parts[: k + 1])
-        h = jt_einsum("im,amn->ain", gk, dg.cut(k))
-        h = jt_einsum("ain,nj->aij", h, gk)
-        new = _sym_leading(-h.parts[k], k + 1)
-        parts.append(new)
+        h = jt_einsum("...im,a...mn->a...in", gk, dg.cut(k))
+        h = jt_einsum("a...in,...nj->a...ij", h, gk)
+        parts.append(_sym_leading(-h.parts[k], k + 1))
     return JetTensor(d, order, parts)

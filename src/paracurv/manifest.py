@@ -35,7 +35,7 @@ from .analysis import (
     xi_sectional,
 )
 from .connection import PointGeometry, parallel_check
-from .errors import ManifestError, ParacurvError
+from .errors import ManifestError, NotHorizontal, ParacurvError
 from .exprlang import ScalarField, parse
 from .geometry import (
     BUILTINS,
@@ -130,8 +130,11 @@ def _wpc(ctx, frames, budget):
     for i in range(budget):
         f = frames[i % len(frames)]
         quad = [ctx.sampler.horizontal_unit(f) for _ in range(4)]
-        report.add("wpc_equals_bochner",
-                   nres(bochner_pairing(f, *quad), wpc(f, *quad)), ctx.tolerance)
+        try:
+            residual = nres(bochner_pairing(f, *quad), wpc(f, *quad))
+        except NotHorizontal:  # eta(xi) != 1: no vector is horizontal
+            residual = math.nan
+        report.add("wpc_equals_bochner", residual, ctx.tolerance)
     return report
 
 
@@ -282,6 +285,9 @@ def validate_manifest(manifest):
         if "normal" in manifold:
             _expr_vector(manifold["normal"], 2 * n + 2, "manifold.normal")
     if kind != "builtin":
+        _require(all(isinstance(c, str) for c in coords)
+                 and len(set(coords)) == len(coords),
+                 "manifold.coords must be distinct strings", "manifold.coords")
         _validate_box(manifold.get("box"), dim, "manifold.box")
         probe = manifold.get("probe")
         _require(probe is None or isinstance(probe, list) and len(probe) == dim

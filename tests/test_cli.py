@@ -200,6 +200,9 @@ def test_invalid_manifests_exit_2_and_name_the_field(runner, tmp_path):
         (dict(builtin_manifest(), sampling={"seed": True}), "sampling.seed"),
         (dict(builtin_manifest(), sampling={"count": True}), "sampling.count"),
         (with_field(builtin_manifest(), "n", True), "manifold.n"),
+        # coordinate names must be distinct strings, or two share a slot
+        (with_field(custom(n=1), "coords", ["u1", "u1", "t"]), "manifold.coords"),
+        (with_field(embedded(), "coords", ["x1", 5, "y1"]), "manifold.coords"),
     ]
     for i, (manifest, field) in enumerate(cases):
         path = tmp_path / f"field{i}.json"
@@ -279,6 +282,48 @@ def test_overflowed_curvature_fails_with_a_readable_report(runner, tmp_path):
     assert all(("non_finite" in row) == (row["residual_max"] is None)
                for row in report["checks"])
     assert "non_finite" not in rows["axiom_i_phi_xi"]
+
+
+def test_wpc_without_horizontal_vectors_fails_its_row(runner, tmp_path):
+    # eta(xi) = 1.1, so projecting along xi leaves eta(v) != 0: no
+    # quadruple is horizontal, and the report still carries every row
+    def stretch_xi(manifold):
+        manifold["xi"] = ["0", "0", "1.1"]
+
+    for checks in (["axioms", "wpc"], "all"):
+        manifest = custom_heisenberg_manifest(n=1, mutate=stretch_xi)
+        manifest["checks"] = checks
+        path = write_manifest(tmp_path / "m.json", manifest)
+        result = runner.invoke(main, ["check", path])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "error" not in result.stderr
+        assert "FAIL wpc_equals_bochner: residual nan" in result.stderr
+        rows = {row["name"]: row for row in json.loads(result.stdout)["checks"]}
+        assert rows["wpc_equals_bochner"]["non_finite"] == "nan"
+        assert not rows["axiom_ii_eta_xi"]["pass"]
+
+
+def test_singular_eta_einstein_system_fails_both_rows(runner, tmp_path):
+    # eta = 0: the normal equations of r = a g + b eta (x) eta are singular
+    zero = ["0", "0", "0"]
+    manifest = {
+        "schema": "paracurv-manifest/1",
+        "manifold": {"kind": "custom", "coords": ["a", "b", "c"],
+                     "g": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+                     "phi": [zero, zero, zero], "xi": zero, "eta": zero},
+        "sampling": {"seed": 3, "count": 20},
+        "checks": ["axioms", "classification", "eta_einstein"],
+    }
+    result = runner.invoke(main, ["check", write_manifest(tmp_path / "m.json", manifest)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert all(line.startswith(("PASS ", "FAIL "))
+               for line in result.stderr.splitlines())
+    report = json.loads(result.stdout)
+    rows = {row["name"]: row for row in report["checks"]}
+    for name in ("eta_einstein_fit", "eta_einstein_sum"):
+        assert rows[name]["residual_max"] is None and not rows[name]["pass"]
+        assert "non_finite" in rows[name]
+    assert report["constants"] == {"a": None, "b": None}
 
 
 def test_report_refuses_non_finite_numbers():

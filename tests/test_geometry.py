@@ -1,7 +1,11 @@
 """Builtin structures, induced embeddings and the D-homothety."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paracurv as pc
 from paracurv.analysis import _nijenhuis
@@ -19,9 +23,9 @@ from paracurv.geometry import (
     Domain,
     Embedding,
     ExprTableComponents,
+    InducedComponents,
     heisenberg_tables,
     hyperboloid_embedding,
-    induce_structure,
 )
 
 from conftest import max_residual, sample_frames, sample_points, values
@@ -105,7 +109,62 @@ def test_rank_deficient_immersion_is_rejected():
     asts = [parse(t, coords) for t in texts]
     embedding = Embedding(AmbientParaKaehler(2), coords, asts, asts)
     with pytest.raises(RankDeficientJacobian):
-        induce_structure(embedding, np.array([[0.1, 0.2, 0.3]]), order=1)
+        InducedComponents(embedding).at(np.array([[0.1, 0.2, 0.3]]), order=1)
+
+
+def test_rank_deficiency_names_the_first_deficient_point_of_a_batch():
+    coords = ("a", "b", "c")
+    asts = [parse(t, coords) for t in ("a^2", "b", "c", "0")]  # rank 2 at a = 0
+    embedding = Embedding(AmbientParaKaehler(2), coords, asts, asts)
+    points = np.array([[0.5, 0.1, 0.2], [0.0, 0.3, 0.4], [0.0, -0.3, 0.1]])
+    InducedComponents(embedding).at(points[:1], order=2)
+    with pytest.raises(RankDeficientJacobian, match=re.escape(str(points[1]))):
+        InducedComponents(embedding).at(points, order=2)
+
+
+def test_non_finite_jets_name_the_first_such_point_of_a_batch():
+    # finite while 709 + t stays below log(max float) = 709.78
+    coords, g, phi, xi, eta = heisenberg_tables(1)
+    xi[2] = "1 + 0*(exp(709)*exp(t))"
+    table = lambda rows: [[ScalarField.from_expr(s, coords) for s in row] for row in rows]
+    comps = ExprTableComponents(table(g), table(phi), *table([xi, eta]))
+    structure = CharteredStructure(1, coords, comps, Domain.cube(3))
+    points = np.array([[0.1, 0.2, t] for t in (0.0, 0.5, 1.0, 1.5)])
+    structure.at(points[:2], order=1)
+    with pytest.raises(DomainError, match="not finite") as exc:
+        structure.at(points, order=1)
+    assert exc.value.index == 2
+
+
+EMBEDDED = {
+    "schema": "paracurv-manifest/1",
+    "manifold": {"kind": "embedded", "n": 1, "coords": ["x1", "y0", "y1"],
+                 "immersion": ["sqrt(1-x1^2+y0^2+y1^2)", "x1", "y0", "y1"]},
+}
+BATCH_STRUCTURES = [
+    pc.builtin_heisenberg(2),
+    pc.builtin_hyperboloid(2),
+    pc.d_homothetic(pc.builtin_hyperboloid(2), 2.0),
+    pc.build_structure(EMBEDDED),
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda p: st.lists(st.lists(st.floats(-0.5, 0.5), min_size=5,
+                                       max_size=5), min_size=p, max_size=p)),
+       st.integers(0, 3))
+def test_structure_jets_of_a_batch_are_bitwise_those_of_single_points(points, order):
+    for structure in BATCH_STRUCTURES:
+        batch = np.array(points)[:, : structure.dim]
+        jets = structure.at(batch, order)
+        assert len(jets) == len(batch)
+        for point, sj in zip(batch, jets):
+            single = structure.at([point], order)[0]
+            for b, s in zip(sj, single, strict=True):
+                assert b.order == s.order == order
+                for x, y in zip(b.parts, s.parts, strict=True):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_domain_guard_and_errors(hyp2):

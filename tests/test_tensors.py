@@ -17,6 +17,20 @@ def test_plu_inverse_rejects_singular():
     assert np.allclose(plu_inverse(a) @ a, np.eye(2), atol=1e-14)
 
 
+def test_plu_inverse_of_a_stack():
+    # each matrix of a stack is inverted as it would be alone, and one
+    # singular matrix anywhere in the stack is refused
+    stack = np.array([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]],
+                      [[1.0, 0.5], [0.5, -2.0]]])
+    inverse = plu_inverse(stack)
+    assert inverse.shape == stack.shape
+    for a, inv in zip(stack, inverse):
+        assert inv.tobytes() == plu_inverse(a).tobytes()
+    stack[1] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(SingularMetric):
+        plu_inverse(stack)
+
+
 def test_phi_low_is_antisymmetric_on_builtin(heis2):
     # gphi is the exterior-derivative half of eta, so lowering phi must
     # produce an antisymmetric bilinear form
