@@ -78,7 +78,7 @@ class ClassifyResult:
 def classify(frames, threshold=1e-9):
     """ParaSasakian and para-CR verdicts with the residuals behind them.
 
-    ``frames`` is a sequence of frames of jet order 2 or more; it is read
+    ``frames`` is a sequence of frames of jet order 1 or more; it is read
     twice, once for the axioms, whose rows lead the report.
 
     The paraSasakian property is tested both through the Nijenhuis tensor
@@ -115,7 +115,7 @@ def classify(frames, threshold=1e-9):
         tail.add("para_cr_bracket", nres(e("k,kij->ij", eta, bracket)),
                  threshold)
         tail.add("para_cr_nabla_phi",
-                 nres(f.cov(f.phi, "ul", kind="canonical_tilde").value),
+                 nres(f.cov(f.phi.cut(1), "ul", kind="canonical_tilde").value),
                  threshold)
 
     report.add("sasakian_nijenhuis", res_nij, threshold)
@@ -398,7 +398,7 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
     """Named residuals of the paraSasakian identity catalog.
 
     Each entry is the normalized max residual over the frames, which need
-    jet order 3.  When a sampler is supplied, the two equivalent forms of
+    jet order 2.  When a sampler is supplied, the two equivalent forms of
     the paraholomorphic sectional curvature are also compared on random
     sections.
     """
@@ -473,10 +473,10 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
         keep("f51_phi_h", ph @ h + h @ ph)
         keep("f51_trace_h", np.trace(h))
         keep("f51_h_xi", h @ xi)
-        keep("tnweb_g", f.cov(f.g, "ll", kind="canonical_tilde").value)
-        keep("tnweb_xi", f.cov(f.xi, "u", kind="canonical_tilde").value)
-        keep("tnweb_eta", f.cov(f.eta, "l", kind="canonical_tilde").value)
-        keep("tnweb1_phi", f.cov(f.phi, "ul", kind="canonical_tilde").value)
+        keep("tnweb_g", f.cov(f.g.cut(1), "ll", kind="canonical_tilde").value)
+        keep("tnweb_xi", f.cov(f.xi.cut(1), "u", kind="canonical_tilde").value)
+        keep("tnweb_eta", f.cov(f.eta.cut(1), "l", kind="canonical_tilde").value)
+        keep("tnweb1_phi", f.cov(f.phi.cut(1), "ul", kind="canonical_tilde").value)
         phi_h = ph @ h
         keep(
             "tprtw",

@@ -8,6 +8,14 @@ coordinate partials straight from the jets, never finite-differenced),
 both curvature tensors, the h-tensor and the canonical torsion.  The
 checks read frames; a frame lives as long as its caller holds it.
 
+Each cached quantity is built at the lowest jet order that its highest
+reader needs, never at the full order its inputs allow: a quantity that
+every reader takes only the value of is built from inputs cut to order 1
+(or from the value alone), and one that is differentiated once more is
+cut one order higher.  The k-th part of a jet product depends on parts up
+to k only, so the kept parts are bitwise those of the full-order build.
+The comment at each property names the reader that sets its order.
+
 Sign conventions, pinned once: R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z
 - nab_[X,Y] Z, so R^l_{ijk} = d_i Gam^l_{jk} - d_j Gam^l_{ik}
 + Gam^l_{is} Gam^s_{jk} - Gam^l_{js} Gam^s_{ik}; fully covariant
@@ -92,22 +100,29 @@ class PointGeometry:
         self.g, self.phi, self.xi, self.eta = jets
         self.dim = self.g.dim
         self.n = (self.dim - 1) // 2
+        # gamma's order, one below g's; an order-0 frame keeps its values
+        self.gamma_order = max(self.g.order - 1, 0)
 
+    # gamma reads it at its own order; ricci and the checks read the value
     @cached_property
     def ginv(self):
-        return jt_metric_inverse(self.g)
+        return jt_metric_inverse(self.g.cut(self.gamma_order))
 
+    # gamma_tilde reads it at gamma's order; nabla_phi_low and the checks
+    # read the value
     @cached_property
     def phi_low(self):
         # phi_{ij} = g_{il} phi^l_j
-        return jt_einsum("il,lj->ij", self.g, self.phi)
+        return jt_einsum("il,lj->ij", self.g.cut(self.gamma_order), self.phi)
 
+    # the axioms and classify read the value
     @cached_property
     def deta(self):
         """(d eta)_{ij} = (d_i eta_j - d_j eta_i) / 2."""
-        de = self.eta.partial()  # (a, j)
+        de = self.eta.cut(1).partial()  # (a, j)
         return 0.5 * (de - de.tb((1, 0)))
 
+    # full order: riem_tilde_up differentiates gamma_tilde = gamma + ...
     @cached_property
     def gamma(self):
         dg = self.g.partial()  # (a, i, j) = d_a g_{ij}
@@ -150,6 +165,7 @@ class PointGeometry:
         b -= kappa * c * kulkarni_nomizu(g, ee)
         return b, kappa
 
+    # full order (gamma's): gamma_tilde reads it at its own order
     @cached_property
     def h(self):
         """h = (1/2) Lie_xi phi, as h^i_j."""
@@ -160,10 +176,14 @@ class PointGeometry:
         t3 = jt_einsum("is,js->ij", self.phi, dxi)
         return 0.5 * (t1 - t2 + t3)
 
+    # full order (gamma's): parallel_check differentiates riem_tilde_up
     @cached_property
     def gamma_tilde(self):
         """Canonical paracontact connection coefficients."""
-        eta, phi, xi, h = self.eta, self.phi, self.xi, self.h
+        # the products at gamma's order: the sum with gamma drops any higher
+        k = self.gamma_order
+        eta, phi, xi = self.eta.cut(k), self.phi.cut(k), self.xi.cut(k)
+        h = self.h
         phi_h = jt_einsum("ls,si->li", phi, h)  # (phi h)^l_i
         h_philow = jt_einsum("si,sj->ij", h, self.phi_low)  # h^s_i phi_{sj}
         extra = (
@@ -173,12 +193,14 @@ class PointGeometry:
         )
         return self.gamma + extra
 
+    # parallel_check differentiates it; the identities read the value
     @cached_property
     def torsion_up(self):
         """T^l_{ij} of the canonical connection, from antisymmetrized Gam~."""
         gt = self.gamma_tilde
         return gt - gt.tb((0, 2, 1))
 
+    # parallel_check differentiates it; f21 reads the value
     @cached_property
     def riem_tilde_up(self):
         return _riemann_from_gamma(self.gamma_tilde)
@@ -201,21 +223,26 @@ class PointGeometry:
         gamma = self.gamma if kind == "levi_civita" else self.gamma_tilde
         return covariant(t, kinds, gamma)
 
+    # order 1: identity_suite differentiates it once more (f3) and reads
+    # the value of that
     @cached_property
     def nabla_eta(self):
-        return self.cov(self.eta, "l")
+        return self.cov(self.eta.cut(2), "l")
 
+    # order 1, for f3 as nabla_eta
     @cached_property
     def nabla_xi(self):
-        return self.cov(self.xi, "u")
+        return self.cov(self.xi.cut(2), "u")
 
+    # classify, f2 and f21 read the value
     @cached_property
     def nabla_phi(self):
-        return self.cov(self.phi, "ul")
+        return self.cov(self.phi.cut(1), "ul")
 
+    # f2 reads the value
     @cached_property
     def nabla_phi_low(self):
-        return self.cov(self.phi_low, "ll")
+        return self.cov(self.phi_low.cut(1), "ll")
 
     @cached_property
     def f21_rhs(self):
@@ -256,7 +283,8 @@ def parallel_check(frames, threshold=1e-8):
     """Max components of nab~ T and nab~ R~ over the frames."""
     report = CheckReport()
     for f in frames:
-        nt = f.cov(f.torsion_up, "ull", kind="canonical_tilde")
+        # both rows read values, so the torsion is differentiated at order 1
+        nt = f.cov(f.torsion_up.cut(1), "ull", kind="canonical_tilde")
         nr = f.cov(f.riem_tilde_up, "ulll", kind="canonical_tilde")
         report.add("parallel_torsion", nres(nt.value), threshold)
         report.add("parallel_curvature", nres(nr.value), threshold)

@@ -256,15 +256,22 @@ class InducedComponents:
         g = JetTensor(d, order, [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
         ginv = jt_metric_inverse(g)
 
-        i_mat = JetTensor.const(emb.ambient.product, d, order)
-        i_n = jt_einsum("CD,pD->pC", i_mat, normal)
+        i_mat = emb.ambient.product
+
+        def product(t):
+            # I is constant: applied part by part, it adds no zero jet
+            # parts to the Leibniz sums
+            return JetTensor(d, order, [np.einsum("CD,...D->...C", i_mat, p)
+                                        for p in t.parts])
+
+        i_n = product(normal)
         eta = -1.0 * jt_einsum("pC,paC->pa", i_n, e_flat)
         xi = jt_einsum("pab,pb->pa", ginv, eta)
 
         # phi^b_a solves  sum_b phi^b_a e_b = -(I e_a - eta_a N); the rhs is
         # tangent, and the overall minus partners the metric flip above so
         # that g(X, phi Y) = d eta(X, Y) comes out with the right sign
-        i_e = jt_einsum("CD,paD->paC", i_mat, e)
+        i_e = product(e)
         rhs = i_e - jt_einsum("pa,pC->paC", eta, normal)
         proj = -1.0 * jt_einsum("pcC,paC->pca", e_flat, rhs)
         phi = -1.0 * jt_einsum("pbc,pca->pba", ginv, proj)

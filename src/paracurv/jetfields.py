@@ -83,14 +83,6 @@ class JetTensor:
     def base_shape(self):
         return self.parts[0].shape
 
-    @classmethod
-    def const(cls, array, dim, order):
-        array = np.asarray(array, dtype=float)
-        parts = [array]
-        for k in range(1, order + 1):
-            parts.append(np.zeros((dim,) * k + array.shape))
-        return cls(dim, order, parts)
-
     def cut(self, order):
         if order >= self.order:
             return self

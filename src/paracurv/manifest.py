@@ -160,14 +160,14 @@ class Check(NamedTuple):
 # in report order; the sampler draws in this order too
 CHECKS = (
     Check("axioms", 1, None, 0, _axioms),
-    Check("classification", 2, 25, 0, _classification),
+    Check("classification", 1, 25, 0, _classification),
     Check("xi_sectional", 2, 10, 50, _xi_sectional),
     Check("phsc", 2, 10, 50, _phsc),
     Check("space_form", 2, 10, 0, _space_form),
     Check("eta_einstein", 2, 10, 0, _eta_einstein),
     Check("bochner", 2, 10, 0, _bochner),
     Check("wpc", 2, 5, 100, _wpc),
-    Check("identities", 3, 5, 50, _identities),
+    Check("identities", 2, 5, 50, _identities),
     Check("parallel", 3, 5, 0, _parallel),
 )
 ALL_CHECKS = tuple(row.name for row in CHECKS)

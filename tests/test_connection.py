@@ -16,7 +16,7 @@ from paracurv.connection import (
     parallel_check,
 )
 from paracurv.jetfields import jt_einsum, plu_inverse
-from paracurv.manifest import run_checks
+from paracurv.manifest import CHECKS, run_checks
 from paracurv.report import nres
 
 from conftest import sample_frames, sample_points
@@ -299,9 +299,13 @@ def test_run_checks_builds_each_frame_once_above_2048_points(monkeypatch):
         init(self, structure, point, order)
 
     monkeypatch.setattr(PointGeometry, "__init__", counting_init)
-    run_checks(pc.builtin_heisenberg(1), axioms_and_classification(2100))
-    assert len(built) == 2100
-    assert built[:25] == [2] * 25 and set(built[25:]) == {1}
+    manifest = axioms_and_classification(2100)
+    run_checks(pc.builtin_heisenberg(1), manifest)
+    # one frame per point, in point order, at the highest order the table
+    # gives that point
+    rows = [row for row in CHECKS if row.name in manifest["checks"]]
+    assert built == [max(r.order for r in rows if r.points is None or i < r.points)
+                     for i in range(2100)]
 
 
 def test_run_checks_keeps_only_the_leading_frames_alive(monkeypatch):

@@ -190,4 +190,5 @@ def test_jt_metric_inverse_round_trip(hyp2):
 
 def test_jt_metric_inverse_rejects_singular():
     with pytest.raises(SingularMetric):
-        jt_metric_inverse(JetTensor.const([[1.0, 2.0], [2.0, 4.0]], 2, 1))
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        jt_metric_inverse(JetTensor(2, 1, [singular, np.zeros((2, 2, 2))]))

@@ -1,10 +1,15 @@
-"""Exact oracle for the jet pipeline: Gamma, R, Ricci and s by sympy.
+"""Exact oracle for the jet pipeline: Gamma, R, Ricci and s by sympy, and
+the canonical side: h, Gamma~, T~, R~ and the Levi-Civita derivatives of
+phi, eta and xi.
 
-The metric of each chart is written out symbolically, the Christoffel
-symbols and curvature are derived from it by symbolic differentiation, and
-only then is the result evaluated, at a rational point, to 40 significant
-digits.  No finite difference and no jet enters the oracle.
+The structure tensors of each chart are written out symbolically, the
+connections, curvatures and covariant derivatives are derived from them
+by symbolic differentiation, and only then is the result evaluated, at a
+rational point, with 50-digit floats.  No finite difference and no jet
+enters the oracle.
 """
+
+from functools import cache
 
 import numpy as np
 import pytest
@@ -20,20 +25,19 @@ POINT = (sympy.Rational(1, 3), sympy.Rational(-1, 5), sympy.Rational(1, 7))
 CONFORMAL = "sqrt(2 + u1^2)*exp(t/3)"
 
 
-def table_metric(coords, texts):
-    """Chart symbols and the metric of an expression table; the table's
-    floats become rationals and ``^`` is a power, as in the manifest
-    language."""
+def table_structure(coords, *tables):
+    """Chart symbols and the sympy matrices of expression tables (g, phi,
+    xi, eta, ...); the tables' floats become rationals and ``^`` is a
+    power, as in the manifest language."""
     x = sympy.symbols(coords)
     names = {s.name: s for s in x} | {"ln": sympy.log}
-    g = sympy.Matrix([[sympy.sympify(t, locals=names, rational=True)
-                       for t in row] for row in texts])
-    return x, g
+    return x, *(sympy.Matrix(texts).applyfunc(
+        lambda t: sympy.sympify(t, locals=names, rational=True)) for texts in tables)
 
 
 def heisenberg_metric():
     coords, g, *_ = heisenberg_tables(1)
-    return table_metric(coords, g)
+    return table_structure(coords, g)
 
 
 def conformal_tables():
@@ -53,38 +57,62 @@ def hyperboloid_metric():
     return x, -jac.T * sympy.diag(1, 1, -1, -1) * jac
 
 
-def oracle(x, g):
-    """(g_ij, Gamma^l_ij, R_ijkl, r_jk, s) at POINT, each evaluated to 40
-    digits from its symbolic expression and then rounded to floats."""
+def christoffel(x, g):
+    """g^-1 and Gamma^l_ij, each entry factored, which keeps the conformal
+    chart's expressions small enough to differentiate twice more."""
     r = range(len(x))
-    ginv = g.adjugate() / g.det()
+    ginv = (g.adjugate() / g.det()).applyfunc(sympy.factor)
     dg = [[[g[i, j].diff(x[a]) for j in r] for i in r] for a in r]
-    gamma = [[[sum(ginv[l, m] * (dg[i][m][j] + dg[j][m][i] - dg[m][i][j])
-                   for m in r) / 2 for j in r] for i in r] for l in r]
-    # R^l_ijk = d_i Gam^l_jk - d_j Gam^l_ik + Gam^l_is Gam^s_jk
-    #           - Gam^l_js Gam^s_ik;  R_ijkl = g_lm R^m_ijk
-    riem_up = [[[[gamma[l][j][k].diff(x[i]) - gamma[l][i][k].diff(x[j])
-                  + sum(gamma[l][i][s] * gamma[s][j][k]
-                        - gamma[l][j][s] * gamma[s][i][k] for s in r)
-                  for k in r] for j in r] for i in r] for l in r]
+    gamma = [[[sympy.factor(sum(ginv[l, m] * (dg[i][m][j] + dg[j][m][i]
+                                              - dg[m][i][j]) for m in r) / 2)
+               for j in r] for i in r] for l in r]
+    return ginv, gamma
+
+
+def riemann_up(x, gamma):
+    """R^l_ijk = d_i Gam^l_jk - d_j Gam^l_ik + Gam^l_is Gam^s_jk
+    - Gam^l_js Gam^s_ik, of any connection."""
+    r = range(len(x))
+    return [[[[gamma[l][j][k].diff(x[i]) - gamma[l][i][k].diff(x[j])
+               + sum(gamma[l][i][s] * gamma[s][j][k]
+                     - gamma[l][j][s] * gamma[s][i][k] for s in r)
+               for k in r] for j in r] for i in r] for l in r]
+
+
+def oracle(x, g):
+    """(g_ij, Gamma^l_ij, R_ijkl, r_jk, s) at POINT, each evaluated from
+    its symbolic expression."""
+    r = range(len(x))
+    ginv, gamma = christoffel(x, g)
+    riem_up = riemann_up(x, gamma)
+    # R_ijkl = g_lm R^m_ijk
     riem_down = [[[[sum(g[l, m] * riem_up[m][i][j][k] for m in r)
                     for l in r] for k in r] for j in r] for i in r]
     ricci = [[sum(ginv[m, l] * riem_down[m][j][k][l] for m in r for l in r)
               for k in r] for j in r]
     scalar = sum(ginv[j, k] * ricci[j][k] for j in r for k in r)
-    at = dict(zip(x, POINT))
-
-    def value(expr):
-        if isinstance(expr, list):
-            return [value(e) for e in expr]
-        return float(sympy.N(sympy.sympify(expr).subs(at), 40))
-
-    return tuple(np.array(value(t)) for t in (g.tolist(), gamma, riem_down,
-                                              ricci, scalar))
+    return tuple(evaluate(x, t) for t in (g.tolist(), gamma, riem_down, ricci,
+                                         scalar))
 
 
-def custom_chart():
-    coords, g, phi, xi, eta = conformal_tables()
+def evaluate(x, expr):
+    """An expression, or nested lists of them, at POINT: computed with
+    50-digit floats, then rounded to doubles."""
+    if isinstance(expr, list):
+        return np.array([evaluate(x, e) for e in expr])
+    return float(sympy.sympify(expr).xreplace(
+        {s: sympy.Float(c, 50) for s, c in zip(x, POINT)}))
+
+
+def twisted_tables():
+    """The heisenberg(1) tables with xi = exp(u1/2) d/dt: xi is no longer
+    Killing, so h = (1/2) Lie_xi phi does not vanish."""
+    coords, g, phi, xi, eta = heisenberg_tables(1)
+    return coords, g, phi, xi[:-1] + ["exp(u1/2)"], eta
+
+
+def custom_chart(tables=conformal_tables):
+    coords, g, phi, xi, eta = tables()
     return build_structure({"manifold": {
         "kind": "custom", "coords": coords, "g": g, "phi": phi, "xi": xi,
         "eta": eta,
@@ -96,7 +124,7 @@ def custom_chart():
     [
         (lambda: pc.builtin_heisenberg(1), heisenberg_metric),
         (lambda: pc.builtin_hyperboloid(1), hyperboloid_metric),
-        (custom_chart, lambda: table_metric(*conformal_tables()[:2])),
+        (custom_chart, lambda: table_structure(*conformal_tables()[:2])),
     ],
     ids=["heisenberg1", "hyperboloid1", "custom_conformal"],
 )
@@ -110,3 +138,109 @@ def test_curvature_matches_the_symbolic_oracle(structure, metric):
     assert nres(f.scalar.value, scalar) < 1e-13
     # the oracle is not vacuous: the charts are curved
     assert np.max(np.abs(riem_down)) > 0.1
+
+
+# -- the canonical side -------------------------------------------------------
+
+
+def canonical_oracle(x, g, phi, xi, eta):
+    """h, Gamma~, T~, R~ and nabla phi, nabla eta, nabla xi, nabla nabla eta
+    as sympy expressions, in the frame's index layouts.
+
+    Gamma~ = Gamma + eta_i phi^l_j + eta_j (phi - phi h)^l_i
+    + (phi_ij - h^s_i phi_sj) xi^l, with h = (1/2) Lie_xi phi; each new
+    covariant slot of a derivative leads.
+    """
+    r = range(len(x))
+
+    def d(e, a):
+        return sympy.diff(e, x[a])
+
+    _, gamma = christoffel(x, g)
+    h = [[sum(xi[s] * d(phi[i, j], s) - phi[s, j] * d(xi[i], s)
+              + phi[i, s] * d(xi[s], j) for s in r) / 2 for j in r] for i in r]
+    phl = g * phi
+    gt = [[[sympy.factor(
+        gamma[l][i][j] + eta[i] * phi[l, j]
+        + eta[j] * (phi[l, i] - sum(phi[l, s] * h[s][i] for s in r))
+        + (phl[i, j] - sum(h[s][i] * phl[s, j] for s in r)) * xi[l])
+        for j in r] for i in r] for l in r]
+    neta = [[sympy.factor(d(eta[j], a) - sum(gamma[s][a][j] * eta[s] for s in r))
+             for j in r] for a in r]
+    return {
+        "h": h,
+        "gamma_tilde": gt,
+        "torsion_up": [[[gt[l][i][j] - gt[l][j][i] for j in r] for i in r]
+                       for l in r],
+        "riem_tilde_up": riemann_up(x, gt),
+        "nabla_phi": [[[d(phi[i, j], a) + sum(gamma[i][a][s] * phi[s, j]
+                                              - gamma[s][a][j] * phi[i, s]
+                                              for s in r)
+                        for j in r] for i in r] for a in r],
+        "nabla_eta": neta,
+        "nabla_xi": [[d(xi[i], a) + sum(gamma[i][a][s] * xi[s] for s in r)
+                      for i in r] for a in r],
+        "nabla_nabla_eta": [[[d(neta[a][j], k)
+                              - sum(gamma[s][k][a] * neta[s][j]
+                                    + gamma[s][k][j] * neta[a][s] for s in r)
+                              for j in r] for a in r] for k in r],
+    }
+
+
+# how many jet parts of each quantity are compared on frames of order 2 and
+# 3: the value, and the first partials where the frame's own readers need
+# them (parallel differentiates T~ and R~ on order-3 frames, identities
+# differentiate nabla eta and nabla xi, and R~ is built from the partials
+# of Gamma~, which take those of h)
+COMPARED_PARTS = {
+    "h": (2, 2),
+    "gamma_tilde": (2, 2),
+    "torsion_up": (2, 2),
+    "riem_tilde_up": (1, 2),
+    "nabla_phi": (1, 1),
+    "nabla_eta": (2, 2),
+    "nabla_xi": (2, 2),
+    "nabla_nabla_eta": (1, 1),
+}
+
+CANONICAL_CHARTS = {
+    "heisenberg1": (lambda: pc.builtin_heisenberg(1), lambda: heisenberg_tables(1)),
+    "custom_conformal": (custom_chart, conformal_tables),
+    "custom_twisted": (lambda: custom_chart(twisted_tables), twisted_tables),
+}
+
+
+@cache
+def canonical_parts(chart):
+    """Each quantity's value and first partials at POINT."""
+    x, *tensors = table_structure(*CANONICAL_CHARTS[chart][1]())
+    out = {}
+    for name, expr in canonical_oracle(x, *tensors).items():
+        parts = [sympy.Array(expr)]
+        if max(COMPARED_PARTS[name]) > 1:
+            parts.append(sympy.derive_by_array(parts[0], x))
+        out[name] = [evaluate(x, p.tolist()) for p in parts]
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("chart", list(CANONICAL_CHARTS))
+def test_canonical_side_matches_the_symbolic_oracle(chart, order):
+    f = pc.get_frame(CANONICAL_CHARTS[chart][0](),
+                     np.array([float(c) for c in POINT]), order)
+    ours = {name: getattr(f, name) for name in COMPARED_PARTS
+            if name != "nabla_nabla_eta"}
+    ours["nabla_nabla_eta"] = f.cov(f.nabla_eta, "ll")  # as f3 builds it
+    for name, parts in canonical_parts(chart).items():
+        for k in range(COMPARED_PARTS[name][order - 2]):
+            assert nres(ours[name].parts[k], parts[k]) < 1e-13, (name, k)
+
+
+def test_the_canonical_oracle_is_not_vacuous():
+    # each compared part is far from zero on some chart; on the Heisenberg
+    # group h and R~ vanish (f22 with k = 3), and the conformal factor
+    # leaves h = (1/2) Lie_xi phi alone
+    for name, counts in COMPARED_PARTS.items():
+        for k in range(max(counts)):
+            assert max(np.max(np.abs(canonical_parts(chart)[name][k]))
+                       for chart in CANONICAL_CHARTS) > 0.1, (name, k)
