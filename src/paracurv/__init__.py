@@ -2,8 +2,9 @@
 
 Truncated-jet tensor calculus over coordinate charts, builtin paraSasakian
 models (hyperbolic Heisenberg group, hyperboloid), Levi-Civita and canonical
-paracontact connections, curvature analysis on per-point frames, and a
-manifest-driven check runner with deterministic seeded sampling.
+paracontact connections, curvature analysis on frames over batches of
+points, and a manifest-driven check runner with deterministic seeded
+sampling.
 """
 
 __version__ = "1.0.0"

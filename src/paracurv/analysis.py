@@ -3,9 +3,17 @@
 Covers the compatibility axioms, the Nijenhuis tensor and paraSasakian
 criteria, xi-sectional and paraholomorphic sectional curvature, space-form
 and eta-Einstein fitting, the PC-Bochner tensor with its W^pc counterpart,
-and the named identity suite.  Every function reads frames (see
-:func:`paracurv.connection.get_frame`), one per sample point, and adds one
-normalized residual per frame to its report's rows, which keep the maximum.
+and the named identity suite.  The functions over many points read frames
+(see :class:`paracurv.connection.PointGeometry`), each a batch of points or
+one point, and add one normalized residual per point to their report's rows,
+which keep the maximum.  The functions of one drawn vector (``xi_sectional``,
+``phsc``, ``wpc``, ``bochner_pairing``) read one point: a frame built there,
+or a point of a batch frame (:meth:`PointGeometry.view`).
+
+A batch frame gives every point bitwise the residuals of a frame built at
+that point alone: a point's entries are contracted and summed on their own,
+and where a batched numpy form would sum them in another order (the slotwise
+projection of f55) the point's values are computed one point at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import kulkarni_nomizu, phi_block
+from .connection import kulkarni_nomizu, per_point, phi_block, tail_transpose
 from .errors import IsotropicSection, IsotropicVector, NotHorizontal
+from .jetfields import point_einsum
 from .report import CheckReport, nres
 from .sampling import NULL_EPS
 
@@ -32,24 +41,22 @@ def check_axioms(frames, threshold=1e-9):
     ``frames`` may be any iterable; it is read once, frame by frame.
     """
     report = CheckReport()
-
-    def keep(name, value):
-        report.add(name, value, threshold)
-
+    e = point_einsum
     for f in frames:
+
+        def keep(name, lhs, rhs=None):
+            report.add(name, nres(lhs, rhs, f.batch), threshold)
+
         d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
-        e = np.einsum
-        keep("axiom_i_phi_xi", nres(ph @ xi))
-        keep("axiom_i_eta_phi", nres(eta @ ph))
-        keep("axiom_ii_eta_xi", nres(eta @ xi, 1.0))
-        keep("axiom_ii_phi_sq", nres(ph @ ph, np.eye(d) - np.outer(xi, eta)))
-        keep(
-            "axiom_iii_compat",
-            nres(e("rs,rj,sk->jk", g, ph, ph), -g + np.outer(eta, eta)),
-        )
-        keep("axiom_iv_deta", nres(g @ ph, f.deta.value))
-        keep("metric_duality", nres(g @ xi, eta))
+        keep("axiom_i_phi_xi", np.matvec(ph, xi))
+        keep("axiom_i_eta_phi", np.vecmat(eta, ph))
+        keep("axiom_ii_eta_xi", np.vecdot(eta, xi), 1.0)
+        keep("axiom_ii_phi_sq", ph @ ph, np.eye(d) - e("i,j->ij", xi, eta))
+        keep("axiom_iii_compat", e("rs,rj,sk->jk", g, ph, ph),
+             -g + e("i,j->ij", eta, eta))
+        keep("axiom_iv_deta", g @ ph, f.deta.value)
+        keep("metric_duality", np.matvec(g, xi), eta)
     return report
 
 
@@ -60,7 +67,7 @@ def _nijenhuis(f):
     """N^k_{ij} in coordinates (coordinate brackets vanish)."""
     ph = f.phi.value
     dph = f.phi.parts[1]  # (a, k, j) = d_a phi^k_j
-    e = np.einsum
+    e = point_einsum
     return (
         e("si,skj->kij", ph, dph)
         - e("sj,ski->kij", ph, dph)
@@ -88,22 +95,20 @@ def classify(frames, threshold=1e-9):
     report = check_axioms(frames, threshold)
     axioms_ok = report.passed
     tail = CheckReport()  # the rows after the three sasakian ones
-    e = np.einsum
+    e = point_einsum
     res_nij = res_nphi = 0.0
     for f in frames:
-        d = f.dim
+        d, batch = f.dim, f.batch
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
-        res_nij = max(
-            res_nij,
-            nres(_nijenhuis(f), 2.0 * e("ij,k->kij", f.deta.value, xi)),
-        )
+        res_nij = max(res_nij, np.max(nres(
+            _nijenhuis(f), 2.0 * e("ij,k->kij", f.deta.value, xi), batch)))
         target = e("i,rs->rsi", eta, np.eye(d)) - e("s,ri->rsi", xi, g)
-        res_nphi = max(res_nphi, nres(f.nabla_phi.value, target))
-        tail.add("h_vanishing", nres(f.h.value), 1e-10)
+        res_nphi = max(res_nphi, np.max(nres(f.nabla_phi.value, target, batch)))
+        tail.add("h_vanishing", nres(f.h.value, batch=batch), 1e-10)
         # eta([phi X, Y] + [X, phi Y]) on the horizontal frame X_i = P d_i,
         # P = id - xi (x) eta; brackets of the extensions need dP as well
         dph, dxi, deta = f.phi.parts[1], f.xi.parts[1], f.eta.parts[1]
-        proj = np.eye(d) - np.outer(xi, eta)
+        proj = np.eye(d) - e("i,j->ij", xi, eta)
         dproj = -(e("as,i->asi", dxi, eta) + e("s,ai->asi", xi, deta))
         php = ph @ proj
         dphp = e("aks,si->aki", dph, proj) + e("ks,asi->aki", ph, dproj)
@@ -112,12 +117,14 @@ def classify(frames, threshold=1e-9):
             return e("si,skj->kij", u, dw) - e("sj,ski->kij", w, du)
 
         bracket = brk(php, dphp, proj, dproj) + brk(proj, dproj, php, dphp)
-        tail.add("para_cr_bracket", nres(e("k,kij->ij", eta, bracket)),
+        tail.add("para_cr_bracket", nres(e("k,kij->ij", eta, bracket), batch=batch),
                  threshold)
         tail.add("para_cr_nabla_phi",
-                 nres(f.cov(f.phi.cut(1), "ul", kind="canonical_tilde").value),
+                 nres(f.cov(f.phi.cut(1), "ul", kind="canonical_tilde").value,
+                      batch=batch),
                  threshold)
 
+    res_nij, res_nphi = float(res_nij), float(res_nphi)
     report.add("sasakian_nijenhuis", res_nij, threshold)
     report.add("sasakian_nabla_phi", res_nphi, threshold)
     report.add("sasakian_agreement", abs(res_nij - res_nphi), 1e-10)
@@ -185,14 +192,22 @@ def phsc(f, v, form="f8"):
 def _f20_blocks(g, eta, phl):
     """The two blocks A, B of the constant-phsc curvature model."""
     a = -0.5 * kulkarni_nomizu(g, g)
-    b = kulkarni_nomizu(g, np.outer(eta, eta)) + 0.5 * phi_block(phl, phl)
+    ee = point_einsum("i,j->ij", eta, eta)
+    b = kulkarni_nomizu(g, ee) + 0.5 * phi_block(phl, phl)
     return a, b
 
 
 def _f12_rhs(n, k, g, eta):
     """2r of the space form of constant phsc k."""
-    ee = np.outer(eta, eta)
+    ee = point_einsum("i,j->ij", eta, eta)
     return (n * (k - 3.0) + k + 1.0) * g - (n + 1.0) * (k + 1.0) * ee
+
+
+def _point_sums(x, batch):
+    """The sum of each point's entries, summed on their own, as a list in
+    point order (one sum for a frame of one point)."""
+    sums = np.sum(x, axis=tuple(range(batch, x.ndim)))
+    return [float(v) for v in np.ravel(sums)]
 
 
 def _f13_rhs(n, k):
@@ -222,20 +237,26 @@ def space_form_fit(frames, threshold=1e-8):
         r = f.riem_down.value
         slope = 0.25 * (a + b)
         offset = 0.25 * (b - 3.0 * a)
-        num += float(np.sum(slope * (r - offset)))
-        den += float(np.sum(slope * slope))
+        for x, y in zip(_point_sums(slope * (r - offset), f.batch),
+                        _point_sums(slope * slope, f.batch)):
+            num += x
+            den += y
         cache.append((f, r, slope, offset))
     k_hat = num / den
     report = CheckReport(constants={"k_hat": k_hat})
     for f, r, slope, offset in cache:
-        report.add("space_form_f20", nres(r, offset + k_hat * slope), threshold)
-        rhs12 = _f12_rhs(n, k_hat, f.g.value, f.eta.value)
-        report.add("space_form_f12", nres(2.0 * f.ricci.value, rhs12), threshold)
-        s = float(f.scalar.value)
-        report.add("space_form_f13", nres(2.0 * s, _f13_rhs(n, k_hat)),
-                   threshold)
+        batch = f.batch
+
+        def keep(name, lhs, rhs):
+            report.add(name, nres(lhs, rhs, batch), threshold)
+
+        keep("space_form_f20", r, offset + k_hat * slope)
+        keep("space_form_f12", 2.0 * f.ricci.value,
+             _f12_rhs(n, k_hat, f.g.value, f.eta.value))
+        s = f.scalar.value
+        keep("space_form_f13", 2.0 * s, _f13_rhs(n, k_hat))
         k_s = (s + 3.0 * n * n + n) / (n * (n + 1.0))
-        report.add("space_form_f36", nres(r, offset + k_s * slope), threshold)
+        keep("space_form_f36", r, offset + per_point(k_s, 4) * slope)
     return SpaceFormFit(k_hat, report)
 
 
@@ -256,21 +277,21 @@ def eta_einstein_fit(frames, threshold=1e-8):
     cache = []
     for f in frames:
         g = f.g.value
-        ee = np.outer(f.eta.value, f.eta.value)
+        ee = point_einsum("i,j->ij", f.eta.value, f.eta.value)
         r = f.ricci.value
-        m += [
-            [np.sum(g * g), np.sum(g * ee)],
-            [np.sum(ee * g), np.sum(ee * ee)],
-        ]
-        rhs += [np.sum(g * r), np.sum(ee * r)]
-        cache.append((g, ee, r))
+        sums = [_point_sums(x, f.batch)
+                for x in (g * g, g * ee, ee * g, ee * ee, g * r, ee * r)]
+        for gg, ge, eg, e2, gr, er in zip(*sums):
+            m += [[gg, ge], [eg, e2]]
+            rhs += [gr, er]
+        cache.append((f.batch, g, ee, r))
     try:
         a, b = (float(c) for c in np.linalg.solve(m, rhs))
     except np.linalg.LinAlgError:
         a = b = math.nan
     report = CheckReport(constants={"a": a, "b": b})
-    for g, ee, r in cache:
-        report.add("eta_einstein_fit", nres(r, a * g + b * ee), threshold)
+    for batch, g, ee, r in cache:
+        report.add("eta_einstein_fit", nres(r, a * g + b * ee, batch), threshold)
     report.add("eta_einstein_sum", nres(a + b, -2.0 * n), 1e-10)
     return EtaEinsteinFit(a, b, report)
 
@@ -292,28 +313,22 @@ def pc_bochner(f):
 def bochner_symmetries(frames, threshold=1e-10):
     """The algebraic identities of the PC-Bochner tensor."""
     report = CheckReport()
-
-    def keep(name, value):
-        report.add(name, value, threshold)
-
-    e = np.einsum
+    e = point_einsum
     for f in frames:
+
+        def keep(name, lhs, rhs=None):
+            report.add(name, nres(lhs, rhs, f.batch), threshold)
+
         b, _ = f.bochner
         ph, ginv, xi = f.phi.value, f.ginv.value, f.xi.value
-        keep("bochner_antisym", nres(b, -b.transpose(1, 0, 2, 3)))
-        keep("bochner_pair_sym", nres(b, b.transpose(2, 3, 0, 1)))
-        keep(
-            "bochner_bianchi",
-            nres(b + b.transpose(1, 2, 0, 3) + b.transpose(2, 0, 1, 3)),
-        )
-        keep("bochner_traceless", nres(e("il,ijkl->jk", ginv, b)))
-        keep("bochner_xi", nres(e("i,ijkl->jkl", xi, b)))
-        keep(
-            "bochner_phi_swap",
-            nres(
-                e("sjkl,si->ijkl", b, ph), -e("iskl,sj->ijkl", b, ph)
-            ),
-        )
+        keep("bochner_antisym", b, -tail_transpose(b, 1, 0, 2, 3))
+        keep("bochner_pair_sym", b, tail_transpose(b, 2, 3, 0, 1))
+        keep("bochner_bianchi",
+             b + tail_transpose(b, 1, 2, 0, 3) + tail_transpose(b, 2, 0, 1, 3))
+        keep("bochner_traceless", e("il,ijkl->jk", ginv, b))
+        keep("bochner_xi", e("i,ijkl->jkl", xi, b))
+        keep("bochner_phi_swap", e("sjkl,si->ijkl", b, ph),
+             -e("iskl,sj->ijkl", b, ph))
     return report
 
 
@@ -397,31 +412,32 @@ def _project(t, proj):
 def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
     """Named residuals of the paraSasakian identity catalog.
 
-    Each entry is the normalized max residual over the frames, which need
-    jet order 2.  When a sampler is supplied, the two equivalent forms of
-    the paraholomorphic sectional curvature are also compared on random
-    sections.
+    Each entry is the normalized max residual over the frames' points,
+    which need jet order 2.  When a sampler is supplied, the two equivalent
+    forms of the paraholomorphic sectional curvature are also compared on
+    random sections, drawn point by point in point order.
     """
     n = frames[0].n
     ident = np.eye(frames[0].dim)
     k_hat = space_form_fit(frames).k_hat
     report = CheckReport(constants={"k_hat": k_hat})
-
-    def keep(name, lhs, rhs=None):
-        report.add(name, nres(lhs, rhs), threshold)
-
-    e = np.einsum
+    e = point_einsum
     for f in frames:
+        batch = f.batch
+
+        def keep(name, lhs, rhs=None):
+            report.add(name, nres(lhs, rhs, batch), threshold)
+
         g, ph, phl = f.g.value, f.phi.value, f.phi_low.value
         xi, eta, h = f.xi.value, f.eta.value, f.h.value
         neta, nxi = f.nabla_eta.value, f.nabla_xi.value
         big_r = f.riem_down.value
-        r, s = f.ricci.value, float(f.scalar.value)
-        rt, st = f.ricci_tilde.value, float(f.scalar_tilde.value)
+        r, s = f.ricci.value, f.scalar.value
+        rt, st = f.ricci_tilde.value, f.scalar_tilde.value
         big_rt = f.riem_tilde_down.value
 
         keep("f1_eta", neta, phl)
-        keep("f1_xi", nxi, -ph.T)
+        keep("f1_xi", nxi, -ph.mT)
         keep(
             "f2_low",
             f.nabla_phi_low.value,
@@ -469,15 +485,15 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
             - e("bh,li,bmlk->ihmk", ph, ph, big_r),
             f5_f7,
         )
-        keep("f51_xi", nxi, (-ph + ph @ h).T)
-        keep("f51_phi_h", ph @ h + h @ ph)
-        keep("f51_trace_h", np.trace(h))
-        keep("f51_h_xi", h @ xi)
+        phi_h = ph @ h
+        keep("f51_xi", nxi, (-ph + phi_h).mT)
+        keep("f51_phi_h", phi_h + h @ ph)
+        keep("f51_trace_h", np.trace(h, axis1=-2, axis2=-1))
+        keep("f51_h_xi", np.matvec(h, xi))
         keep("tnweb_g", f.cov(f.g.cut(1), "ll", kind="canonical_tilde").value)
         keep("tnweb_xi", f.cov(f.xi.cut(1), "u", kind="canonical_tilde").value)
         keep("tnweb_eta", f.cov(f.eta.cut(1), "l", kind="canonical_tilde").value)
         keep("tnweb1_phi", f.cov(f.phi.cut(1), "ul", kind="canonical_tilde").value)
-        phi_h = ph @ h
         keep(
             "tprtw",
             f.torsion_up.value,
@@ -486,20 +502,22 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
             + 2.0 * e("ij,l->lij", phl, xi),
         )
         keep("f21", f.riem_tilde_up.value, f.f21_rhs)
+        ee = e("i,j->ij", eta, eta)
         keep(
             "f50",
             rt,
             r
             - 2.0 * g
-            + 2.0 * np.outer(eta, eta)
+            + 2.0 * ee
             - e("js,s,k->jk", r, xi, eta)
             - e("jsrk,s,r->jk", big_r, xi, xi)
             - e("rk,jr->jk", neta, nxi),
         )
         keep("f54", big_rt, big_r - b_blk)
-        keep("f53", rt, r - 2.0 * g + 2.0 * (n + 1.0) * np.outer(eta, eta))
-        proj = ident - np.outer(xi, eta)
-        keep("f55", _project(big_rt, proj), _project(big_r - ff, proj))
+        keep("f53", rt, r - 2.0 * g + 2.0 * (n + 1.0) * ee)
+        proj = ident - e("i,j->ij", xi, eta)
+        keep("f55", _projected(big_rt, proj, batch),
+             _projected(big_r - ff, proj, batch))
         keep(
             "f56_ricci",
             e("ai,bj,ab->ij", proj, proj, rt),
@@ -511,9 +529,27 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
         keep("f22", big_rt, 0.25 * (k_hat - 3.0) * (a_blk + b_blk))
 
     if sampler is not None:
+        points = views(frames)
         for i in range(sections):
-            f = frames[i % len(frames)]
+            f = points[i % len(points)]
             v = sampler.section_vector(f)
             report.add("f9_vs_f8_phsc", nres(phsc(f, v, "f8"), phsc(f, v, "f9")),
                        1e-9)
     return report
+
+
+def _projected(t, proj, batch):
+    """:func:`_project` at each point: its tensordot has no batched form
+    that sums in the same order."""
+    if not batch:
+        return _project(t, proj)
+    return np.stack([_project(x, p) for x, p in zip(t, proj)])
+
+
+def views(frames):
+    """The points of the frames in order: a point of a batch frame as its
+    view, a frame of one point as itself."""
+    out = []
+    for f in frames:
+        out += [f.view(i) for i in range(len(f.point))] if f.batch else [f]
+    return out

@@ -1,12 +1,15 @@
 """Levi-Civita and canonical paracontact connections with their curvature.
 
-The per-point pipeline is a frame, a :class:`PointGeometry` made by
-:func:`get_frame` at one point, or by the check runner from a batch of
-structure jets.  It holds the structure jets at one point and lazily
-computes and keeps the inverse metric, the Christoffel symbols (with their
-coordinate partials straight from the jets, never finite-differenced),
-both curvature tensors, the h-tensor and the canonical torsion.  The
-checks read frames; a frame lives as long as its caller holds it.
+The pipeline is a frame, a :class:`PointGeometry` made by the check runner
+from the structure jets of a batch of points, or by :func:`get_frame` at
+one point.  It holds the structure jets and lazily computes and keeps the
+inverse metric, the Christoffel symbols (with their coordinate partials
+straight from the jets, never finite-differenced), both curvature tensors,
+the h-tensor and the canonical torsion.  Every quantity of a batch frame
+leads with the point axis, and the same code builds it with and without
+that axis (see :mod:`paracurv.jetfields`); point i of a batch frame is
+bitwise the frame built at that point alone.  The checks read frames; a
+frame lives as long as its caller holds it.
 
 Each cached quantity is built at the lowest jet order that its highest
 reader needs, never at the full order its inputs allow: a quantity that
@@ -32,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jetfields import jt_einsum, jt_metric_inverse
+from .jetfields import JetTensor, jt_einsum, jt_metric_inverse, point_einsum
 from .report import CheckReport, nres
 
 _SLOT_LETTERS = "ijklmnop"
@@ -74,24 +77,38 @@ def _riemann_from_gamma(gamma):
     return r
 
 
+def tail_transpose(t, *perm):
+    """``t.transpose(perm)`` on the trailing axes; leading point axes stay."""
+    lead = t.ndim - len(perm)
+    return t.transpose(*range(lead), *(lead + p for p in perm))
+
+
 def kulkarni_nomizu(a, b):
     """(a o b)_{ijkl} = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il."""
-    t = np.einsum("ik,jl->ijkl", a, b)
-    return (t + t.transpose(1, 0, 3, 2)
-            - t.transpose(0, 1, 3, 2) - t.transpose(1, 0, 2, 3))
+    t = point_einsum("ik,jl->ijkl", a, b)
+    return (t + tail_transpose(t, 1, 0, 3, 2)
+            - tail_transpose(t, 0, 1, 3, 2) - tail_transpose(t, 1, 0, 2, 3))
 
 
 def phi_block(a, b):
     """a o b + 2 (a (x) b + b (x) a), the block of a phi-type product."""
-    t = np.multiply.outer(a, b)
-    return kulkarni_nomizu(a, b) + 2.0 * (t + t.transpose(2, 3, 0, 1))
+    t = point_einsum("ij,kl->ijkl", a, b)
+    return kulkarni_nomizu(a, b) + 2.0 * (t + tail_transpose(t, 2, 3, 0, 1))
+
+
+def per_point(x, ndim):
+    """A per-point scalar (or a plain one) shaped to scale tensors of
+    ``ndim`` base axes point by point."""
+    return np.reshape(x, np.shape(x) + (1,) * ndim)
 
 
 class PointGeometry:
-    """Lazily computed geometric data of one structure at one point.
+    """Lazily computed geometric data of one structure over a batch of
+    points, or at one point.
 
-    Built from the point's structure jets, not from the structure, so a
-    frame does not keep its structure alive.
+    Built from the structure jets of its points (``point`` is a (P, d)
+    batch or one point), not from the structure, so a frame does not keep
+    its structure alive.
     """
 
     def __init__(self, jets, point, order=3):
@@ -100,6 +117,8 @@ class PointGeometry:
         self.g, self.phi, self.xi, self.eta = jets
         self.dim = self.g.dim
         self.n = (self.dim - 1) // 2
+        # leading point axes of every quantity: 1 for a batch, 0 at a point
+        self.batch = self.g.batch
         # gamma's order, one below g's; an order-0 frame keeps its values
         self.gamma_order = max(self.g.order - 1, 0)
 
@@ -153,16 +172,16 @@ class PointGeometry:
         """The PC-Bochner tensor B_{ijkl} and its constant kappa_B."""
         n = self.n
         g, eta, phl = self.g.value, self.eta.value, self.phi_low.value
-        r, s = self.ricci.value, float(self.scalar.value)
+        r, s = self.ricci.value, self.scalar.value
         kappa = -(s - 2.0 * n) / (2.0 * n + 2.0)
         c = 1.0 / (2.0 * n + 4.0)
-        ee = np.outer(eta, eta)
-        rp = np.einsum("sk,si->ik", r, self.phi.value)  # r_{sk} phi^s_i
+        ee = point_einsum("i,j->ij", eta, eta)
+        rp = point_einsum("sk,si->ik", r, self.phi.value)  # r_{sk} phi^s_i
         b = self.riem_down.value + c * (
             kulkarni_nomizu(r, g - ee) + phi_block(rp, phl))
-        b -= 0.5 * (kappa + 2.0 * n) * c * phi_block(phl, phl)
-        b += 0.5 * (kappa - 4.0) * c * kulkarni_nomizu(g, g)
-        b -= kappa * c * kulkarni_nomizu(g, ee)
+        b -= per_point(0.5 * (kappa + 2.0 * n) * c, 4) * phi_block(phl, phl)
+        b += per_point(0.5 * (kappa - 4.0) * c, 4) * kulkarni_nomizu(g, g)
+        b -= per_point(kappa * c, 4) * kulkarni_nomizu(g, ee)
         return b, kappa
 
     # full order (gamma's): gamma_tilde reads it at its own order
@@ -253,8 +272,8 @@ class PointGeometry:
         eta, xi = self.eta.value, self.xi.value
         phl, ph = self.phi_low.value, self.phi.value
         r = self.riem_up.value  # (l, i, j, k)
-        e = np.einsum
-        out = r.transpose(1, 2, 3, 0)  # reorder to (i, j, k, l)
+        e = point_einsum
+        out = tail_transpose(r, 1, 2, 3, 0)  # reorder to (i, j, k, l)
         out = out + e("ilk,j->ijkl", npl, eta) - e("jlk,i->ijkl", npl, eta)
         out = out + 2.0 * e("ij,lk->ijkl", phl, ph)
         out = out - e("ls,js,i,k->ijkl", ph, nxi, eta, eta)
@@ -266,7 +285,32 @@ class PointGeometry:
         out = out + e("jk,il->ijkl", neta, nxi)
         out = out - e("ik,jl->ijkl", neta, nxi)
         # back to (l, i, j, k) to match riem_tilde_up.value
-        return out.transpose(3, 0, 1, 2)
+        return tail_transpose(out, 3, 0, 1, 2)
+
+    def view(self, i):
+        """Point ``i`` of a batch frame."""
+        return PointView(self, i)
+
+
+class PointView:
+    """Point ``i`` of a batch frame, for the checks that draw vectors point
+    by point: each quantity is built once for the whole batch and read here
+    at the point, where it is bitwise that of a frame of the point alone."""
+
+    batch = 0
+
+    def __init__(self, frame, i):
+        self._frame, self._i = frame, i
+        self.n, self.dim = frame.n, frame.dim
+        self.point = frame.point[i]
+
+    def __getattr__(self, name):
+        q = getattr(self._frame, name)
+        if isinstance(q, JetTensor):
+            return q.point(self._i)
+        if isinstance(q, tuple):
+            return tuple(x[self._i] for x in q)
+        return q[self._i]
 
 
 def get_frame(structure, point, order=3):
@@ -276,16 +320,17 @@ def get_frame(structure, point, order=3):
     it, so memory follows what the caller holds.
     """
     point = np.asarray(point, dtype=float)
-    return PointGeometry(structure.at(point[None], order)[0], point, order)
+    jets = structure.at(point[None], order)
+    return PointGeometry([t.point(0) for t in jets], point, order)
 
 
 def parallel_check(frames, threshold=1e-8):
-    """Max components of nab~ T and nab~ R~ over the frames."""
+    """Max components of nab~ T and nab~ R~ over the frames' points."""
     report = CheckReport()
     for f in frames:
         # both rows read values, so the torsion is differentiated at order 1
         nt = f.cov(f.torsion_up.cut(1), "ull", kind="canonical_tilde")
         nr = f.cov(f.riem_tilde_up, "ulll", kind="canonical_tilde")
-        report.add("parallel_torsion", nres(nt.value), threshold)
-        report.add("parallel_curvature", nres(nr.value), threshold)
+        report.add("parallel_torsion", nres(nt.value, batch=f.batch), threshold)
+        report.add("parallel_curvature", nres(nr.value, batch=f.batch), threshold)
     return report

@@ -5,14 +5,13 @@ box, optional guard) with a component strategy that produces jets of
 (g, phi, xi, eta) over a batch of points.  Three strategies exist: explicit
 expression tables, induction from an embedding into the flat para-Kaehler
 ambient, and the D-homothetic transform of another structure.  Each
-computes on the whole batch: one :class:`StructureJets` whose bases lead
-with the point axis.  :meth:`CharteredStructure.at` checks that batch and
-splits it into one :class:`StructureJets` per point.
+computes on the whole batch: one :class:`StructureJets` of jet tensors with
+a leading point axis.  :meth:`CharteredStructure.at` checks that batch and
+returns it whole.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,7 @@ from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 class StructureJets(NamedTuple):
     """Jets of the four structure tensors at one point, or over a batch of
-    points with the point axis leading each base."""
+    points with a leading point axis."""
 
     g: JetTensor
     phi: JetTensor
@@ -37,24 +36,16 @@ class StructureJets(NamedTuple):
     eta: JetTensor
 
 
-@cache
-def _point_axis(k, ndim):
-    """Axes that move the point axis of a part after its k derivative axes
-    to the front, and those that move it back."""
-    return (k, *range(k), *range(k + 1, ndim)), (*range(1, k + 1), 0, *range(k + 1, ndim))
-
-
 def _batch_tensor(jets, shape):
-    """Jet tensor with base ``(P,) + shape`` from the batch jets of its
-    components in row-major order, as views of a point-first array: each
-    point's slice is laid out as jets built at that point alone."""
+    """Jet tensor with base ``shape`` over a batch, from the batch jets of
+    its components in row-major order, as point-first arrays: each point's
+    slice is laid out as jets built at that point alone."""
     parts = []
     for k in range(jets[0].order + 1):
         a = np.array([j.parts[k] for j in jets])  # (N,) + (d,)*k + (P,)
         a = np.ascontiguousarray(np.swapaxes(a, 0, -1))
-        a = a.reshape(a.shape[:-1] + shape)
-        parts.append(a.transpose(_point_axis(k, a.ndim)[1]))
-    return JetTensor(jets[0].dim, jets[0].order, parts)
+        parts.append(a.reshape(a.shape[:-1] + shape))
+    return JetTensor(jets[0].dim, jets[0].order, parts, 1)
 
 
 class Domain:
@@ -101,8 +92,8 @@ class CharteredStructure:
         # fail fast on manifestly bad input: g must have signature (n+1, n)
         if probe is None:
             probe = self.domain.box.mean(axis=1)
-        sj = self.at([np.asarray(probe, dtype=float)], order=0)[0]
-        eigs = np.linalg.eigvalsh(sj.g.value)
+        sj = self.at(np.asarray(probe, dtype=float)[None], order=0)
+        eigs = np.linalg.eigvalsh(sj.g.value[0])
         pos = int(np.sum(eigs > 0))
         neg = int(np.sum(eigs < 0))
         if (pos, neg) != (self.n + 1, self.n):
@@ -113,7 +104,8 @@ class CharteredStructure:
 
     def at(self, points, order=3):
         """Structure jets over a (P, d) batch of points in the chart domain:
-        the strategy's batch, split into one :class:`StructureJets` per point.
+        the strategy's batch, one :class:`StructureJets` whose parts lead
+        with the point axis.
 
         Raises DomainError, with the index of the first such point, for a
         point outside the domain or jets that are not finite, which no check
@@ -127,20 +119,22 @@ class CharteredStructure:
                               value=points[i], index=i)
         with np.errstate(all="ignore"):
             batch = self.components.at(points, order)
-        # point axis first and contiguous, so each point's parts are views
-        tensors = [[np.ascontiguousarray(p.transpose(_point_axis(k, p.ndim)[0]))
-                    for k, p in enumerate(t.parts)] for t in batch]
-        parts = [p for t in tensors for p in t]
-        if not np.isfinite(np.concatenate([p.ravel() for p in parts])).all():
-            i = next(i for i in range(len(points))
-                     if not all(np.isfinite(p[i]).all() for p in parts))
+        # contiguous, so each point's slice is laid out as jets built at
+        # that point alone
+        batch = StructureJets(*(
+            JetTensor(self.dim, t.order, [np.ascontiguousarray(p) for p in t.parts], 1)
+            for t in batch))
+        finite = np.ones(len(points), dtype=bool)
+        for t in batch:
+            for p in t.parts:
+                finite &= np.isfinite(p).reshape(len(points), -1).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
             raise DomainError(
                 f"structure jets of {self.name} are not finite at {points[i]}",
                 value=points[i], index=i,
             )
-        return [StructureJets(*(JetTensor(self.dim, t.order, [p[i] for p in ps])
-                                for t, ps in zip(batch, tensors)))
-                for i in range(len(points))]
+        return batch
 
 
 # -- component strategies -----------------------------------------------------
@@ -163,7 +157,8 @@ class ExprTableComponents:
 
         g = stack([f for row in self.g for f in row], (d, d))
         # enforce exact symmetry of the metric jets
-        g = JetTensor(d, order, [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
+        g = JetTensor(d, order,
+                      [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts], 1)
         phi = stack([f for row in self.phi for f in row], (d, d))
         return StructureJets(g, phi, stack(self.xi, (d,)), stack(self.eta, (d,)))
 
@@ -182,7 +177,7 @@ class HomotheticComponents:
     def at(self, points, order):
         a = self.alpha
         sj = self.base.at(points, order)
-        eta_eta = jt_einsum("pi,pj->pij", sj.eta, sj.eta)
+        eta_eta = jt_einsum("i,j->ij", sj.eta, sj.eta)
         g = a * sj.g + (a * a - a) * eta_eta
         return StructureJets(g, sj.phi, (1.0 / a) * sj.xi, a * sj.eta)
 
@@ -244,16 +239,17 @@ class InducedComponents:
             return _batch_tensor([eval_jet(a, points, order) for a in asts], shape)
 
         normal = stack(emb.normal, (m,))
-        e = stack([a for row in emb.tangent for a in row], (d, m))  # (p, a, C)
+        e = stack([a for row in emb.tangent for a in row], (d, m))  # (a, C)
         deficient = np.linalg.matrix_rank(e.value, tol=1e-9) < d
         if deficient.any():
             point = points[int(np.argmax(deficient))]
             raise RankDeficientJacobian(f"immersion Jacobian rank-deficient at {point}")
 
         # the paracontact pairing is minus the ambient one, over the axis C
-        e_flat = JetTensor(d, order, [p * emb.ambient.eps for p in e.parts])
-        g = -1.0 * jt_einsum("paC,pbC->pab", e, e_flat)
-        g = JetTensor(d, order, [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
+        e_flat = JetTensor(d, order, [p * emb.ambient.eps for p in e.parts], 1)
+        g = -1.0 * jt_einsum("aC,bC->ab", e, e_flat)
+        g = JetTensor(d, order,
+                      [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts], 1)
         ginv = jt_metric_inverse(g)
 
         i_mat = emb.ambient.product
@@ -262,19 +258,19 @@ class InducedComponents:
             # I is constant: applied part by part, it adds no zero jet
             # parts to the Leibniz sums
             return JetTensor(d, order, [np.einsum("CD,...D->...C", i_mat, p)
-                                        for p in t.parts])
+                                        for p in t.parts], 1)
 
         i_n = product(normal)
-        eta = -1.0 * jt_einsum("pC,paC->pa", i_n, e_flat)
-        xi = jt_einsum("pab,pb->pa", ginv, eta)
+        eta = -1.0 * jt_einsum("C,aC->a", i_n, e_flat)
+        xi = jt_einsum("ab,b->a", ginv, eta)
 
         # phi^b_a solves  sum_b phi^b_a e_b = -(I e_a - eta_a N); the rhs is
         # tangent, and the overall minus partners the metric flip above so
         # that g(X, phi Y) = d eta(X, Y) comes out with the right sign
         i_e = product(e)
-        rhs = i_e - jt_einsum("pa,pC->paC", eta, normal)
-        proj = -1.0 * jt_einsum("pcC,paC->pca", e_flat, rhs)
-        phi = -1.0 * jt_einsum("pbc,pca->pba", ginv, proj)
+        rhs = i_e - jt_einsum("a,C->aC", eta, normal)
+        proj = -1.0 * jt_einsum("cC,aC->ca", e_flat, rhs)
+        phi = -1.0 * jt_einsum("bc,ca->ba", ginv, proj)
         return StructureJets(g, phi, xi, eta)
 
 

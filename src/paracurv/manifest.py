@@ -31,6 +31,7 @@ from .analysis import (
     pc_bochner,
     phsc,
     space_form_fit,
+    views,
     wpc,
     xi_sectional,
 )
@@ -54,9 +55,14 @@ MANIFEST_SCHEMA = "paracurv-manifest/1"
 REPORT_SCHEMA = "paracurv-report/1"
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_COUNT = 200
-# sample points whose structure jets are built as one batch; larger batches
-# gain little time and raise the peak memory of a 1000-point run
-CHUNK = 8
+# points per frame, by the frame's jet order.  A batch shares one frame's
+# Python cost among its points, while its arrays, and so the peak memory,
+# grow with it.  On the benchmark (2 CPUs, numpy 2.4), order-1 frames of 64
+# points ran `wide` about 4 times faster than one frame per point and raised
+# its peak RSS by 2% (43.1 -> 43.9 MiB); order-3 frames of 5 points raised
+# that of `sweep` by 14% (63.9 -> 72.6 MiB) and gained no time, so they keep
+# one point.  Every order-2 row reads at most 10 points: one frame.
+BATCH = {1: 64, 2: 16, 3: 1}
 
 
 # -- the check table ------------------------------------------------------------
@@ -91,8 +97,9 @@ def _classification(ctx, frames, budget):
 
 def _xi_sectional(ctx, frames, budget):
     report = CheckReport()
+    points = views(frames)
     for i in range(budget):
-        f = frames[i % len(frames)]
+        f = points[i % len(points)]
         u = ctx.sampler.horizontal_unit(f)
         report.add("xi_sectional", nres(xi_sectional(f, u), -1.0), ctx.tolerance)
     return report
@@ -101,8 +108,9 @@ def _xi_sectional(ctx, frames, budget):
 def _phsc(ctx, frames, budget):
     k_hat = ctx.space_fit(frames).k_hat
     report = CheckReport(constants={"k_hat": k_hat})
+    points = views(frames)
     for i in range(budget):
-        f = frames[i % len(frames)]
+        f = points[i % len(points)]
         v = ctx.sampler.section_vector(f)
         report.add("phsc_constancy", nres(phsc(f, v), k_hat), ctx.tolerance)
     return report
@@ -119,16 +127,18 @@ def _eta_einstein(ctx, frames, budget):
 def _bochner(ctx, frames, budget):
     report = CheckReport()
     for f in frames:
-        report.add("bochner_vanishing", nres(pc_bochner(f).tensor), ctx.tolerance)
+        report.add("bochner_vanishing", nres(pc_bochner(f).tensor, batch=f.batch),
+                   ctx.tolerance)
     report.extend(bochner_symmetries(frames))
-    report.constants["kappa_B"] = pc_bochner(frames[0]).kappa_B
+    report.constants["kappa_B"] = float(pc_bochner(views(frames[:1])[0]).kappa_B)
     return report
 
 
 def _wpc(ctx, frames, budget):
     report = CheckReport()
+    points = views(frames)
     for i in range(budget):
-        f = frames[i % len(frames)]
+        f = points[i % len(points)]
         quad = [ctx.sampler.horizontal_unit(f) for _ in range(4)]
         try:
             residual = nres(bochner_pairing(f, *quad), wpc(f, *quad))
@@ -389,26 +399,26 @@ def _build_chart(manifold):
 
 
 def _frames(structure, points, order):
-    """Frames at the points, each built when it is reached, from batches of
-    the structure jets of at most ``CHUNK`` points."""
-    for start in range(0, len(points), CHUNK):
-        batch = points[start : start + CHUNK]
-        for jets, point in zip(structure.at(batch, order), batch):
-            yield PointGeometry(jets, point, order)
+    """Batch frames over the points, each built when it is reached, of at
+    most ``BATCH[order]`` points."""
+    size = BATCH[order]
+    for start in range(0, len(points), size):
+        batch = points[start : start + size]
+        yield PointGeometry(structure.at(batch, order), batch, order)
 
 
 def run_checks(structure, manifest, seed=None, tolerance=None):
     """Run the selected checks; returns (CheckReport, verdicts, meta).
 
-    Each sample point gets one frame, at the highest jet order any selected
-    check needs there.  Structure jets are built for batches of up to
-    ``CHUNK`` points of one jet order, and each frame from its point's jets.
-    The frames of the leading points, which every check with a point limit
-    reads, are built first and kept for the run.  A check that reads every
-    point (``axioms``) gets them followed by the frames of the other points,
-    each built when it is reached and dropped after use, so memory does not
-    grow with ``sampling.count``.  The arithmetic runs with numpy warnings
-    off: a non-finite result becomes a failed row.
+    Each sample point lies in one batch frame, at the highest jet order any
+    selected check needs there; a frame holds at most ``BATCH[order]``
+    points.  The frames of the leading points, which every check with a
+    point limit reads, are built first and kept for the run; they break at
+    every point limit, so each such check reads whole frames.  A check that
+    reads every point (``axioms``) gets them followed by the frames of the
+    other points, each built when it is reached and dropped after use, so
+    memory does not grow with ``sampling.count``.  The arithmetic runs with
+    numpy warnings off: a non-finite result becomes a failed row.
     """
     sampling = manifest.get("sampling", {})
     if seed is None:
@@ -421,8 +431,11 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
         selected = ALL_CHECKS
     rows = [row for row in CHECKS if row.name in selected]
 
+    def reading(i):
+        return [r for r in rows if r.points is None or i < r.points]
+
     def order_at(i):
-        return max(r.order for r in rows if r.points is None or i < r.points)
+        return max(r.order for r in reading(i))
 
     sampler = Sampler(structure, seed, sampling.get("box"))
     points = sampler.points(count)
@@ -430,15 +443,20 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     ctx = _Context(sampler, tolerance)
     report = CheckReport()
     with np.errstate(all="ignore"):
-        frames = []
-        for order, group in groupby(range(lead), order_at):
-            frames += _frames(structure, [points[i] for i in group], order)
+        frames, ends = [], []  # the leading frames, and where each ends
+        # a new run of points wherever a check stops reading
+        for _, group in groupby(range(lead), lambda i: len(reading(i))):
+            group = list(group)
+            for f in _frames(structure, points[group[0] : group[-1] + 1],
+                             order_at(group[0])):
+                frames.append(f)
+                ends.append((ends[-1] if ends else 0) + len(f.point))
         for row in rows:
             if row.points is None:
                 rest = _frames(structure, points[lead:], order_at(lead))
                 view = chain(frames, rest)
             else:
-                view = frames[: row.points]
+                view = frames[: ends.index(min(row.points, count)) + 1]
             report.extend(row.run(ctx, view, row.budget))
     meta = {"seed": seed, "tolerance": tolerance, "point_count": count}
     return report, ctx.verdicts, meta

@@ -8,20 +8,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def nres(lhs, rhs=None):
+def nres(lhs, rhs=None, batch=0):
     """Normalized max residual |L - R|_inf / (1 + |L|_inf + |R|_inf).
 
-    A non-finite result is ``inf``, so the row it enters fails.
+    The leading ``batch`` axes index points: the maxima are taken over the
+    other axes, one residual per point.  A non-finite residual is ``inf``,
+    so the row it enters fails.
     """
     lhs = np.asarray(lhs, dtype=float)
-    if rhs is None:
-        rhs = np.zeros_like(lhs)
-    rhs = np.asarray(rhs, dtype=float)
-    num = np.max(np.abs(lhs - rhs)) if lhs.size else 0.0
-    den = 1.0 + np.max(np.abs(lhs), initial=0.0) + np.max(np.abs(rhs), initial=0.0)
-    if not (math.isfinite(num) and math.isfinite(den)):
-        return math.inf
-    return float(num / den)
+    rhs = np.zeros_like(lhs) if rhs is None else np.asarray(rhs, dtype=float)
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    axes = tuple(range(batch, lhs.ndim))
+    num = np.max(np.abs(lhs - rhs), axis=axes, initial=0.0)
+    den = (1.0 + np.max(np.abs(lhs), axis=axes, initial=0.0)
+           + np.max(np.abs(rhs), axis=axes, initial=0.0))
+    out = np.full(num.shape, math.inf)
+    np.divide(num, den, out=out, where=np.isfinite(num) & np.isfinite(den))
+    return out if batch else float(out)
 
 
 @dataclass
@@ -57,15 +60,21 @@ class CheckReport:
     constants: dict = field(default_factory=dict)
 
     def add(self, name, residual, threshold):
-        """Fold ``residual`` into the row ``name``, created where the name is
-        first added.  The row keeps the largest residual; once it holds a
-        non-finite one (inf or nan) it keeps that, so it can never pass."""
-        residual = float(residual)
+        """Fold ``residual``, one number or one per point, into the row
+        ``name``, created where the name is first added.  In point order,
+        the row keeps the largest residual; once it holds a non-finite one
+        (inf or nan) it keeps that, so it can never pass."""
+        values = np.ravel(np.asarray(residual, dtype=float))
         row = self.rows.get(name)
         if row is None:
-            self.rows[name] = CheckResult(name, residual, threshold)
-        elif math.isfinite(row.residual) and not residual <= row.residual:
-            row.residual = residual
+            row = self.rows[name] = CheckResult(name, float(values[0]), threshold)
+            values = values[1:]
+        if math.isfinite(row.residual) and values.size:
+            bad = ~np.isfinite(values)
+            # the first non-finite value, else the largest
+            worst = values[np.argmax(bad)] if bad.any() else values.max()
+            if not worst <= row.residual:
+                row.residual = float(worst)
 
     def extend(self, other):
         for r in other.rows.values():

@@ -32,16 +32,33 @@ class Sampler:
 
     def point(self):
         """One in-domain point, by rejection against the guard."""
-        for _ in range(MAX_ATTEMPTS):
-            p = self.rng.uniform(self.box[:, 0], self.box[:, 1])
-            if self.structure.domain.contains(p):
-                return p
-        raise SamplingExhausted(
-            f"no in-domain point after {MAX_ATTEMPTS} attempts in box {self.box.tolist()}"
-        )
+        return self.points(1)[0]
 
     def points(self, count):
-        return [self.point() for _ in range(count)]
+        """``count`` in-domain points, by rejection against the guard, as a
+        (count, d) array.  Each round draws one attempt per missing point in
+        one batch and tests them together: the same stream, so the same
+        points, as one attempt at a time."""
+        d = self.structure.dim
+        out = np.empty((count, d))
+        accepted = run = 0  # run: rejections in a row so far
+        while accepted < count:
+            tries = self.rng.uniform(self.box[:, 0], self.box[:, 1],
+                                     size=(count - accepted, d))
+            ok = self.structure.domain.inside(tries)
+            # rejections before each accepted attempt, and after the last
+            gaps = np.diff(np.flatnonzero(np.concatenate([[True], ok, [True]]))) - 1
+            gaps[0] += run
+            if gaps.max() >= MAX_ATTEMPTS:
+                raise SamplingExhausted(
+                    f"no in-domain point after {MAX_ATTEMPTS} attempts in box "
+                    f"{self.box.tolist()}"
+                )
+            run = gaps[-1]
+            new = tries[ok]
+            out[accepted : accepted + len(new)] = new
+            accepted += len(new)
+        return out
 
     def raw_vector(self):
         return self.rng.uniform(-1.0, 1.0, self.structure.dim)

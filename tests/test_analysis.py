@@ -95,6 +95,42 @@ def test_check_report_rows_keep_their_maximum():
     assert report.constants == {"k_hat": 3.0}
 
 
+def test_nres_keeps_the_point_axis():
+    inf = float("inf")
+    lhs = np.array([[1.0, -3.0], [0.5, 0.0], [inf, 0.0], [np.nan, 1.0]])
+    got = nres(lhs, np.array([1.0, -1.0]), batch=1)
+    assert got.tolist() == [2.0 / 5.0, 1.0 / 2.5, inf, inf]
+    # point by point, it is the residual of that point alone
+    for i, row in enumerate(lhs[:2]):
+        assert got[i] == nres(row, [1.0, -1.0])
+    assert nres(np.zeros((3, 0)), batch=1).tolist() == [0.0, 0.0, 0.0]
+    assert nres(np.array([2.0, -2.0]), 2.0, batch=1).tolist() == [0.0, 4.0 / 5.0]
+
+
+def test_check_report_folds_a_vector_in_point_order():
+    inf, nan = float("inf"), float("nan")
+    report = CheckReport()
+    report.add("max", np.array([1e-12, 4e-12, 2e-12]), 1e-9)
+    report.add("max", np.array([3e-12]), 1e-9)
+    report.add("first_bad", np.array([1e-12, nan, inf, 5.0]), 1e-9)
+    report.add("first_bad", np.array([1.0]), 1e-9)
+    report.add("inf_first", np.array([inf, nan]), 1e-9)
+    report.add("late", 1e-12, 1e-9)
+    report.add("late", np.array([2e-12, inf, nan]), 1e-9)
+    rows = report.rows
+    assert list(rows) == ["max", "first_bad", "inf_first", "late"]
+    assert rows["max"].residual == 4e-12
+    assert np.isnan(rows["first_bad"].residual)
+    assert rows["inf_first"].residual == inf and rows["late"].residual == inf
+    # the same as adding the values one at a time
+    single = CheckReport()
+    for name, values in [("first_bad", [1e-12, nan, inf, 5.0, 1.0]),
+                         ("late", [1e-12, 2e-12, inf, nan])]:
+        for v in values:
+            single.add(name, v, 1e-9)
+        assert str(single.rows[name].residual) == str(rows[name].residual)
+
+
 def test_run_checks_reports_each_row_once():
     manifest = {
         "schema": "paracurv-manifest/1",

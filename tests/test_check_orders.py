@@ -19,8 +19,7 @@ def run_row(row, structure, order, seed=5):
     """The row's report on frames of ``order`` at FRAMES sample points."""
     sampler = pc.Sampler(structure, seed)
     points = sampler.points(FRAMES)
-    frames = [PointGeometry(jets, p, order)
-              for jets, p in zip(structure.at(points, order), points)]
+    frames = [PointGeometry(structure.at(points, order), points, order)]
     with np.errstate(all="ignore"):
         return row.run(_Context(sampler, 1e-8), frames, row.budget)
 

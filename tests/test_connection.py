@@ -2,9 +2,12 @@
 
 import gc
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paracurv as pc
 from paracurv.connection import (
@@ -16,7 +19,15 @@ from paracurv.connection import (
     parallel_check,
 )
 from paracurv.jetfields import jt_einsum, plu_inverse
-from paracurv.manifest import CHECKS, run_checks
+from paracurv.jetfields import JetTensor
+from paracurv.manifest import (
+    BATCH,
+    CHECKS,
+    assemble_report,
+    build_structure,
+    dumps_report,
+    run_checks,
+)
 from paracurv.report import nres
 
 from conftest import sample_frames, sample_points
@@ -45,10 +56,10 @@ def fd_christoffel(structure, point, h=1e-5):
     for a in range(d):
         e = np.zeros(d)
         e[a] = h
-        hi = structure.at([point + e], order=0)[0].g.value
-        lo = structure.at([point - e], order=0)[0].g.value
+        hi = pc.get_frame(structure, point + e, 0).g.value
+        lo = pc.get_frame(structure, point - e, 0).g.value
         dg[a] = (hi - lo) / (2 * h)
-    ginv = plu_inverse(structure.at([point], order=0)[0].g.value)
+    ginv = plu_inverse(pc.get_frame(structure, point, 0).g.value)
     sym = (
         np.einsum("imj->mij", dg)
         + np.einsum("jmi->mij", dg)
@@ -116,7 +127,7 @@ def test_kulkarni_nomizu_has_the_curvature_symmetries():
 def test_curvature_bundle_contractions_agree(hyp1):
     p = sample_points(hyp1, seed=29, count=1)[0]
     f = get_frame(hyp1, p, 2)
-    g = hyp1.at([p], order=0)[0].g.value
+    g = pc.get_frame(hyp1, p, 0).g.value
     ginv = plu_inverse(g)
     down = np.einsum("lm,mijk->ijkl", g, f.riem_up.value)
     assert np.allclose(down, f.riem_down.value, atol=1e-13)
@@ -133,7 +144,7 @@ def test_koszul_frame_oracle_on_heisenberg(heis1):
     p = np.array([0.3, -0.4, 0.2])
     u_vec = np.array([1.0, 0.0, p[1]])
     v_vec = np.array([0.0, 1.0, -p[0]])
-    sj = heis1.at([p], order=0)[0]
+    sj = pc.get_frame(heis1, p, 0)
     g = sj.g.value
     assert abs(u_vec @ g @ u_vec - 1.0) < 1e-14
     assert abs(v_vec @ g @ v_vec + 1.0) < 1e-14
@@ -258,12 +269,13 @@ def test_run_checks_builds_one_frame_per_point(monkeypatch):
     built = []
     init = PointGeometry.__init__
 
-    def counting_init(self, structure, point, order=3):
-        built.append(np.asarray(point, dtype=float).tobytes())
-        init(self, structure, point, order)
+    def counting_init(self, jets, points, order=3):
+        built.extend(p.tobytes() for p in np.asarray(points, dtype=float))
+        init(self, jets, points, order)
 
     monkeypatch.setattr(PointGeometry, "__init__", counting_init)
     run_checks(structure, ALL_CHECKS_MANIFEST)
+    # every point lies in exactly one batch frame
     points = pc.Sampler(structure, 2).points(30)
     assert sorted(built) == sorted(p.tobytes() for p in points)
 
@@ -294,15 +306,16 @@ def test_run_checks_builds_each_frame_once_above_2048_points(monkeypatch):
     built = []
     init = PointGeometry.__init__
 
-    def counting_init(self, structure, point, order=3):
-        built.append(order)
-        init(self, structure, point, order)
+    def counting_init(self, jets, points, order=3):
+        assert len(points) <= BATCH[order]
+        built.extend([order] * len(points))
+        init(self, jets, points, order)
 
     monkeypatch.setattr(PointGeometry, "__init__", counting_init)
     manifest = axioms_and_classification(2100)
     run_checks(pc.builtin_heisenberg(1), manifest)
-    # one frame per point, in point order, at the highest order the table
-    # gives that point
+    # each point in one frame, in point order, at the highest order the
+    # table gives that point
     rows = [row for row in CHECKS if row.name in manifest["checks"]]
     assert built == [max(r.order for r in rows if r.points is None or i < r.points)
                      for i in range(2100)]
@@ -324,3 +337,69 @@ def test_run_checks_keeps_only_the_leading_frames_alive(monkeypatch):
     assert report.passed
     # the 25 leading frames, the one in use and the one being built
     assert most[0] <= 27
+
+
+EMBEDDED = {
+    "schema": "paracurv-manifest/1",
+    "manifold": {"kind": "embedded", "n": 1, "coords": ["x1", "y0", "y1"],
+                 "immersion": ["sqrt(1-x1^2+y0^2+y1^2)", "x1", "y0", "y1"]},
+}
+BATCH_STRUCTURES = [
+    pc.builtin_heisenberg(2),
+    pc.builtin_hyperboloid(2),
+    pc.d_homothetic(pc.builtin_hyperboloid(2), 2.0),
+    pc.build_structure(EMBEDDED),
+]
+QUANTITIES = [name for name, v in vars(PointGeometry).items()
+              if isinstance(v, cached_property)]
+
+
+def quantity(frame, name):
+    """The frame's quantity as a list of arrays, or the error it raises."""
+    try:
+        q = getattr(frame, name)
+    except ValueError as e:  # a jet order too low for it
+        return str(e)
+    if isinstance(q, JetTensor):
+        return list(q.parts)
+    return list(q) if isinstance(q, tuple) else [q]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda p: st.lists(st.lists(st.floats(-0.5, 0.5), min_size=5,
+                                       max_size=5), min_size=p, max_size=p)),
+       st.integers(0, 3))
+def test_batch_frames_are_bitwise_the_frames_of_their_points(points, order):
+    assert len(QUANTITIES) == 21
+    for structure in BATCH_STRUCTURES:
+        batch = np.array(points)[:, : structure.dim]
+        frame = PointGeometry(structure.at(batch, order), batch, order)
+        for i, point in enumerate(batch):
+            single = get_frame(structure, point, order)
+            for name in QUANTITIES:
+                got, want = quantity(frame, name), quantity(single, name)
+                if isinstance(want, str):
+                    assert got == want, name
+                    continue
+                assert len(got) == len(want), name
+                for x, y in zip(got, want):
+                    x, y = np.asarray(x)[i], np.asarray(y)
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("builtin", ["heisenberg", "hyperboloid"])
+def test_run_checks_gives_the_same_report_one_point_per_frame(monkeypatch, builtin):
+    # 70 points: order-1 frames of 64 points leave a ragged last frame
+    manifest = dict(ALL_CHECKS_MANIFEST, sampling={"seed": 4, "count": 70},
+                    manifold={"kind": "builtin", "name": builtin, "n": 1})
+
+    def report():
+        structure = build_structure(manifest)
+        document = assemble_report(structure, manifest, "", *run_checks(
+            structure, manifest), wall_time_s=0.0)
+        return dumps_report(document)
+
+    batched = report()
+    monkeypatch.setattr("paracurv.manifest.BATCH", dict.fromkeys(BATCH, 1))
+    assert report() == batched

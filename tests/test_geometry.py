@@ -45,7 +45,7 @@ def test_heisenberg_nijenhuis_on_horizontal_frame(heis1):
     u_vec = np.array([1.0, 0.0, p[1]])
     v_vec = np.array([0.0, 1.0, -p[0]])
     nij = _nijenhuis(pc.get_frame(heis1, p, 1))
-    xi = heis1.at([p], order=0)[0].xi.value
+    xi = pc.get_frame(heis1, p, 0).xi.value
     got = np.einsum("kij,i,j->k", nij, u_vec, v_vec)
     assert np.allclose(got, 2.0 * xi, atol=1e-13)
 
@@ -66,7 +66,7 @@ def test_hyperboloid_metric_matches_finite_difference_jacobian(hyp1):
             lo = [values(c, [p - e])[0] for c in embedding.immersion]
             jac[a] = (np.array(hi) - np.array(lo)) / (2 * h)
         g_fd = -np.einsum("aC,bC,C->ab", jac, jac, eps)
-        assert np.max(np.abs(g_fd - hyp1.at([p], 0)[0].g.value)) < 1e-8
+        assert np.max(np.abs(g_fd - pc.get_frame(hyp1, p, 0).g.value)) < 1e-8
 
 
 def test_hyperboloid_normal_is_ambient_orthogonal(hyp1):
@@ -158,13 +158,13 @@ def test_structure_jets_of_a_batch_are_bitwise_those_of_single_points(points, or
     for structure in BATCH_STRUCTURES:
         batch = np.array(points)[:, : structure.dim]
         jets = structure.at(batch, order)
-        assert len(jets) == len(batch)
-        for point, sj in zip(batch, jets):
-            single = structure.at([point], order)[0]
-            for b, s in zip(sj, single, strict=True):
+        for i, point in enumerate(batch):
+            single = structure.at([point], order)
+            for b, s in zip(jets, single, strict=True):
                 assert b.order == s.order == order
                 for x, y in zip(b.parts, s.parts, strict=True):
-                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                    assert x.shape == (len(batch),) + y.shape[1:]
+                    assert x[i].tobytes() == y[0].tobytes()
 
 
 def test_domain_guard_and_errors(hyp2):
@@ -207,8 +207,8 @@ def test_d_homothetic_formula_and_round_trip(heis1):
     alpha = 2.5
     bar = pc.d_homothetic(heis1, alpha)
     for p in sample_points(heis1, seed=17, count=4):
-        sj = heis1.at([p], order=0)[0]
-        bj = bar.at([p], order=0)[0]
+        sj = pc.get_frame(heis1, p, 0)
+        bj = pc.get_frame(bar, p, 0)
         ee = np.outer(sj.eta.value, sj.eta.value)
         assert np.allclose(
             bj.g.value,
@@ -221,7 +221,7 @@ def test_d_homothetic_formula_and_round_trip(heis1):
     back = pc.d_homothetic(bar, 1.0 / alpha)
     for p in sample_points(heis1, seed=19, count=4):
         assert np.max(
-            np.abs(back.at([p], 0)[0].g.value - heis1.at([p], 0)[0].g.value)
+            np.abs(pc.get_frame(back, p, 0).g.value - pc.get_frame(heis1, p, 0).g.value)
         ) < 1e-12
     report = pc.check_axioms(sample_frames(bar, seed=23, count=6))
     assert report.passed
@@ -247,10 +247,45 @@ def test_sampler_determinism_and_guards(heis1, hyp1):
         pc.Sampler(hyp1, seed=0, box=bad_box).point()
 
 
+def sequential_points(structure, seed, box, count):
+    """The rejection loop one attempt at a time, as a reference: the points,
+    the number of rejected attempts and the generator's state after."""
+    rng = pc.Sampler(structure, seed, box).rng
+    out, rejected = [], 0
+    while len(out) < count:
+        p = rng.uniform(box[:, 0], box[:, 1])
+        if structure.domain.contains(p):
+            out.append(p)
+        else:
+            rejected += 1
+    return np.array(out), rejected, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 5, 34])
+def test_batched_points_are_the_sequential_draws(hyp1, hyp2, seed):
+    for structure in (hyp1, hyp2):
+        # the second box lies half outside the hyperboloid guard
+        for box in (pc.Sampler(structure, seed).box,
+                    np.array([[0.0, 1.4]] + [[-0.3, 0.3]] * (structure.dim - 1))):
+            want, rejected, state = sequential_points(structure, seed, box, 300)
+            sampler = pc.Sampler(structure, seed, box)
+            assert sampler.points(300).tobytes() == want.tobytes()
+            assert sampler.rng.bit_generator.state == state
+            one = pc.Sampler(structure, seed, box).point()
+            assert one.tobytes() == want[0].tobytes()
+        assert rejected > 50
+
+
+def test_points_raise_after_max_attempts_in_a_row(hyp1):
+    bad_box = np.array([[1.9, 2.0]] + [[-0.01, 0.01]] * (hyp1.dim - 1))
+    with pytest.raises(SamplingExhausted, match="after 100 attempts"):
+        pc.Sampler(hyp1, seed=0, box=bad_box).points(3)
+
+
 def test_sampler_vectors(heis1):
     sampler = pc.Sampler(heis1, seed=4)
     p = sampler.point()
-    sj = heis1.at([p], order=0)[0]
+    sj = pc.get_frame(heis1, p, 0)
     f = pc.get_frame(heis1, p, 0)
     signs = set()
     for _ in range(50):
