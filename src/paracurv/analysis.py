@@ -409,17 +409,20 @@ def _project(t, proj):
     return t
 
 
-def identity_suite(frames, sampler=None, sections=50, threshold=1e-8):
+def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None):
     """Named residuals of the paraSasakian identity catalog.
 
     Each entry is the normalized max residual over the frames' points,
-    which need jet order 2.  When a sampler is supplied, the two equivalent
-    forms of the paraholomorphic sectional curvature are also compared on
-    random sections, drawn point by point in point order.
+    which need jet order 2.  The space-form rows (f12, f13, f22) are judged
+    against ``k_hat``, the constant of the run's space-form fit; without it
+    the constant is fitted on these frames.  When a sampler is supplied,
+    the two equivalent forms of the paraholomorphic sectional curvature are
+    also compared on random sections, drawn point by point in point order.
     """
     n = frames[0].n
     ident = np.eye(frames[0].dim)
-    k_hat = space_form_fit(frames).k_hat
+    if k_hat is None:
+        k_hat = space_form_fit(frames).k_hat
     report = CheckReport(constants={"k_hat": k_hat})
     e = point_einsum
     for f in frames:

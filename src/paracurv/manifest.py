@@ -70,7 +70,8 @@ BATCH = {1: 64, 2: 16, 3: 1}
 
 class _Context:
     """What the checks of one run share: the sampler, the verdicts and the
-    space-form fit that ``phsc`` and ``space_form`` both report."""
+    one space-form fit that ``phsc``, ``space_form`` and ``identities``
+    report, made on the frames of the first of them that runs."""
 
     def __init__(self, sampler, tolerance):
         self.sampler = sampler
@@ -150,7 +151,8 @@ def _wpc(ctx, frames, budget):
 
 def _identities(ctx, frames, budget):
     return identity_suite(frames, sampler=ctx.sampler, sections=budget,
-                          threshold=ctx.tolerance)
+                          threshold=ctx.tolerance,
+                          k_hat=ctx.space_fit(frames).k_hat)
 
 
 def _parallel(ctx, frames, budget):

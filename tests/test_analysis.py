@@ -151,6 +151,33 @@ def test_run_checks_reports_each_row_once():
     assert names(["classification"]) == both
 
 
+def test_k_hat_comes_from_the_one_fit_of_the_run(monkeypatch):
+    fits = []
+    fit = space_form_fit
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr("paracurv.manifest.space_form_fit", counted)
+    monkeypatch.setattr("paracurv.analysis.space_form_fit", counted)
+    k_hat = {}
+    for checks in (["space_form"], ["space_form", "identities"], "all"):
+        manifest = {
+            "schema": "paracurv-manifest/1",
+            "manifold": {"kind": "builtin", "name": "hyperboloid", "n": 3},
+            "transform": {"alpha": 2.0},
+            "sampling": {"seed": 1, "count": 30},
+            "checks": checks,
+        }
+        fits.clear()
+        report, _, _ = run_checks(build_structure(manifest), manifest)
+        assert len(fits) == 1
+        k_hat[str(checks)] = report.constants["k_hat"]
+    # a refit on the 5 identity frames gave 0.9999999999999996 here
+    assert set(k_hat.values()) == {1.0}
+
+
 def test_perturbed_phi_is_not_parasasakian():
     bad = perturbed_phi_structure()
     result = classify(sample_frames(bad, seed=55, count=6))
