@@ -297,12 +297,9 @@ class PointView:
     by point: each quantity is built once for the whole batch and read here
     at the point, where it is bitwise that of a frame of the point alone."""
 
-    batch = 0
-
     def __init__(self, frame, i):
         self._frame, self._i = frame, i
         self.n, self.dim = frame.n, frame.dim
-        self.point = frame.point[i]
 
     def __getattr__(self, name):
         q = getattr(self._frame, name)

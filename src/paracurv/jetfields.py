@@ -167,11 +167,8 @@ def jt_einsum(sub, a, b):
         acc = None
         for j in range(k + 1):
             da, db = _DLETTERS[:j], _DLETTERS[j:k]
-            term = np.einsum(
-                f"...{da}{sa},...{db}{sb}->...{_DLETTERS[:k]}{out}",
-                a.parts[j],
-                b.parts[k - j],
-            )
+            term = point_einsum(f"{da}{sa},{db}{sb}->{_DLETTERS[:k]}{out}",
+                                a.parts[j], b.parts[k - j])
             if k == 2 and j == 1:
                 term = term + np.swapaxes(term, nb, nb + 1)
             elif k == 3 and j == 1:
