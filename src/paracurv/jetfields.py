@@ -17,6 +17,7 @@ reinterpreted as a component axis.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -141,13 +142,18 @@ class JetTensor:
     __rmul__ = __mul__
 
 
+@cache
+def _threaded(sub):
+    """``sub`` with ``...`` before every operand and the output."""
+    ins, out = sub.split("->")
+    return ",".join("..." + s for s in ins.split(",")) + "->..." + out
+
+
 def point_einsum(sub, *operands):
     """np.einsum over base axes, with leading point axes threaded: ``...``
     goes before every operand and the output, so one subscript serves one
     point and a batch alike."""
-    ins, out = sub.split("->")
-    ins = ",".join("..." + s for s in ins.split(","))
-    return np.einsum(f"{ins}->...{out}", *operands)
+    return np.einsum(_threaded(sub), *operands)
 
 
 def jt_einsum(sub, a, b):
