@@ -58,7 +58,7 @@ DEFAULT_COUNT = 200
 # points per frame, by the frame's jet order.  A batch shares one frame's
 # Python cost among its points, while its arrays, and so the peak memory,
 # grow with it.  On the benchmark (2 CPUs, numpy 2.4), order-1 frames of 64
-# points ran `wide` about 4 times faster than one frame per point and raised
+# points ran `wide` about 5 times faster than one frame per point and raised
 # its peak RSS by 2% (43.1 -> 43.9 MiB); order-3 frames of 5 points raised
 # that of `sweep` by 14% (63.9 -> 72.6 MiB) and gained no time, so they keep
 # one point.  Every order-2 row reads at most 10 points: one frame.
