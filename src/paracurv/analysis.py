@@ -32,6 +32,21 @@ from .sampling import NULL_EPS
 HORIZONTAL_EPS = 1e-10
 
 
+# products at each point as a stacked matmul, which gives each point the
+# bits of its own ``@`` and runs on numpy 1.24 (np.matvec, np.vecmat and
+# np.vecdot need numpy 2.2)
+def _matvec(a, v):
+    return (a @ v[..., None])[..., 0]
+
+
+def _vecmat(v, a):
+    return (v[..., None, :] @ a)[..., 0, :]
+
+
+def _vecdot(u, v):
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 # -- axioms -----------------------------------------------------------------
 
 
@@ -49,14 +64,14 @@ def check_axioms(frames, threshold=1e-9):
 
         d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
-        keep("axiom_i_phi_xi", np.matvec(ph, xi))
-        keep("axiom_i_eta_phi", np.vecmat(eta, ph))
-        keep("axiom_ii_eta_xi", np.vecdot(eta, xi), 1.0)
+        keep("axiom_i_phi_xi", _matvec(ph, xi))
+        keep("axiom_i_eta_phi", _vecmat(eta, ph))
+        keep("axiom_ii_eta_xi", _vecdot(eta, xi), 1.0)
         keep("axiom_ii_phi_sq", ph @ ph, np.eye(d) - e("i,j->ij", xi, eta))
         keep("axiom_iii_compat", e("rs,rj,sk->jk", g, ph, ph),
              -g + e("i,j->ij", eta, eta))
         keep("axiom_iv_deta", g @ ph, f.deta.value)
-        keep("metric_duality", np.matvec(g, xi), eta)
+        keep("metric_duality", _matvec(g, xi), eta)
     return report
 
 
@@ -440,7 +455,7 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
         big_rt = f.riem_tilde_down.value
 
         keep("f1_eta", neta, phl)
-        keep("f1_xi", nxi, -ph.mT)
+        keep("f1_xi", nxi, -tail_transpose(ph, 1, 0))
         keep(
             "f2_low",
             f.nabla_phi_low.value,
@@ -489,10 +504,10 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
             f5_f7,
         )
         phi_h = ph @ h
-        keep("f51_xi", nxi, (-ph + phi_h).mT)
+        keep("f51_xi", nxi, tail_transpose(-ph + phi_h, 1, 0))
         keep("f51_phi_h", phi_h + h @ ph)
         keep("f51_trace_h", np.trace(h, axis1=-2, axis2=-1))
-        keep("f51_h_xi", np.matvec(h, xi))
+        keep("f51_h_xi", _matvec(h, xi))
         keep("tnweb_g", f.cov(f.g.cut(1), "ll", kind="canonical_tilde").value)
         keep("tnweb_xi", f.cov(f.xi.cut(1), "u", kind="canonical_tilde").value)
         keep("tnweb_eta", f.cov(f.eta.cut(1), "l", kind="canonical_tilde").value)
