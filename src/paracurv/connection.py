@@ -293,13 +293,19 @@ class PointGeometry:
 
 
 class PointView:
-    """Point ``i`` of a batch frame, for the checks that draw vectors point
-    by point: each quantity is built once for the whole batch and read here
-    at the point, where it is bitwise that of a frame of the point alone."""
+    """Point ``i`` of a batch frame, read as a frame at that point: each
+    quantity is built once for the whole batch and read here at the point,
+    where it is bitwise that of a frame of the point alone.  Plain numbers
+    (``order``, ``gamma_order``) pass unchanged, and :meth:`cov`
+    differentiates with the point's connection, so every check reads a
+    view as it reads a frame."""
+
+    cov = PointGeometry.cov
 
     def __init__(self, frame, i):
         self._frame, self._i = frame, i
         self.n, self.dim = frame.n, frame.dim
+        self.batch = 0
 
     def __getattr__(self, name):
         q = getattr(self._frame, name)
@@ -307,7 +313,9 @@ class PointView:
             return q.point(self._i)
         if isinstance(q, tuple):
             return tuple(x[self._i] for x in q)
-        return q[self._i]
+        if isinstance(q, np.ndarray):
+            return q[self._i]
+        return q
 
 
 def get_frame(structure, point, order=3):

@@ -388,6 +388,43 @@ def test_batch_frames_are_bitwise_the_frames_of_their_points(points, order):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
+def residuals(report):
+    return ({r.name: repr(r.residual) for r in report.rows.values()},
+            {k: repr(v) for k, v in report.constants.items()})
+
+
+def view_checks(structure):
+    """Each check over frames, as (frames) -> CheckReport."""
+    an = pc.analysis
+    return {
+        "axioms": an.check_axioms,
+        "classify": lambda frames: an.classify(frames).report,
+        "space_form": lambda frames: an.space_form_fit(frames).report,
+        "eta_einstein": lambda frames: an.eta_einstein_fit(frames).report,
+        "bochner": an.bochner_symmetries,
+        "identities": lambda frames: an.identity_suite(
+            frames, sampler=pc.Sampler(structure, 5), sections=4),
+        "parallel": parallel_check,
+    }
+
+
+@pytest.mark.parametrize("structure", BATCH_STRUCTURES)
+def test_every_check_reads_point_views_as_frames(structure):
+    points = sample_points(structure, count=3)
+    frame = PointGeometry(structure.at(points, 3), points, 3)
+    views = [frame.view(i) for i in range(len(points))]
+    assert [(v.batch, v.gamma_order) for v in views] == [(0, 2)] * 3
+    singles = [get_frame(structure, p, 3) for p in points]
+    for name, check in view_checks(structure).items():
+        assert residuals(check(views)) == residuals(check(singles)), name
+    verdicts = [pc.analysis.classify(fs).verdicts for fs in (views, singles)]
+    assert verdicts[0] == verdicts[1]
+
+
+def test_order_2_frames_hold_every_point_an_order_2_check_reads():
+    assert BATCH[2] == max(r.points for r in CHECKS if r.order == 2)
+
+
 @pytest.mark.parametrize("builtin", ["heisenberg", "hyperboloid"])
 def test_run_checks_gives_the_same_report_one_point_per_frame(monkeypatch, builtin):
     # 70 points: order-1 frames of 64 points leave a ragged last frame
