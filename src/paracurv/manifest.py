@@ -61,8 +61,9 @@ DEFAULT_COUNT = 200
 # points ran `wide` about 5 times faster than one frame per point and raised
 # its peak RSS by 2% (43.1 -> 43.9 MiB); order-3 frames of 5 points raised
 # that of `sweep` by 14% (63.9 -> 72.6 MiB) and gained no time, so they keep
-# one point.  Every order-2 row reads at most 10 points: one frame.
-BATCH = {1: 64, 2: 16, 3: 1}
+# one point.  The order-2 entry is no tuned size: it is the most points an
+# order-2 row of CHECKS reads, so those points make one frame.
+BATCH = {1: 64, 2: 10, 3: 1}
 
 
 # -- the check table ------------------------------------------------------------
