@@ -4,11 +4,11 @@ Covers the compatibility axioms, the Nijenhuis tensor and paraSasakian
 criteria, xi-sectional and paraholomorphic sectional curvature, space-form
 and eta-Einstein fitting, the PC-Bochner tensor with its W^pc counterpart,
 and the named identity suite.  The functions over many points read frames
-(see :class:`paracurv.connection.PointGeometry`), each a batch of points or
-one point, and add one normalized residual per point to their report's rows,
-which keep the maximum.  The functions of one drawn vector (``xi_sectional``,
-``phsc``, ``wpc``, ``bochner_pairing``) read one point: a frame built there,
-or a point of a batch frame (:meth:`PointGeometry.view`).
+(see :class:`paracurv.connection.PointGeometry`), each a batch of points,
+and add one normalized residual per point to their report's rows, which
+keep the maximum.  The functions of one drawn vector (``xi_sectional``,
+``phsc``, ``wpc``, ``bochner_pairing``) read the values at one point of a
+frame (:meth:`PointGeometry.view`).
 
 A batch frame gives every point bitwise the residuals of a frame built at
 that point alone: a point's entries are contracted and summed on their own,
@@ -60,7 +60,7 @@ def check_axioms(frames, threshold=1e-9):
     for f in frames:
 
         def keep(name, lhs, rhs=None):
-            report.add(name, nres(lhs, rhs, f.batch), threshold)
+            report.add(name, nres(lhs, rhs), threshold)
 
         d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
@@ -113,13 +113,13 @@ def classify(frames, threshold=1e-9):
     e = point_einsum
     res_nij = res_nphi = 0.0
     for f in frames:
-        d, batch = f.dim, f.batch
+        d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
         res_nij = max(res_nij, np.max(nres(
-            _nijenhuis(f), 2.0 * e("ij,k->kij", f.deta.value, xi), batch)))
+            _nijenhuis(f), 2.0 * e("ij,k->kij", f.deta.value, xi))))
         target = e("i,rs->rsi", eta, np.eye(d)) - e("s,ri->rsi", xi, g)
-        res_nphi = max(res_nphi, np.max(nres(f.nabla_phi.value, target, batch)))
-        tail.add("h_vanishing", nres(f.h.value, batch=batch), 1e-10)
+        res_nphi = max(res_nphi, np.max(nres(f.nabla_phi.value, target)))
+        tail.add("h_vanishing", nres(f.h.value), 1e-10)
         # eta([phi X, Y] + [X, phi Y]) on the horizontal frame X_i = P d_i,
         # P = id - xi (x) eta; brackets of the extensions need dP as well
         dph, dxi, deta = f.phi.parts[1], f.xi.parts[1], f.eta.parts[1]
@@ -132,11 +132,9 @@ def classify(frames, threshold=1e-9):
             return e("si,skj->kij", u, dw) - e("sj,ski->kij", w, du)
 
         bracket = brk(php, dphp, proj, dproj) + brk(proj, dproj, php, dphp)
-        tail.add("para_cr_bracket", nres(e("k,kij->ij", eta, bracket), batch=batch),
-                 threshold)
+        tail.add("para_cr_bracket", nres(e("k,kij->ij", eta, bracket)), threshold)
         tail.add("para_cr_nabla_phi",
-                 nres(f.cov(f.phi.cut(1), "ul", kind="canonical_tilde").value,
-                      batch=batch),
+                 nres(f.cov(f.phi.cut(1), "ul", kind="canonical_tilde").value),
                  threshold)
 
     res_nij, res_nphi = float(res_nij), float(res_nphi)
@@ -158,21 +156,23 @@ def classify(frames, threshold=1e-9):
 
 
 def xi_sectional(f, u):
-    """Sectional curvature of the plane spanned by xi and a horizontal u."""
-    g, xi = f.g.value, f.xi.value
+    """Sectional curvature of the plane spanned by xi and a horizontal u, at
+    a point view ``f``."""
+    g, xi = f.g, f.xi
     u = np.asarray(u, dtype=float)
     eps_u = float(u @ g @ u)
     if abs(eps_u) < NULL_EPS:
         raise IsotropicVector(f"g(u,u) = {eps_u:g} is numerically null")
-    R = f.riem_down.value
+    R = f.riem_down
     num = np.einsum("kjhi,k,j,h,i->", R, u, xi, xi, u)
     den = eps_u * float(xi @ g @ xi)
     return float(num / den)
 
 
 def phsc(f, v, form="f8"):
-    """Paraholomorphic sectional curvature of the section (phi v, phi^2 v)."""
-    g, ph, eta = f.g.value, f.phi.value, f.eta.value
+    """Paraholomorphic sectional curvature of the section (phi v, phi^2 v),
+    at a point view ``f``."""
+    g, ph, eta = f.g, f.phi, f.eta
     v = np.asarray(v, dtype=float)
     pv = ph @ v
     ppv = ph @ pv
@@ -184,12 +184,12 @@ def phsc(f, v, form="f8"):
             f"g(phi^2 v, phi^2 v) = {q2:g}"
         )
     if form == "f8":
-        R = f.riem_down.value
+        R = f.riem_down
         num = np.einsum("dcab,d,c,a,b->", R, pv, ppv, ppv, pv)
         # an overflowed denominator would read as a curvature of 0
         return float(num / (q1 * q2)) if np.isfinite(q1 * q2) else math.nan
     if form == "f9":
-        R = f.riem_down.value
+        R = f.riem_down
         e = np.einsum
         gh = g - np.outer(eta, eta)
         core = e("dk,bi,djhb->kjhi", ph, ph, R) - e(
@@ -218,11 +218,10 @@ def _f12_rhs(n, k, g, eta):
     return (n * (k - 3.0) + k + 1.0) * g - (n + 1.0) * (k + 1.0) * ee
 
 
-def _point_sums(x, batch):
+def _point_sums(x):
     """The sum of each point's entries, summed on their own, as a list in
-    point order (one sum for a frame of one point)."""
-    sums = np.sum(x, axis=tuple(range(batch, x.ndim)))
-    return [float(v) for v in np.ravel(sums)]
+    point order."""
+    return np.sum(x, axis=tuple(range(1, x.ndim))).tolist()
 
 
 def _f13_rhs(n, k):
@@ -252,18 +251,17 @@ def space_form_fit(frames, threshold=1e-8):
         r = f.riem_down.value
         slope = 0.25 * (a + b)
         offset = 0.25 * (b - 3.0 * a)
-        for x, y in zip(_point_sums(slope * (r - offset), f.batch),
-                        _point_sums(slope * slope, f.batch)):
+        for x, y in zip(_point_sums(slope * (r - offset)),
+                        _point_sums(slope * slope)):
             num += x
             den += y
         cache.append((f, r, slope, offset))
     k_hat = num / den
     report = CheckReport(constants={"k_hat": k_hat})
     for f, r, slope, offset in cache:
-        batch = f.batch
 
         def keep(name, lhs, rhs):
-            report.add(name, nres(lhs, rhs, batch), threshold)
+            report.add(name, nres(lhs, rhs), threshold)
 
         keep("space_form_f20", r, offset + k_hat * slope)
         keep("space_form_f12", 2.0 * f.ricci.value,
@@ -294,19 +292,19 @@ def eta_einstein_fit(frames, threshold=1e-8):
         g = f.g.value
         ee = point_einsum("i,j->ij", f.eta.value, f.eta.value)
         r = f.ricci.value
-        sums = [_point_sums(x, f.batch)
+        sums = [_point_sums(x)
                 for x in (g * g, g * ee, ee * g, ee * ee, g * r, ee * r)]
         for gg, ge, eg, e2, gr, er in zip(*sums):
             m += [[gg, ge], [eg, e2]]
             rhs += [gr, er]
-        cache.append((f.batch, g, ee, r))
+        cache.append((g, ee, r))
     try:
         a, b = (float(c) for c in np.linalg.solve(m, rhs))
     except np.linalg.LinAlgError:
         a = b = math.nan
     report = CheckReport(constants={"a": a, "b": b})
-    for batch, g, ee, r in cache:
-        report.add("eta_einstein_fit", nres(r, a * g + b * ee, batch), threshold)
+    for g, ee, r in cache:
+        report.add("eta_einstein_fit", nres(r, a * g + b * ee), threshold)
     report.add("eta_einstein_sum", nres(a + b, -2.0 * n), 1e-10)
     return EtaEinsteinFit(a, b, report)
 
@@ -321,7 +319,8 @@ class BochnerData:
 
 
 def pc_bochner(f):
-    """The frame's PC-Bochner tensor, built once per frame."""
+    """The PC-Bochner tensor of a frame or a point view, built once per
+    frame."""
     return BochnerData(*f.bochner)
 
 
@@ -332,7 +331,7 @@ def bochner_symmetries(frames, threshold=1e-10):
     for f in frames:
 
         def keep(name, lhs, rhs=None):
-            report.add(name, nres(lhs, rhs, f.batch), threshold)
+            report.add(name, nres(lhs, rhs), threshold)
 
         b, _ = f.bochner
         ph, ginv, xi = f.phi.value, f.ginv.value, f.xi.value
@@ -358,14 +357,14 @@ def _require_horizontal(eta, vectors):
 
 
 def wpc(f, x, y, z, w):
-    """The paracontact conformal curvature pairing on horizontal vectors."""
+    """The paracontact conformal curvature pairing on horizontal vectors, at
+    a point view ``f``."""
     n = f.n
-    g, ph, big_f = f.g.value, f.phi.value, f.phi_low.value
-    eta = f.eta.value
+    g, ph, big_f, eta = f.g, f.phi, f.phi_low, f.eta
     x, y, z, w = (np.asarray(v, dtype=float) for v in (x, y, z, w))
     _require_horizontal(eta, (x, y, z, w))
-    rt, st = f.ricci_tilde.value, float(f.scalar_tilde.value)
-    big_rt = f.riem_tilde_down.value
+    rt, st = f.ricci_tilde, float(f.scalar_tilde)
+    big_rt = f.riem_tilde_down
 
     def gp(u, v):
         return float(u @ g @ v)
@@ -404,7 +403,8 @@ def wpc(f, x, y, z, w):
 
 
 def bochner_pairing(f, x, y, z, w):
-    """B(X,Y,Z,W) for comparison against the W^pc pairing."""
+    """B(X,Y,Z,W) at a point view ``f``, for comparison against the W^pc
+    pairing."""
     b, _ = f.bochner
     return float(np.einsum("ijkl,i,j,k,l->", b, x, y, z, w))
 
@@ -441,10 +441,9 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
     report = CheckReport(constants={"k_hat": k_hat})
     e = point_einsum
     for f in frames:
-        batch = f.batch
 
         def keep(name, lhs, rhs=None):
-            report.add(name, nres(lhs, rhs, batch), threshold)
+            report.add(name, nres(lhs, rhs), threshold)
 
         g, ph, phl = f.g.value, f.phi.value, f.phi_low.value
         xi, eta, h = f.xi.value, f.eta.value, f.h.value
@@ -534,8 +533,7 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
         keep("f54", big_rt, big_r - b_blk)
         keep("f53", rt, r - 2.0 * g + 2.0 * (n + 1.0) * ee)
         proj = ident - e("i,j->ij", xi, eta)
-        keep("f55", _projected(big_rt, proj, batch),
-             _projected(big_r - ff, proj, batch))
+        keep("f55", _projected(big_rt, proj), _projected(big_r - ff, proj))
         keep(
             "f56_ricci",
             e("ai,bj,ab->ij", proj, proj, rt),
@@ -556,18 +554,12 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
     return report
 
 
-def _projected(t, proj, batch):
+def _projected(t, proj):
     """:func:`_project` at each point: its tensordot has no batched form
     that sums in the same order."""
-    if not batch:
-        return _project(t, proj)
     return np.stack([_project(x, p) for x, p in zip(t, proj)])
 
 
 def views(frames):
-    """The points of the frames in order: a point of a batch frame as its
-    view, a frame of one point as itself."""
-    out = []
-    for f in frames:
-        out += [f.view(i) for i in range(len(f.point))] if f.batch else [f]
-    return out
+    """The point views of the frames' points, in order."""
+    return [f.view(i) for f in frames for i in range(len(f.point))]

@@ -105,19 +105,19 @@ def curvature(manifest_path, point_text):
         if not structure.domain.contains(point):
             _fail(f"point outside the chart domain of {structure.name}")
         with np.errstate(all="ignore"):
-            frame = get_frame(structure, point, order=2)
+            f = get_frame(structure, point, order=2).view(0)
             sampler = Sampler(structure, seed=0)
-            u = sampler.horizontal_unit(frame)
-            v = sampler.section_vector(frame)
-            bochner = pc_bochner(frame)
+            u = sampler.horizontal_unit(f)
+            v = sampler.section_vector(f)
+            bochner = pc_bochner(f)
             numbers = [
-                ("|g|_inf", np.max(np.abs(frame.g.value))),
-                ("|Gamma|_inf", np.max(np.abs(frame.gamma.value))),
-                ("|R|_inf", np.max(np.abs(frame.riem_down.value))),
-                ("|r|_inf", np.max(np.abs(frame.ricci.value))),
-                ("scalar_s", float(frame.scalar.value)),
-                ("xi_sectional", xi_sectional(frame, u)),
-                ("phsc", phsc(frame, v)),
+                ("|g|_inf", np.max(np.abs(f.g))),
+                ("|Gamma|_inf", np.max(np.abs(f.gamma))),
+                ("|R|_inf", np.max(np.abs(f.riem_down))),
+                ("|r|_inf", np.max(np.abs(f.ricci))),
+                ("scalar_s", float(f.scalar)),
+                ("xi_sectional", xi_sectional(f, u)),
+                ("phsc", phsc(f, v)),
                 ("|B|_inf", np.max(np.abs(bochner.tensor))),
                 ("kappa_B", bochner.kappa_B),
             ]

@@ -1,15 +1,15 @@
 """Levi-Civita and canonical paracontact connections with their curvature.
 
-The pipeline is a frame, a :class:`PointGeometry` made by the check runner
-from the structure jets of a batch of points, or by :func:`get_frame` at
-one point.  It holds the structure jets and lazily computes and keeps the
-inverse metric, the Christoffel symbols (with their coordinate partials
-straight from the jets, never finite-differenced), both curvature tensors,
-the h-tensor and the canonical torsion.  Every quantity of a batch frame
-leads with the point axis, and the same code builds it with and without
-that axis (see :mod:`paracurv.jetfields`); point i of a batch frame is
+The pipeline is a frame, a :class:`PointGeometry` made from the structure
+jets of a batch of points: by the check runner, or by :func:`get_frame` as
+a batch of one point.  It holds the structure jets and lazily computes and
+keeps the inverse metric, the Christoffel symbols (with their coordinate
+partials straight from the jets, never finite-differenced), both curvature
+tensors, the h-tensor and the canonical torsion.  Every quantity leads with
+the point axis (see :mod:`paracurv.jetfields`); point i of a batch frame is
 bitwise the frame built at that point alone.  The checks read frames; a
-frame lives as long as its caller holds it.
+frame lives as long as its caller holds it.  :meth:`PointGeometry.view`
+reads the values at one point, for the checks of one drawn vector.
 
 Each cached quantity is built at the lowest jet order that its highest
 reader needs, never at the full order its inputs allow: a quantity that
@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jetfields import JetTensor, jt_einsum, jt_metric_inverse, point_einsum
+from .jetfields import jt_einsum, jt_metric_inverse, point_einsum
 from .report import CheckReport, nres
 
 _SLOT_LETTERS = "ijklmnop"
@@ -78,9 +78,8 @@ def _riemann_from_gamma(gamma):
 
 
 def tail_transpose(t, *perm):
-    """``t.transpose(perm)`` on the trailing axes; leading point axes stay."""
-    lead = t.ndim - len(perm)
-    return t.transpose(*range(lead), *(lead + p for p in perm))
+    """``t.transpose(perm)`` on the axes after the point axis."""
+    return t.transpose(0, *(1 + p for p in perm))
 
 
 def kulkarni_nomizu(a, b):
@@ -97,18 +96,18 @@ def phi_block(a, b):
 
 
 def per_point(x, ndim):
-    """A per-point scalar (or a plain one) shaped to scale tensors of
-    ``ndim`` base axes point by point."""
+    """Per-point scalars shaped to scale tensors of ``ndim`` base axes
+    point by point."""
     return np.reshape(x, np.shape(x) + (1,) * ndim)
 
 
 class PointGeometry:
     """Lazily computed geometric data of one structure over a batch of
-    points, or at one point.
+    points.
 
-    Built from the structure jets of its points (``point`` is a (P, d)
-    batch or one point), not from the structure, so a frame does not keep
-    its structure alive.
+    Built from the structure jets of its points (``point`` is the (P, d)
+    batch), not from the structure, so a frame does not keep its structure
+    alive.
     """
 
     def __init__(self, jets, point, order=3):
@@ -117,8 +116,6 @@ class PointGeometry:
         self.g, self.phi, self.xi, self.eta = jets
         self.dim = self.g.dim
         self.n = (self.dim - 1) // 2
-        # leading point axes of every quantity: 1 for a batch, 0 at a point
-        self.batch = self.g.batch
         # gamma's order, one below g's; an order-0 frame keeps its values
         self.gamma_order = max(self.g.order - 1, 0)
 
@@ -288,45 +285,37 @@ class PointGeometry:
         return tail_transpose(out, 3, 0, 1, 2)
 
     def view(self, i):
-        """Point ``i`` of a batch frame."""
+        """The values of the frame's quantities at point ``i``."""
         return PointView(self, i)
 
 
 class PointView:
-    """Point ``i`` of a batch frame, read as a frame at that point: each
-    quantity is built once for the whole batch and read here at the point,
-    where it is bitwise that of a frame of the point alone.  Plain numbers
-    (``order``, ``gamma_order``) pass unchanged, and :meth:`cov`
-    differentiates with the point's connection, so every check reads a
-    view as it reads a frame."""
-
-    cov = PointGeometry.cov
+    """The values at point ``i`` of a frame, read-only: ``view.g`` is
+    ``frame.g.value[i]``, and ``view.bochner`` is the pair of the tensor
+    and kappa_B there.  Each quantity is built once for the whole frame."""
 
     def __init__(self, frame, i):
         self._frame, self._i = frame, i
-        self.n, self.dim = frame.n, frame.dim
-        self.batch = 0
+        self.n = frame.n
 
     def __getattr__(self, name):
-        q = getattr(self._frame, name)
-        if isinstance(q, JetTensor):
-            return q.point(self._i)
-        if isinstance(q, tuple):
-            return tuple(x[self._i] for x in q)
-        if isinstance(q, np.ndarray):
-            return q[self._i]
-        return q
+        return getattr(self._frame, name).value[self._i]
+
+    @property
+    def bochner(self):
+        b, kappa = self._frame.bochner
+        return b[self._i], kappa[self._i]
 
 
 def get_frame(structure, point, order=3):
-    """A new frame of the structure at a point, with jets up to ``order``.
+    """A new frame of the structure at one point, with jets up to
+    ``order``: a batch of that one point, read like any batch frame.
 
     Nothing is cached: the caller keeps the frame for as long as it needs
     it, so memory follows what the caller holds.
     """
-    point = np.asarray(point, dtype=float)
-    jets = structure.at(point[None], order)
-    return PointGeometry([t.point(0) for t in jets], point, order)
+    points = np.asarray(point, dtype=float)[None]
+    return PointGeometry(structure.at(points, order), points, order)
 
 
 def parallel_check(frames, threshold=1e-8):
@@ -336,6 +325,6 @@ def parallel_check(frames, threshold=1e-8):
         # both rows read values, so the torsion is differentiated at order 1
         nt = f.cov(f.torsion_up.cut(1), "ull", kind="canonical_tilde")
         nr = f.cov(f.riem_tilde_up, "ulll", kind="canonical_tilde")
-        report.add("parallel_torsion", nres(nt.value, batch=f.batch), threshold)
-        report.add("parallel_curvature", nres(nr.value, batch=f.batch), threshold)
+        report.add("parallel_torsion", nres(nt.value), threshold)
+        report.add("parallel_curvature", nres(nr.value), threshold)
     return report

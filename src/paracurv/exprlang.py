@@ -11,10 +11,9 @@ Grammar (standard precedence, left associativity)::
 Only integer powers are allowed; fractional powers must be written via
 ``sqrt``.  Names must be declared coordinates.
 
-:func:`eval_jet` evaluates an AST over a batch of P points at once, to a
-:class:`~paracurv.jetfields.JetTensor` of truncated Taylor jets up to third
-order whose base shape is ``(P,)``: the point axis comes after the
-derivative axes.  The rules are those of Taylor arithmetic (Griewank &
+:func:`eval_jet` evaluates an AST over a batch of P points at once, to the
+parts of its truncated Taylor jets up to third order: part k has shape
+``(d,)*k + (P,)``, the point axis after the derivative axes.  The rules are those of Taylor arithmetic (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), elementwise over the
 points, so a point gets the same bits in any batch, one point included.
 """
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, ParseError, UnknownCoordinate
-from .jetfields import JetTensor
 
 FUNCTIONS = ("sqrt", "exp", "ln", "sinh", "cosh")
 
@@ -409,10 +407,11 @@ def _eval(ast, coordinate):
 
 
 def eval_jet(ast, points, order=3):
-    """Jets of an AST over a (P, d) array of points, up to ``order``.
+    """Jets of an AST over a (P, d) array of points, up to ``order``, as
+    the list of parts ``k = 0..order`` of shape ``(d,)*k + (P,)``.
 
-    The result's base shape is ``(P,)``.  A DomainError carries the span of
-    the failing subexpression and, as ``index``, the first failing point.
+    A DomainError carries the span of the failing subexpression and, as
+    ``index``, the first failing point.
     """
     points = np.asarray(points, dtype=float)
     count, dim = points.shape
@@ -432,7 +431,7 @@ def eval_jet(ast, points, order=3):
     for k in range(1, order + 1):
         if out[k] is None:
             out[k] = np.zeros((dim,) * k + (count,))
-    return JetTensor(dim, order, out)
+    return out
 
 
 # -- symbolic derivative (internal plumbing for embeddings) -------------------

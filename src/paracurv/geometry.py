@@ -27,8 +27,7 @@ from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 
 class StructureJets(NamedTuple):
-    """Jets of the four structure tensors at one point, or over a batch of
-    points with a leading point axis."""
+    """Jets of the four structure tensors over a batch of points."""
 
     g: JetTensor
     phi: JetTensor
@@ -36,16 +35,16 @@ class StructureJets(NamedTuple):
     eta: JetTensor
 
 
-def _batch_tensor(jets, shape):
-    """Jet tensor with base ``shape`` over a batch, from the batch jets of
-    its components in row-major order, as point-first arrays: each point's
-    slice is laid out as jets built at that point alone."""
+def _batch_tensor(jets, dim, shape):
+    """Jet tensor with base ``shape`` over a batch, from the :func:`eval_jet`
+    parts of its components in row-major order, as point-first arrays: each
+    point's slice is laid out as jets built at that point alone."""
     parts = []
-    for k in range(jets[0].order + 1):
-        a = np.array([j.parts[k] for j in jets])  # (N,) + (d,)*k + (P,)
+    for k in range(len(jets[0])):
+        a = np.array([j[k] for j in jets])  # (N,) + (d,)*k + (P,)
         a = np.ascontiguousarray(np.swapaxes(a, 0, -1))
         parts.append(a.reshape(a.shape[:-1] + shape))
-    return JetTensor(jets[0].dim, jets[0].order, parts, 1)
+    return JetTensor(dim, len(parts) - 1, parts)
 
 
 class Domain:
@@ -122,7 +121,7 @@ class CharteredStructure:
         # contiguous, so each point's slice is laid out as jets built at
         # that point alone
         batch = StructureJets(*(
-            JetTensor(self.dim, t.order, [np.ascontiguousarray(p) for p in t.parts], 1)
+            JetTensor(self.dim, t.order, [np.ascontiguousarray(p) for p in t.parts])
             for t in batch))
         finite = np.ones(len(points), dtype=bool)
         for t in batch:
@@ -153,12 +152,12 @@ class ExprTableComponents:
         d = len(self.xi)
 
         def stack(fields, shape):
-            return _batch_tensor([f(points, order) for f in fields], shape)
+            return _batch_tensor([f(points, order) for f in fields], d, shape)
 
         g = stack([f for row in self.g for f in row], (d, d))
         # enforce exact symmetry of the metric jets
         g = JetTensor(d, order,
-                      [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts], 1)
+                      [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
         phi = stack([f for row in self.phi for f in row], (d, d))
         return StructureJets(g, phi, stack(self.xi, (d,)), stack(self.eta, (d,)))
 
@@ -236,7 +235,7 @@ class InducedComponents:
         d, m = emb.dim, emb.ambient.dim
 
         def stack(asts, shape):
-            return _batch_tensor([eval_jet(a, points, order) for a in asts], shape)
+            return _batch_tensor([eval_jet(a, points, order) for a in asts], d, shape)
 
         normal = stack(emb.normal, (m,))
         e = stack([a for row in emb.tangent for a in row], (d, m))  # (a, C)
@@ -246,10 +245,10 @@ class InducedComponents:
             raise RankDeficientJacobian(f"immersion Jacobian rank-deficient at {point}")
 
         # the paracontact pairing is minus the ambient one, over the axis C
-        e_flat = JetTensor(d, order, [p * emb.ambient.eps for p in e.parts], 1)
+        e_flat = JetTensor(d, order, [p * emb.ambient.eps for p in e.parts])
         g = -1.0 * jt_einsum("aC,bC->ab", e, e_flat)
         g = JetTensor(d, order,
-                      [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts], 1)
+                      [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
         ginv = jt_metric_inverse(g)
 
         i_mat = emb.ambient.product
@@ -258,7 +257,7 @@ class InducedComponents:
             # I is constant: applied part by part, it adds no zero jet
             # parts to the Leibniz sums
             return JetTensor(d, order, [np.einsum("CD,...D->...C", i_mat, p)
-                                        for p in t.parts], 1)
+                                        for p in t.parts])
 
         i_n = product(normal)
         eta = -1.0 * jt_einsum("C,aC->a", i_n, e_flat)
@@ -360,7 +359,7 @@ def builtin_hyperboloid(n):
     radicand_ast = parse(radicand_text, coords)
 
     def guard(points):
-        return eval_jet(radicand_ast, points, order=0).value >= HYPERBOLOID_GUARD_MIN
+        return eval_jet(radicand_ast, points, order=0)[0] >= HYPERBOLOID_GUARD_MIN
 
     d = 2 * n + 1
     domain = Domain([[-2.0, 2.0]] * d, guard=guard)

@@ -129,8 +129,7 @@ def _eta_einstein(ctx, frames, budget):
 def _bochner(ctx, frames, budget):
     report = CheckReport()
     for f in frames:
-        report.add("bochner_vanishing", nres(pc_bochner(f).tensor, batch=f.batch),
-                   ctx.tolerance)
+        report.add("bochner_vanishing", nres(pc_bochner(f).tensor), ctx.tolerance)
     report.extend(bochner_symmetries(frames))
     report.constants["kappa_B"] = float(pc_bochner(views(frames[:1])[0]).kappa_B)
     return report

@@ -8,23 +8,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def nres(lhs, rhs=None, batch=0):
+def nres(lhs, rhs=None):
     """Normalized max residual |L - R|_inf / (1 + |L|_inf + |R|_inf).
 
-    The leading ``batch`` axes index points: the maxima are taken over the
-    other axes, one residual per point.  A non-finite residual is ``inf``,
-    so the row it enters fails.
+    The first axis indexes points: the maxima are taken over the other
+    axes, one residual per point; a 0-d input gives one number.  A
+    non-finite residual is ``inf``, so the row it enters fails.
     """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.zeros_like(lhs) if rhs is None else np.asarray(rhs, dtype=float)
     lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    axes = tuple(range(batch, lhs.ndim))
+    axes = tuple(range(1, lhs.ndim))
     num = np.max(np.abs(lhs - rhs), axis=axes, initial=0.0)
     den = (1.0 + np.max(np.abs(lhs), axis=axes, initial=0.0)
            + np.max(np.abs(rhs), axis=axes, initial=0.0))
     out = np.full(num.shape, math.inf)
     np.divide(num, den, out=out, where=np.isfinite(num) & np.isfinite(den))
-    return out if batch else float(out)
+    return out if out.ndim else float(out)
 
 
 @dataclass

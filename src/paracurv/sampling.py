@@ -64,12 +64,12 @@ class Sampler:
         return self.rng.uniform(-1.0, 1.0, self.structure.dim)
 
     def horizontal_unit(self, f):
-        """Horizontal vector at frame ``f``, normalized to g(u,u) = +-1.
+        """Horizontal vector at a point view ``f``, normalized to g(u,u) = +-1.
 
         Coordinates are drawn uniformly, projected along xi, and rejected
         while nearly null; split signature makes both signs appear.
         """
-        g, xi, eta = f.g.value, f.xi.value, f.eta.value
+        g, xi, eta = f.g, f.xi, f.eta
         for _ in range(MAX_ATTEMPTS):
             w = self.raw_vector()
             w = w - (eta @ w) * xi
@@ -82,9 +82,9 @@ class Sampler:
         )
 
     def section_vector(self, f):
-        """A vector at frame ``f`` whose phi-image and phi^2-image are both
-        non-null."""
-        g, phi = f.g.value, f.phi.value
+        """A vector at a point view ``f`` whose phi-image and phi^2-image are
+        both non-null."""
+        g, phi = f.g, f.phi
         for _ in range(MAX_ATTEMPTS):
             v = self.raw_vector()
             pv = phi @ v

@@ -36,7 +36,7 @@ EXPRESSION_CORPUS = [
 
 def values(ast, points):
     """Values of an AST at a list of points, one batch."""
-    return eval_jet(ast, np.asarray(points, dtype=float), order=0).value
+    return eval_jet(ast, np.asarray(points, dtype=float), order=0)[0]
 
 
 def fd_gradient(ast, point, h=1e-5):

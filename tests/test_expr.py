@@ -24,7 +24,7 @@ POINTS = POINT[None]  # a batch of one
 
 
 def value(text, point=POINT, coords=COORDS):
-    return eval_jet(parse(text, coords), [point], order=0).value[0]
+    return eval_jet(parse(text, coords), [point], order=0)[0][0]
 
 
 def test_precedence_and_associativity():
@@ -118,7 +118,7 @@ def test_deterministic_reparse():
     a = parse(text, COORDS)
     b = parse(text, COORDS)
     assert a == b
-    assert eval_jet(a, POINTS, 2).value == eval_jet(b, POINTS, 2).value
+    assert eval_jet(a, POINTS, 2)[0] == eval_jet(b, POINTS, 2)[0]
 
 
 # -- round trip -----------------------------------------------------------
@@ -187,12 +187,12 @@ def test_round_trip_preserves_evaluation():
         b = parse(unparse(a), COORDS)
         ja = eval_jet(a, POINTS, 2)
         jb = eval_jet(b, POINTS, 2)
-        assert all(np.array_equal(x, y) for x, y in zip(ja.parts, jb.parts))
+        assert all(np.array_equal(x, y) for x, y in zip(ja, jb))
 
 
 def test_scalar_field_wrappers():
     f = ScalarField.from_expr("u1 + 2*t", COORDS)
     jet = f(POINTS, 1)
-    assert jet.value[0] == 7.0
-    assert np.array_equal(jet.parts[1][:, 0], [1.0, 0.0, 2.0])
+    assert jet[0][0] == 7.0
+    assert np.array_equal(jet[1][:, 0], [1.0, 0.0, 2.0])
     assert f.ast == parse("u1 + 2*t", COORDS)

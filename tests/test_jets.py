@@ -30,7 +30,7 @@ def rel_err(got, want):
 
 def at_point(ast, point, order):
     """Parts of the jet at one point, without the point axis."""
-    return [p[..., 0] for p in eval_jet(ast, [point], order).parts]
+    return [p[..., 0] for p in eval_jet(ast, [point], order)]
 
 
 @pytest.mark.parametrize("text", EXPRESSION_CORPUS)
@@ -66,10 +66,7 @@ def test_lower_order_evaluation_is_a_restriction():
     for ast in corpus_asts():
         j3 = eval_jet(ast, [CORPUS_POINT], order=3)
         j1 = eval_jet(ast, [CORPUS_POINT], order=1)
-        cut = j3.cut(1)
-        assert cut.order == 1
-        assert all(np.array_equal(a, b) for a, b in zip(cut.parts, j1.parts,
-                                                       strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(j3[:2], j1, strict=True))
 
 
 def test_coordinate_jets_seed_the_chain_rule():
@@ -83,9 +80,9 @@ def test_coordinate_jets_seed_the_chain_rule():
 def test_constant_expressions_have_zero_derivatives():
     jet = eval_jet(parse("exp(1)*2 - 3/4", CORPUS_COORDS),
                    np.zeros((4, 3)), order=2)
-    assert jet.base_shape == (4,)
-    assert np.all(jet.value == jet.value[0])
-    assert not jet.parts[1].any() and not jet.parts[2].any()
+    assert jet[0].shape == (4,)
+    assert np.all(jet[0] == jet[0][0])
+    assert not jet[1].any() and not jet[2].any()
 
 
 # -- ring laws on random quadratic jets -------------------------------------
@@ -110,7 +107,7 @@ def jet(text):
 
 
 def close(a, b, atol):
-    return all(np.allclose(x, y, atol=atol) for x, y in zip(a.parts, b.parts))
+    return all(np.allclose(x, y, atol=atol) for x, y in zip(a, b))
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,28 +122,27 @@ def test_ring_laws(a, b, c):
 @given(quadratics())
 def test_exp_ln_inverse_pair(a):
     back, orig = jet(f"ln(exp({a}))"), jet(a)
-    assert abs(back.value[0] - orig.value[0]) < 1e-10
-    assert np.allclose(back.parts[1], orig.parts[1], atol=1e-9)
-    assert np.allclose(back.parts[2], orig.parts[2], atol=1e-8)
+    assert abs(back[0][0] - orig[0][0]) < 1e-10
+    assert np.allclose(back[1], orig[1], atol=1e-9)
+    assert np.allclose(back[2], orig[2], atol=1e-8)
 
 
 @settings(max_examples=50, deadline=None)
 @given(quadratics())
 def test_hyperbolic_pythagoras(a):
     one = jet(f"cosh({a})^2 - sinh({a})^2")
-    assert abs(one.value[0] - 1.0) < 1e-9
-    assert np.allclose(one.parts[1], 0.0, atol=1e-8)
-    assert np.allclose(one.parts[2], 0.0, atol=1e-7)
+    assert abs(one[0][0] - 1.0) < 1e-9
+    assert np.allclose(one[1], 0.0, atol=1e-8)
+    assert np.allclose(one[2], 0.0, atol=1e-7)
 
 
 def test_reciprocal_and_power():
     a = "(1.3 + 0.4*u - 0.7*v + 0.2*u*v - 0.5*v^2)"
     prod = jet(f"{a} * (1/{a})")
-    assert abs(prod.value[0] - 1.0) < 1e-14
-    assert np.allclose(prod.parts[1], 0.0, atol=1e-13)
-    assert np.allclose(jet(f"{a}^3").parts[2], jet(f"{a}*{a}*{a}").parts[2],
-                       atol=1e-12)
-    assert abs(jet(f"{a}^-2").value[0] - 1.0 / 1.3 ** 2) < 1e-12
+    assert abs(prod[0][0] - 1.0) < 1e-14
+    assert np.allclose(prod[1], 0.0, atol=1e-13)
+    assert np.allclose(jet(f"{a}^3")[2], jet(f"{a}*{a}*{a}")[2], atol=1e-12)
+    assert abs(jet(f"{a}^-2")[0][0] - 1.0 / 1.3 ** 2) < 1e-12
 
 
 def test_domain_errors_from_analytic_functions():
@@ -171,7 +167,7 @@ def test_a_batch_is_bitwise_equal_to_single_points(points, order):
         batch = eval_jet(ast, points, order)
         for i, point in enumerate(points):
             single = eval_jet(ast, [point], order)
-            for b, s in zip(batch.parts, single.parts, strict=True):
+            for b, s in zip(batch, single, strict=True):
                 assert np.ascontiguousarray(b[..., i]).tobytes() == s[..., 0].tobytes()
 
 
@@ -191,4 +187,4 @@ def test_jt_metric_inverse_round_trip(hyp2):
 def test_jt_metric_inverse_rejects_singular():
     with pytest.raises(SingularMetric):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-        jt_metric_inverse(JetTensor(2, 1, [singular, np.zeros((2, 2, 2))]))
+        jt_metric_inverse(JetTensor(2, 1, [singular[None], np.zeros((1, 2, 2, 2))]))
