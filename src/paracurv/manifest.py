@@ -72,17 +72,19 @@ BATCH = {1: 64, 2: 10, 3: 1}
 class _Context:
     """What the checks of one run share: the sampler, the verdicts and the
     one space-form fit that ``phsc``, ``space_form`` and ``identities``
-    report, made on the frames of the first of them that runs."""
+    report, made on the frames that ``fit_frames()`` returns: those of the
+    ``space_form`` row's points, whichever of them runs."""
 
-    def __init__(self, sampler, tolerance):
+    def __init__(self, sampler, tolerance, fit_frames):
         self.sampler = sampler
         self.tolerance = tolerance
         self.verdicts = {}
+        self._fit_frames = fit_frames
         self._fit = None
 
-    def space_fit(self, frames):
+    def space_fit(self):
         if self._fit is None:
-            self._fit = space_form_fit(frames, self.tolerance)
+            self._fit = space_form_fit(self._fit_frames(), self.tolerance)
         return self._fit
 
 
@@ -108,7 +110,7 @@ def _xi_sectional(ctx, frames, budget):
 
 
 def _phsc(ctx, frames, budget):
-    k_hat = ctx.space_fit(frames).k_hat
+    k_hat = ctx.space_fit().k_hat
     report = CheckReport(constants={"k_hat": k_hat})
     points = views(frames)
     for i in range(budget):
@@ -119,7 +121,7 @@ def _phsc(ctx, frames, budget):
 
 
 def _space_form(ctx, frames, budget):
-    return ctx.space_fit(frames).report
+    return ctx.space_fit().report
 
 
 def _eta_einstein(ctx, frames, budget):
@@ -152,7 +154,7 @@ def _wpc(ctx, frames, budget):
 def _identities(ctx, frames, budget):
     return identity_suite(frames, sampler=ctx.sampler, sections=budget,
                           threshold=ctx.tolerance,
-                          k_hat=ctx.space_fit(frames).k_hat)
+                          k_hat=ctx.space_fit().k_hat)
 
 
 def _parallel(ctx, frames, budget):
@@ -183,6 +185,10 @@ CHECKS = (
     Check("parallel", 3, 5, 0, _parallel),
 )
 ALL_CHECKS = tuple(row.name for row in CHECKS)
+# the one space-form fit reads the points of this row, for every row that
+# reports the fit
+FIT_ROW = CHECKS[ALL_CHECKS.index("space_form")]
+FIT_READERS = ("phsc", "space_form", "identities")
 
 
 # -- loading and validation ---------------------------------------------------
@@ -415,8 +421,9 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     Each sample point lies in one batch frame, at the highest jet order any
     selected check needs there; a frame holds at most ``BATCH[order]``
     points.  The frames of the leading points, which every check with a
-    point limit reads, are built first and kept for the run; they break at
-    every point limit, so each such check reads whole frames.  A check that
+    point limit and the one space-form fit read, are built first and kept
+    for the run; they break at every point limit, so each such reader reads
+    whole frames.  A check that
     reads every point (``axioms``) gets them followed by the frames of the
     other points, each built when it is reached and dropped after use, so
     memory does not grow with ``sampling.count``.  The arithmetic runs with
@@ -432,17 +439,18 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     if selected == "all":
         selected = ALL_CHECKS
     rows = [row for row in CHECKS if row.name in selected]
+    # the rows that need frames at a point, the fit's among them
+    framed = rows + [FIT_ROW] * any(r.name in FIT_READERS for r in rows)
 
     def reading(i):
-        return [r for r in rows if r.points is None or i < r.points]
+        return [r for r in framed if r.points is None or i < r.points]
 
     def order_at(i):
         return max(r.order for r in reading(i))
 
     sampler = Sampler(structure, seed, sampling.get("box"))
     points = sampler.points(count)
-    lead = min(count, max((r.points or 0 for r in rows), default=0))
-    ctx = _Context(sampler, tolerance)
+    lead = min(count, max((r.points or 0 for r in framed), default=0))
     report = CheckReport()
     with np.errstate(all="ignore"):
         frames, ends = [], []  # the leading frames, and where each ends
@@ -453,12 +461,17 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
                              order_at(group[0])):
                 frames.append(f)
                 ends.append((ends[-1] if ends else 0) + len(f.point))
+
+        def leading(limit):
+            return frames[: ends.index(min(limit, count)) + 1]
+
+        ctx = _Context(sampler, tolerance, lambda: leading(FIT_ROW.points))
         for row in rows:
             if row.points is None:
                 rest = _frames(structure, points[lead:], order_at(lead))
                 view = chain(frames, rest)
             else:
-                view = frames[: ends.index(min(row.points, count)) + 1]
+                view = leading(row.points)
             report.extend(row.run(ctx, view, row.budget))
     meta = {"seed": seed, "tolerance": tolerance, "point_count": count}
     return report, ctx.verdicts, meta

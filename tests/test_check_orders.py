@@ -21,7 +21,8 @@ def run_row(row, structure, order, seed=5):
     points = sampler.points(FRAMES)
     frames = [PointGeometry(structure.at(points, order), points, order)]
     with np.errstate(all="ignore"):
-        return row.run(_Context(sampler, 1e-8), frames, row.budget)
+        return row.run(_Context(sampler, 1e-8, lambda: frames), frames,
+                       row.budget)
 
 
 @pytest.mark.parametrize("row", CHECKS, ids=[row.name for row in CHECKS])
