@@ -111,14 +111,14 @@ def classify(frames, threshold=1e-9):
     axioms_ok = report.passed
     tail = CheckReport()  # the rows after the three sasakian ones
     e = point_einsum
-    res_nij = res_nphi = 0.0
     for f in frames:
         d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
-        res_nij = max(res_nij, np.max(nres(
-            _nijenhuis(f), 2.0 * e("ij,k->kij", f.deta.value, xi))))
+        report.add("sasakian_nijenhuis", nres(
+            _nijenhuis(f), 2.0 * e("ij,k->kij", f.deta.value, xi)), threshold)
         target = e("i,rs->rsi", eta, np.eye(d)) - e("s,ri->rsi", xi, g)
-        res_nphi = max(res_nphi, np.max(nres(f.nabla_phi.value, target)))
+        report.add("sasakian_nabla_phi", nres(f.nabla_phi.value, target),
+                   threshold)
         tail.add("h_vanishing", nres(f.h.value), 1e-10)
         # eta([phi X, Y] + [X, phi Y]) on the horizontal frame X_i = P d_i,
         # P = id - xi (x) eta; brackets of the extensions need dP as well
@@ -137,15 +137,13 @@ def classify(frames, threshold=1e-9):
                  nres(f.cov(f.phi.cut(1), "ul", kind="canonical_tilde").value),
                  threshold)
 
-    res_nij, res_nphi = float(res_nij), float(res_nphi)
-    report.add("sasakian_nijenhuis", res_nij, threshold)
-    report.add("sasakian_nabla_phi", res_nphi, threshold)
-    report.add("sasakian_agreement", abs(res_nij - res_nphi), 1e-10)
-    report.extend(tail)
     rows = report.rows
+    nij, nphi = rows["sasakian_nijenhuis"], rows["sasakian_nabla_phi"]
+    report.add("sasakian_agreement", abs(nij.residual - nphi.residual), 1e-10)
+    report.extend(tail)
     verdicts = {
         "paracontact_metric": axioms_ok,
-        "paraSasakian": axioms_ok and res_nij < threshold and res_nphi < threshold,
+        "paraSasakian": axioms_ok and nij.passed and nphi.passed,
         "para_CR": axioms_ok and rows["para_cr_bracket"].passed
         and rows["para_cr_nabla_phi"].passed,
     }
@@ -545,9 +543,7 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
         keep("f22", big_rt, 0.25 * (k_hat - 3.0) * (a_blk + b_blk))
 
     if sampler is not None:
-        points = views(frames)
-        for i in range(sections):
-            f = points[i % len(points)]
+        for f in point_draws(frames, sections):
             v = sampler.section_vector(f)
             report.add("f9_vs_f8_phsc", nres(phsc(f, v, "f8"), phsc(f, v, "f9")),
                        1e-9)
@@ -560,6 +556,9 @@ def _projected(t, proj):
     return np.stack([_project(x, p) for x, p in zip(t, proj)])
 
 
-def views(frames):
-    """The point views of the frames' points, in order."""
-    return [f.view(i) for f in frames for i in range(len(f.point))]
+def point_draws(frames, count):
+    """``count`` point views in draw order: the frames' points in turn, from
+    the first again once every point has had a draw."""
+    points = [f.view(i) for f in frames for i in range(len(f.point))]
+    for i in range(count):
+        yield points[i % len(points)]

@@ -30,8 +30,8 @@ from .analysis import (
     identity_suite,
     pc_bochner,
     phsc,
+    point_draws,
     space_form_fit,
-    views,
     wpc,
     xi_sectional,
 )
@@ -101,9 +101,7 @@ def _classification(ctx, frames, budget):
 
 def _xi_sectional(ctx, frames, budget):
     report = CheckReport()
-    points = views(frames)
-    for i in range(budget):
-        f = points[i % len(points)]
+    for f in point_draws(frames, budget):
         u = ctx.sampler.horizontal_unit(f)
         report.add("xi_sectional", nres(xi_sectional(f, u), -1.0), ctx.tolerance)
     return report
@@ -112,9 +110,7 @@ def _xi_sectional(ctx, frames, budget):
 def _phsc(ctx, frames, budget):
     k_hat = ctx.space_fit().k_hat
     report = CheckReport(constants={"k_hat": k_hat})
-    points = views(frames)
-    for i in range(budget):
-        f = points[i % len(points)]
+    for f in point_draws(frames, budget):
         v = ctx.sampler.section_vector(f)
         report.add("phsc_constancy", nres(phsc(f, v), k_hat), ctx.tolerance)
     return report
@@ -133,15 +129,13 @@ def _bochner(ctx, frames, budget):
     for f in frames:
         report.add("bochner_vanishing", nres(pc_bochner(f).tensor), ctx.tolerance)
     report.extend(bochner_symmetries(frames))
-    report.constants["kappa_B"] = float(pc_bochner(views(frames[:1])[0]).kappa_B)
+    report.constants["kappa_B"] = float(pc_bochner(frames[0].view(0)).kappa_B)
     return report
 
 
 def _wpc(ctx, frames, budget):
     report = CheckReport()
-    points = views(frames)
-    for i in range(budget):
-        f = points[i % len(points)]
+    for f in point_draws(frames, budget):
         quad = [ctx.sampler.horizontal_unit(f) for _ in range(4)]
         try:
             residual = nres(bochner_pairing(f, *quad), wpc(f, *quad))
