@@ -57,11 +57,11 @@ def check_axioms(frames, threshold=1e-9):
     """
     report = CheckReport()
     e = point_einsum
+
+    def keep(name, lhs, rhs=None):
+        report.add(name, nres(lhs, rhs), threshold)
+
     for f in frames:
-
-        def keep(name, lhs, rhs=None):
-            report.add(name, nres(lhs, rhs), threshold)
-
         d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
         keep("axiom_i_phi_xi", _matvec(ph, xi))
@@ -256,11 +256,11 @@ def space_form_fit(frames, threshold=1e-8):
         cache.append((f, r, slope, offset))
     k_hat = num / den
     report = CheckReport(constants={"k_hat": k_hat})
+
+    def keep(name, lhs, rhs):
+        report.add(name, nres(lhs, rhs), threshold)
+
     for f, r, slope, offset in cache:
-
-        def keep(name, lhs, rhs):
-            report.add(name, nres(lhs, rhs), threshold)
-
         keep("space_form_f20", r, offset + k_hat * slope)
         keep("space_form_f12", 2.0 * f.ricci.value,
              _f12_rhs(n, k_hat, f.g.value, f.eta.value))
@@ -326,11 +326,11 @@ def bochner_symmetries(frames, threshold=1e-10):
     """The algebraic identities of the PC-Bochner tensor."""
     report = CheckReport()
     e = point_einsum
+
+    def keep(name, lhs, rhs=None):
+        report.add(name, nres(lhs, rhs), threshold)
+
     for f in frames:
-
-        def keep(name, lhs, rhs=None):
-            report.add(name, nres(lhs, rhs), threshold)
-
         b, _ = f.bochner
         ph, ginv, xi = f.phi.value, f.ginv.value, f.xi.value
         keep("bochner_antisym", b, -tail_transpose(b, 1, 0, 2, 3))
@@ -438,11 +438,11 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
         k_hat = space_form_fit(frames).k_hat
     report = CheckReport(constants={"k_hat": k_hat})
     e = point_einsum
+
+    def keep(name, lhs, rhs=None):
+        report.add(name, nres(lhs, rhs), threshold)
+
     for f in frames:
-
-        def keep(name, lhs, rhs=None):
-            report.add(name, nres(lhs, rhs), threshold)
-
         g, ph, phl = f.g.value, f.phi.value, f.phi_low.value
         xi, eta, h = f.xi.value, f.eta.value, f.h.value
         neta, nxi = f.nabla_eta.value, f.nabla_xi.value
