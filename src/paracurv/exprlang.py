@@ -13,9 +13,10 @@ Only integer powers are allowed; fractional powers must be written via
 
 :func:`eval_jet` evaluates an AST over a batch of P points at once, to the
 parts of its truncated Taylor jets up to third order: part k has shape
-``(d,)*k + (P,)``, the point axis after the derivative axes.  The rules are those of Taylor arithmetic (Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), elementwise over the
-points, so a point gets the same bits in any batch, one point included.
+``(d,)*k + (P,)``, the point axis after the derivative axes.  The rules
+are those of Taylor arithmetic (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13), elementwise over the points, so a point
+gets the same bits in any batch, one point included.
 """
 
 from __future__ import annotations

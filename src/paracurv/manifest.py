@@ -417,11 +417,11 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     points.  The frames of the leading points, which every check with a
     point limit and the one space-form fit read, are built first and kept
     for the run; they break at every point limit, so each such reader reads
-    whole frames.  A check that
-    reads every point (``axioms``) gets them followed by the frames of the
-    other points, each built when it is reached and dropped after use, so
-    memory does not grow with ``sampling.count``.  The arithmetic runs with
-    numpy warnings off: a non-finite result becomes a failed row.
+    whole frames.  A check that reads every point (``axioms``) gets them
+    followed by the frames of the other points, each built when it is
+    reached and dropped after use, so memory does not grow with
+    ``sampling.count``.  The arithmetic runs with numpy warnings off: a
+    non-finite result becomes a failed row.
     """
     sampling = manifest.get("sampling", {})
     if seed is None:
