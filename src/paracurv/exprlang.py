@@ -407,9 +407,50 @@ def _eval(ast, coordinate):
         raise DomainError(str(e), e.value, ast.span, e.index) from None
 
 
-def eval_jet(ast, points, order=3):
+def _eval_shared(ast, coordinate, memo):
+    """:func:`_eval`, except that a node whose id keys ``memo`` is evaluated
+    once and then read from ``memo``.  The walk passes through negations,
+    sums, differences and products, which cannot fail; any other node is
+    left to :func:`_eval` whole."""
+    jet = memo.get(id(ast))
+    if jet is not None:
+        return jet
+    if isinstance(ast, Neg):
+        jet = _jet_neg(_eval_shared(ast.arg, coordinate, memo))
+    elif isinstance(ast, Bin) and ast.op != "/":
+        jet = _BINARY[ast.op](_eval_shared(ast.left, coordinate, memo),
+                              _eval_shared(ast.right, coordinate, memo))
+    else:
+        jet = _eval(ast, coordinate)
+    if id(ast) in memo:
+        memo[id(ast)] = jet
+    return jet
+
+
+_CHILDREN = {Neg: ("arg",), Bin: ("left", "right"), Pow: ("base",), Call: ("arg",)}
+
+
+def shared_nodes(asts):
+    """Ids of the nodes that the ASTs reach more than once: a node reached
+    again is not walked again, so a shared node's subtree counts once."""
+    seen, shared, stack = set(), set(), list(asts)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+        else:
+            seen.add(id(node))
+            stack += [getattr(node, name) for name in _CHILDREN.get(type(node), ())]
+    return shared
+
+
+def eval_jet(ast, points, order=3, memo=None):
     """Jets of an AST over a (P, d) array of points, up to ``order``, as
     the list of parts ``k = 0..order`` of shape ``(d,)*k + (P,)``.
+
+    ``memo`` maps the ids of :func:`shared_nodes` to their jets over these
+    points, None until evaluated, so ASTs evaluated with one memo evaluate
+    each once; the list returned is never one that ``memo`` holds.
 
     A DomainError carries the span of the failing subexpression and, as
     ``index``, the first failing point.
@@ -424,15 +465,13 @@ def eval_jet(ast, points, order=3):
             jet[1][i] = 1.0
         return jet
 
-    out = _eval(ast, coordinate)
+    out = _eval(ast, coordinate) if memo is None else _eval_shared(ast, coordinate, memo)
     if isinstance(out, float):
         value = np.empty(count)
         value.fill(out)
         out = [value] + [None] * order
-    for k in range(1, order + 1):
-        if out[k] is None:
-            out[k] = np.zeros((dim,) * k + (count,))
-    return out
+    return [out[0]] + [np.zeros((dim,) * k + (count,)) if out[k] is None else out[k]
+                       for k in range(1, order + 1)]
 
 
 # -- symbolic derivative (internal plumbing for embeddings) -------------------
@@ -537,9 +576,5 @@ class ScalarField:
     def __init__(self, ast):
         self.ast = ast
 
-    @classmethod
-    def from_expr(cls, text, coords):
-        return cls(parse(text, coords))
-
-    def __call__(self, points, order=3):
-        return eval_jet(self.ast, points, order)
+    def __call__(self, points, order=3, memo=None):
+        return eval_jet(self.ast, points, order, memo)

@@ -7,7 +7,9 @@ expression tables, induction from an embedding into the flat para-Kaehler
 ambient, and the D-homothetic transform of another structure.  Each
 computes on the whole batch: one :class:`StructureJets` of jet tensors with
 a leading point axis.  :meth:`CharteredStructure.at` checks that batch and
-returns it whole.
+returns it whole.  The Heisenberg builtin is built as ASTs, not parsed: its
+g entries multiply the very nodes of its eta entries, and the tables
+evaluate such a shared node once per batch.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .errors import (
     NotParacontact,
     RankDeficientJacobian,
 )
-from .exprlang import ScalarField, derivative, eval_jet, parse
+from .exprlang import (Bin, Coord, Neg, Num, ScalarField, derivative, eval_jet,
+                       parse, shared_nodes)
 from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 
@@ -140,19 +143,26 @@ class CharteredStructure:
 
 
 class ExprTableComponents:
-    """Structure tensors given componentwise as scalar fields."""
+    """Structure tensors given componentwise as scalar fields.
+
+    :meth:`at` evaluates once per batch each AST node that the fields reach
+    more than once, as a builtin's g reaches its eta entries; parsed fields
+    share no node and evaluate on their own.
+    """
 
     def __init__(self, g, phi, xi, eta):
         self.g = g  # d x d nested list of ScalarField
         self.phi = phi
         self.xi = xi
         self.eta = eta
+        self.shared = shared_nodes(f.ast for f in [*sum(g + phi, []), *xi, *eta])
 
     def at(self, points, order):
         d = len(self.xi)
+        memo = dict.fromkeys(self.shared) if self.shared else None
 
         def stack(fields, shape):
-            return _batch_tensor([f(points, order) for f in fields], d, shape)
+            return _batch_tensor([f(points, order, memo) for f in fields], d, shape)
 
         g = stack([f for row in self.g for f in row], (d, d))
         # enforce exact symmetry of the metric jets
@@ -276,6 +286,30 @@ class InducedComponents:
 # -- builtin catalog ------------------------------------------------------------
 
 
+def _heisenberg(n, coord, num, neg, times, plus):
+    """(coords, g, phi, xi, eta) of the hyperbolic Heisenberg group of
+    dimension 2n+1, from the node makers: ``coord(name, index)``, ``num``
+    of an unsigned constant, and ``neg``, ``times`` and ``plus``.  Every
+    g_ij multiplies the very nodes that are eta_i and eta_j."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ks = range(1, n + 1)
+    coords = [f"u{k}" for k in ks] + [f"v{k}" for k in ks] + ["t"]
+    x = [coord(name, i) for i, name in enumerate(coords)]
+    d = 2 * n + 1
+    eta = [neg(x[n + k]) for k in range(n)] + x[:n] + [num(1)]
+    xi = [num(0)] * (d - 1) + [num(1)]
+    phi = [[num(0)] * d for _ in range(d)]
+    for u, v in zip(range(n), range(n, 2 * n)):
+        # phi d_u = d_v - u d_t, phi d_v = d_u + v d_t
+        phi[v][u] = phi[u][v] = num(1)
+        phi[d - 1][u], phi[d - 1][v] = neg(x[u]), x[v]
+    g = [[times(eta[i], eta[j]) for j in range(d)] for i in range(d)]
+    for i in range(2 * n):
+        g[i][i] = plus(g[i][i], num(1.0) if i < n else neg(num(1.0)))
+    return coords, g, phi, xi, eta
+
+
 def heisenberg_tables(n):
     """Expression tables for the hyperbolic Heisenberg group of dimension 2n+1.
 
@@ -284,49 +318,20 @@ def heisenberg_tables(n):
     ubiquitous left-invariant model normalized so that eta(xi) = 1 and
     g(X, phi Y) equals the antisymmetrized half-derivative of eta exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coords = [f"u{k}" for k in range(1, n + 1)] + [
-        f"v{k}" for k in range(1, n + 1)
-    ] + ["t"]
-    d = 2 * n + 1
-    eta = [f"-v{k}" for k in range(1, n + 1)] + [
-        f"u{k}" for k in range(1, n + 1)
-    ] + ["1"]
-    xi = ["0"] * (d - 1) + ["1"]
-    phi = [["0"] * d for _ in range(d)]
-    for k in range(n):
-        u, v = k, n + k
-        phi[v][u] = "1"  # phi d_u = d_v - u d_t
-        phi[d - 1][u] = f"-u{k + 1}"
-        phi[u][v] = "1"  # phi d_v = d_u + v d_t
-        phi[d - 1][v] = f"v{k + 1}"
-    flat = [1.0] * n + [-1.0] * n + [0.0]
-    g = [["0"] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            terms = [f"({eta[i]})*({eta[j]})"]
-            if i == j and flat[i] != 0.0:
-                terms.append(str(flat[i]))
-            g[i][j] = "+".join(terms)
-    return coords, g, phi, xi, eta
+    return _heisenberg(n, lambda name, i: name, str, lambda a: f"-{a}",
+                       lambda a, b: f"({a})*({b})", lambda a, b: f"{a}+{b}")
 
 
 def builtin_heisenberg(n):
-    coords, g, phi, xi, eta = heisenberg_tables(n)
-    d = 2 * n + 1
-
-    def table(rows):
-        return [[ScalarField.from_expr(s, coords) for s in row] for row in rows]
-
-    comps = ExprTableComponents(
-        table(g),
-        table(phi),
-        [ScalarField.from_expr(s, coords) for s in xi],
-        [ScalarField.from_expr(s, coords) for s in eta],
-    )
+    """The :func:`heisenberg_tables` chart with its fields built as ASTs, each
+    equal to ``parse`` of its table entry, and g over the shared eta nodes."""
+    coords, g, phi, xi, eta = _heisenberg(
+        n, Coord, lambda v: Num(float(v)), Neg,
+        lambda a, b: Bin("*", a, b), lambda a, b: Bin("+", a, b))
+    table = lambda rows: [[ScalarField(a) for a in row] for row in rows]
+    comps = ExprTableComponents(table(g), table(phi), *table([xi, eta]))
     return CharteredStructure(
-        n, coords, comps, Domain.cube(d, 10.0), name=f"heisenberg(n={n})"
+        n, coords, comps, Domain.cube(2 * n + 1, 10.0), name=f"heisenberg(n={n})"
     )
 
 

@@ -27,7 +27,7 @@ from paracurv.errors import (
     IsotropicVector,
     NotHorizontal,
 )
-from paracurv.exprlang import ScalarField
+from paracurv.exprlang import ScalarField, parse
 from paracurv.geometry import (
     CharteredStructure,
     Domain,
@@ -46,13 +46,13 @@ def perturbed_phi_structure(n=1, epsilon=1e-2):
     phi = [row[:] for row in phi]
     phi[0][1] = f"({phi[0][1]})+{epsilon!r}"
     table = lambda rows: [
-        [ScalarField.from_expr(s, coords) for s in row] for row in rows
+        [ScalarField(parse(s, coords)) for s in row] for row in rows
     ]
     comps = ExprTableComponents(
         table(g),
         table(phi),
-        [ScalarField.from_expr(s, coords) for s in xi],
-        [ScalarField.from_expr(s, coords) for s in eta],
+        [ScalarField(parse(s, coords)) for s in xi],
+        [ScalarField(parse(s, coords)) for s in eta],
     )
     return CharteredStructure(
         n, coords, comps, Domain.cube(2 * n + 1, 10.0), name="perturbed"
@@ -298,7 +298,7 @@ def fibred_parasasakian(lams):
         base[u][u], base[v][v] = f"({lam})", f"-({lam})"
     g = [[f"({eta[i]})*({eta[j]})+{base[i][j]}" for j in range(d)]
          for i in range(d)]
-    field = lambda text: ScalarField.from_expr(text, coords)
+    field = lambda text: ScalarField(parse(text, coords))
     comps = ExprTableComponents(
         [[field(t) for t in row] for row in g],
         [[field(t) for t in row] for row in phi],

@@ -191,7 +191,7 @@ def test_round_trip_preserves_evaluation():
 
 
 def test_scalar_field_wrappers():
-    f = ScalarField.from_expr("u1 + 2*t", COORDS)
+    f = ScalarField(parse("u1 + 2*t", COORDS))
     jet = f(POINTS, 1)
     assert jet[0][0] == 7.0
     assert np.array_equal(jet[1][:, 0], [1.0, 0.0, 2.0])

@@ -126,7 +126,7 @@ def test_non_finite_jets_name_the_first_such_point_of_a_batch():
     # finite while 709 + t stays below log(max float) = 709.78
     coords, g, phi, xi, eta = heisenberg_tables(1)
     xi[2] = "1 + 0*(exp(709)*exp(t))"
-    table = lambda rows: [[ScalarField.from_expr(s, coords) for s in row] for row in rows]
+    table = lambda rows: [[ScalarField(parse(s, coords)) for s in row] for row in rows]
     comps = ExprTableComponents(table(g), table(phi), *table([xi, eta]))
     structure = CharteredStructure(1, coords, comps, Domain.cube(3))
     points = np.array([[0.1, 0.2, t] for t in (0.0, 0.5, 1.0, 1.5)])
@@ -167,6 +167,40 @@ def test_structure_jets_of_a_batch_are_bitwise_those_of_single_points(points, or
                     assert x[i].tobytes() == y[0].tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_builtin_heisenberg_fields_are_the_parsed_tables(n):
+    coords, *tables = heisenberg_tables(n)
+    c = pc.builtin_heisenberg(n).components
+    rows = lambda g, phi, xi, eta: [*g, *phi, xi, eta]
+    for fields, texts in zip(rows(c.g, c.phi, c.xi, c.eta), rows(*tables), strict=True):
+        assert [f.ast for f in fields] == [parse(t, coords) for t in texts]
+
+
+HEISENBERG_POINTS = np.random.default_rng(14).uniform(-0.8, 0.8, (7, 9))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_builtin_heisenberg_jets_are_bitwise_those_of_its_tables(n, count, order):
+    coords, g, phi, xi, eta = heisenberg_tables(n)
+    tables = pc.build_structure({"manifold": {
+        "kind": "custom", "coords": coords, "g": g, "phi": phi, "xi": xi, "eta": eta}})
+    builtin = pc.builtin_heisenberg(n)
+    points = HEISENBERG_POINTS[:count, : 2 * n + 1]
+    for b, t in zip(builtin.at(points, order), tables.at(points, order), strict=True):
+        for x, y in zip(b.parts, t.parts, strict=True):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    # eta in the same pass as g and ahead of it: an eta field that is itself
+    # a shared node must not hand the other fields its zero-filled parts
+    c = builtin.components
+    fields = [*c.eta, *(f for row in c.g + c.phi for f in row), *c.xi]
+    memo = dict.fromkeys(c.shared)
+    for f in fields:
+        for x, y in zip(f(points, order, memo), f(points, order), strict=True):
+            assert x.tobytes() == y.tobytes()
+
+
 def test_domain_guard_and_errors(hyp2):
     inside = np.zeros(hyp2.dim)
     outside = np.array([1.4] + [0.0] * (hyp2.dim - 1))  # radicand < 0.1
@@ -186,13 +220,13 @@ def test_not_paracontact_on_bad_inputs():
 
     def build(g_rows):
         table = lambda rows: [
-            [ScalarField.from_expr(s, coords) for s in row] for row in rows
+            [ScalarField(parse(s, coords)) for s in row] for row in rows
         ]
         comps = ExprTableComponents(
             table(g_rows),
             table(phi),
-            [ScalarField.from_expr(s, coords) for s in xi],
-            [ScalarField.from_expr(s, coords) for s in eta],
+            [ScalarField(parse(s, coords)) for s in xi],
+            [ScalarField(parse(s, coords)) for s in eta],
         )
         return CharteredStructure(1, coords, comps, Domain.cube(3))
 
