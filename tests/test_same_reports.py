@@ -37,7 +37,7 @@ def test_every_manifest_of_the_set_is_valid():
 def test_every_curvature_point_lies_in_its_chart():
     tool = load_tool()
     cases = tool.curvature_points()
-    assert len(cases) == len({stem for stem, _, _ in cases}) == 50
+    assert len(cases) == len({stem for stem, _, _ in cases}) == 60
     for _, manifest, point in cases:
         validate_manifest(manifest)
         structure = build_structure(manifest)

@@ -19,7 +19,7 @@ PYTHONPATH for its own runs.  The fixed manifest set is
 
 It also runs `curvature` at 10 fixed points each on heisenberg(3),
 hyperboloid(2), hyperboloid(2) with alpha = 2, the embedded hyperboloid(1)
-graph and heisenberg(1) with alpha = 3.
+graph, heisenberg(1) with alpha = 3 and heisenberg(4).
 
 For each manifest the report on stdout (without its `wall_time_s` line),
 stderr and the exit code must be byte-identical, and so must the whole
@@ -125,6 +125,8 @@ def curvature_points():
         ("hyperboloid2_alpha2", builtin("hyperboloid", 2), 2.0),
         ("embedded_hyperboloid1", embedded_hyperboloid(1), None),
         ("heisenberg1_alpha3", builtin("heisenberg", 1), 3.0),
+        # last, so the points of the charts above stay as they were
+        ("heisenberg4", builtin("heisenberg", 4), None),
     ]
     rng = random.Random(11)
     out = []
