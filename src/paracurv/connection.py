@@ -110,9 +110,8 @@ class PointGeometry:
     alive.
     """
 
-    def __init__(self, jets, point, order=3):
+    def __init__(self, jets, point):
         self.point = np.asarray(point, dtype=float)
-        self.order = order
         self.g, self.phi, self.xi, self.eta = jets
         self.dim = self.g.dim
         self.n = (self.dim - 1) // 2
@@ -315,7 +314,7 @@ def get_frame(structure, point, order=3):
     it, so memory follows what the caller holds.
     """
     points = np.asarray(point, dtype=float)[None]
-    return PointGeometry(structure.at(points, order), points, order)
+    return PointGeometry(structure.at(points, order), points)
 
 
 def parallel_check(frames, threshold=1e-8):

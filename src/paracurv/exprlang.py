@@ -12,11 +12,13 @@ Only integer powers are allowed; fractional powers must be written via
 ``sqrt``.  Names must be declared coordinates.
 
 :func:`eval_jet` evaluates an AST over a batch of P points at once, to the
-parts of its truncated Taylor jets up to third order: part k has shape
-``(d,)*k + (P,)``, the point axis after the derivative axes.  The rules
-are those of Taylor arithmetic (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 13), elementwise over the points, so a point
-gets the same bits in any batch, one point included.
+parts of its truncated Taylor jets up to fourth order: part k has shape
+``(d,)*k + (P,)``, the point axis after the derivative axes.  Structure
+fields go to third order; only an immersion is evaluated to the fourth,
+since its tangent frame is the gradient of its jets.  The rules are those
+of Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., ch. 13), elementwise over the points, so a point gets the same bits
+in any batch, one point included.
 """
 
 from __future__ import annotations
@@ -247,14 +249,16 @@ def _refuse_overflow(message, v, *results):
 def _sqrt_terms(v):
     _refuse(v <= 0.0, "sqrt of non-positive value", v)
     r = np.sqrt(v)
-    return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)
+    with np.errstate(all="ignore"):
+        fourth = -0.9375 / (r * v * v * v)
+    return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v), fourth
 
 
 def _exp_terms(v):
     with np.errstate(over="ignore"):
         e = np.exp(v)
     _refuse_overflow("exp overflows at {:g}", v, e)
-    return e, e, e, e
+    return e, e, e, e, e
 
 
 def _ln_terms(v):
@@ -262,28 +266,32 @@ def _ln_terms(v):
     with np.errstate(all="ignore"):
         p2, p3 = v**2, v**3
         terms = np.log(v), 1.0 / v, -1.0 / p2, 2.0 / p3
+        fourth = -6.0 / v**4
     _refuse_overflow("derivatives of ln overflow at {:g}", v, p2, p3, *terms)
-    return terms
+    return *terms, fourth
 
 
 def _sinh_cosh_terms(v):
-    """sinh, cosh, sinh, cosh, sinh at v: the first four are sinh and its
-    derivatives, the last four cosh and its."""
+    """sinh, cosh, sinh, cosh, sinh, cosh at v: the first five are sinh and
+    its derivatives, the last five cosh and its."""
     with np.errstate(over="ignore"):
         s, c = np.sinh(v), np.cosh(v)
     _refuse_overflow("sinh overflows at {:g}", v, s, c)
-    return s, c, s, c, s
+    return s, c, s, c, s, c
 
 
 def _reciprocal_terms(v):
     _refuse(np.abs(v) < _DIV_EPS, "division by ~0 value", v)
     with np.errstate(over="ignore"):
         p2, p3, p4 = v**2, v**3, v**4
+        fourth = 24.0 / v**5
     _refuse_overflow("derivatives of 1/x overflow at {:g}", v, p2, p3, p4)
-    return 1.0 / v, -1.0 / p2, 2.0 / p3, -6.0 / p4
+    return 1.0 / v, -1.0 / p2, 2.0 / p3, -6.0 / p4, fourth
 
 
-# outer function -> its value and first three derivatives at a value
+# outer function -> its value and first four derivatives at a value; the
+# fourth is left out of the refusals, so that an evaluation to third order
+# refuses what it did before the fourth existed
 _TERMS = {
     "sqrt": _sqrt_terms,
     "exp": _exp_terms,
@@ -291,6 +299,17 @@ _TERMS = {
     "sinh": _sinh_cosh_terms,
     "cosh": lambda v: _sinh_cosh_terms(v)[1:],
 }
+
+# moveaxis destinations of a product's four derivative axes: a 3+1 product's
+# last axis at each place, a 2+2 product's first pair at each pair of places
+_PLACE_31 = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1), (1, 2, 3, 0))
+_PLACE_22 = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2),
+             (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
+
+
+def _placed(t, places):
+    """``t`` with its four derivative axes moved to each of ``places``."""
+    return [np.moveaxis(t, (0, 1, 2, 3), p) for p in places]
 
 
 def _sum(terms):
@@ -323,6 +342,17 @@ def _compose(u, terms):
             t = u[2][:, :, None] * u[1][None, None]
             d3.append(f[2] * (t + np.moveaxis(t, 2, 1) + np.moveaxis(t, 2, 0)))
         out.append(_sum(d3 + [_times(u[3], f[1])]))
+    if len(u) > 4:
+        # f4 u1^4 + f3 (6 of u2 u1 u1) + f2 (3 of u2 u2 + 4 of u3 u1) + f1 u4
+        g2 = u[1][:, None] * u[1][None]
+        d4, by_f2 = [f[4] * (g2[:, :, None, None] * g2[None, None])], []
+        if u[2] is not None:
+            d4.append(f[3] * _sum(_placed(u[2][:, :, None, None] * g2[None, None],
+                                          _PLACE_22)))
+            by_f2 += _placed(u[2][:, :, None, None] * u[2][None, None], _PLACE_22[:3])
+        if u[3] is not None:
+            by_f2 += _placed(u[3][:, :, :, None] * u[1][None, None, None], _PLACE_31)
+        out.append(_sum(d4 + [_times(_sum(by_f2), f[2]), _times(u[4], f[1])]))
     return out
 
 
@@ -364,6 +394,15 @@ def _jet_mul(a, b):
         if b[2] is not None:
             s = a[1][:, None, None] * b[2][None]
             terms += [s, np.moveaxis(s, 0, 1), np.moveaxis(s, 0, 2)]
+        out.append(_sum(terms))
+    if len(a) > 4:
+        # a4 b0 + b4 a0 + 4 placements each of a3 b1 and b3 a1 + 6 of a2 b2
+        terms = [_times(a[4], b[0]), _times(b[4], a[0])]
+        for x, y in ((a, b), (b, a)):
+            if x[3] is not None:
+                terms += _placed(x[3][:, :, :, None] * y[1][None, None, None], _PLACE_31)
+        if a[2] is not None and b[2] is not None:
+            terms += _placed(a[2][:, :, None, None] * b[2][None, None], _PLACE_22)
         out.append(_sum(terms))
     return out
 
@@ -445,8 +484,8 @@ def shared_nodes(asts):
 
 
 def eval_jet(ast, points, order=3, memo=None):
-    """Jets of an AST over a (P, d) array of points, up to ``order``, as
-    the list of parts ``k = 0..order`` of shape ``(d,)*k + (P,)``.
+    """Jets of an AST over a (P, d) array of points, up to ``order`` (at
+    most 4), as the list of parts ``k = 0..order`` of shape ``(d,)*k + (P,)``.
 
     ``memo`` maps the ids of :func:`shared_nodes` to their jets over these
     points, None until evaluated, so ASTs evaluated with one memo evaluate
@@ -472,97 +511,6 @@ def eval_jet(ast, points, order=3, memo=None):
         out = [value] + [None] * order
     return [out[0]] + [np.zeros((dim,) * k + (count,)) if out[k] is None else out[k]
                        for k in range(1, order + 1)]
-
-
-# -- symbolic derivative (internal plumbing for embeddings) -------------------
-
-
-def _num(v):
-    return Num(float(v))
-
-
-def _add(a, b):
-    if isinstance(a, Num) and a.value == 0.0:
-        return b
-    if isinstance(b, Num) and b.value == 0.0:
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value + b.value)
-    return Bin("+", a, b)
-
-
-def _sub(a, b):
-    if isinstance(b, Num) and b.value == 0.0:
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value - b.value)
-    return Bin("-", a, b)
-
-
-def _mul(a, b):
-    if isinstance(a, Num):
-        if a.value == 0.0:
-            return _num(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Num):
-        if b.value == 0.0:
-            return _num(0.0)
-        if b.value == 1.0:
-            return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value * b.value)
-    return Bin("*", a, b)
-
-
-def _div(a, b):
-    if isinstance(a, Num) and a.value == 0.0:
-        return _num(0.0)
-    return Bin("/", a, b)
-
-
-def derivative(ast, index):
-    """Exact derivative of an AST with respect to coordinate ``index``.
-
-    Used internally to obtain tangent-basis fields of an immersion at full
-    jet order; not part of the public expression language.
-    """
-    if isinstance(ast, Num):
-        return _num(0.0)
-    if isinstance(ast, Coord):
-        return _num(1.0 if ast.index == index else 0.0)
-    if isinstance(ast, Neg):
-        return Neg(derivative(ast.arg, index))
-    if isinstance(ast, Bin):
-        da, db = derivative(ast.left, index), derivative(ast.right, index)
-        if ast.op == "+":
-            return _add(da, db)
-        if ast.op == "-":
-            return _sub(da, db)
-        if ast.op == "*":
-            return _add(_mul(da, ast.right), _mul(ast.left, db))
-        return _div(
-            _sub(_mul(da, ast.right), _mul(ast.left, db)), Pow(ast.right, 2)
-        )
-    if isinstance(ast, Pow):
-        du = derivative(ast.base, index)
-        if ast.exponent == 0:
-            return _num(0.0)
-        return _mul(_mul(_num(ast.exponent), Pow(ast.base, ast.exponent - 1)), du)
-    if isinstance(ast, Call):
-        du = derivative(ast.arg, index)
-        u = ast.arg
-        if ast.func == "sqrt":
-            return _div(du, _mul(_num(2.0), Call("sqrt", u)))
-        if ast.func == "exp":
-            return _mul(Call("exp", u), du)
-        if ast.func == "ln":
-            return _div(du, u)
-        if ast.func == "sinh":
-            return _mul(Call("cosh", u), du)
-        if ast.func == "cosh":
-            return _mul(Call("sinh", u), du)
-    raise TypeError(f"not an AST node: {ast!r}")
 
 
 # -- scalar fields -------------------------------------------------------------

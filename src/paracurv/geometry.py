@@ -24,8 +24,7 @@ from .errors import (
     NotParacontact,
     RankDeficientJacobian,
 )
-from .exprlang import (Bin, Coord, Neg, Num, ScalarField, derivative, eval_jet,
-                       parse, shared_nodes)
+from .exprlang import Bin, Coord, Neg, Num, ScalarField, eval_jet, parse, shared_nodes
 from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 
@@ -209,7 +208,10 @@ class AmbientParaKaehler:
 
 
 class Embedding:
-    """Immersion of a (2n+1)-chart into the flat para-Kaehler ambient."""
+    """Immersion of a (2n+1)-chart into the flat para-Kaehler ambient: one
+    AST per ambient axis for the immersion iota and for the normal N.  The
+    tangent frame e_a = d iota / d q^a is not stored; it is the gradient of
+    the immersion's jets."""
 
     def __init__(self, ambient, coords, immersion_asts, normal_asts):
         self.ambient = ambient
@@ -219,16 +221,12 @@ class Embedding:
         self.normal = list(normal_asts)
         if len(self.immersion) != ambient.dim:
             raise ValueError("immersion must have one component per ambient axis")
-        # tangent basis fields e_a = d iota / d q^a, differentiated once
-        # symbolically so every induced quantity still carries full-order jets
-        self.tangent = [
-            [derivative(comp, a) for comp in self.immersion]
-            for a in range(self.dim)
-        ]
 
 
 class InducedComponents:
-    """Component strategy backed by an embedding."""
+    """Component strategy backed by an embedding.  Its immersion is
+    evaluated one order above the structure jets asked for, so that the
+    tangent frame, the gradient of those jets, reaches their order."""
 
     def __init__(self, embedding):
         self.embedding = embedding
@@ -244,11 +242,11 @@ class InducedComponents:
         emb = self.embedding
         d, m = emb.dim, emb.ambient.dim
 
-        def stack(asts, shape):
-            return _batch_tensor([eval_jet(a, points, order) for a in asts], d, shape)
+        def stack(asts, k):
+            return _batch_tensor([eval_jet(a, points, k) for a in asts], d, (m,))
 
-        normal = stack(emb.normal, (m,))
-        e = stack([a for row in emb.tangent for a in row], (d, m))  # (a, C)
+        normal = stack(emb.normal, order)
+        e = stack(emb.immersion, order + 1).partial()  # (a, C): e_a = d iota / d q^a
         deficient = np.linalg.matrix_rank(e.value, tol=1e-9) < d
         if deficient.any():
             point = points[int(np.argmax(deficient))]

@@ -406,7 +406,7 @@ def _frames(structure, points, order):
     size = BATCH[order]
     for start in range(0, len(points), size):
         batch = points[start : start + size]
-        yield PointGeometry(structure.at(batch, order), batch, order)
+        yield PointGeometry(structure.at(batch, order), batch)
 
 
 def run_checks(structure, manifest, seed=None, tolerance=None):

@@ -19,7 +19,7 @@ def run_row(row, structure, order, seed=5):
     """The row's report on frames of ``order`` at FRAMES sample points."""
     sampler = pc.Sampler(structure, seed)
     points = sampler.points(FRAMES)
-    frames = [PointGeometry(structure.at(points, order), points, order)]
+    frames = [PointGeometry(structure.at(points, order), points)]
     with np.errstate(all="ignore"):
         return row.run(_Context(sampler, 1e-8, lambda: frames), frames,
                        row.budget)

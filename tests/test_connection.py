@@ -273,9 +273,9 @@ def test_run_checks_builds_one_frame_per_point(monkeypatch):
     built = []
     init = PointGeometry.__init__
 
-    def counting_init(self, jets, points, order=3):
+    def counting_init(self, jets, points):
         built.extend(p.tobytes() for p in np.asarray(points, dtype=float))
-        init(self, jets, points, order)
+        init(self, jets, points)
 
     monkeypatch.setattr(PointGeometry, "__init__", counting_init)
     run_checks(structure, ALL_CHECKS_MANIFEST)
@@ -310,10 +310,11 @@ def test_run_checks_builds_each_frame_once_above_2048_points(monkeypatch):
     built = []
     init = PointGeometry.__init__
 
-    def counting_init(self, jets, points, order=3):
+    def counting_init(self, jets, points):
+        order = jets.g.order  # a frame's order is its metric jets'
         assert len(points) <= BATCH[order]
         built.extend([order] * len(points))
-        init(self, jets, points, order)
+        init(self, jets, points)
 
     monkeypatch.setattr(PointGeometry, "__init__", counting_init)
     manifest = axioms_and_classification(2100)
@@ -330,10 +331,10 @@ def test_run_checks_keeps_only_the_leading_frames_alive(monkeypatch):
     most = [0]
     init = PointGeometry.__init__
 
-    def tracking_init(self, structure, point, order=3):
+    def tracking_init(self, jets, point):
         alive.add(self)
         most[0] = max(most[0], len(alive))
-        init(self, structure, point, order)
+        init(self, jets, point)
 
     monkeypatch.setattr(PointGeometry, "__init__", tracking_init)
     report, _, _ = run_checks(pc.builtin_heisenberg(1),
@@ -378,7 +379,7 @@ def test_batch_frames_are_bitwise_the_frames_of_their_points(points, order):
     assert len(QUANTITIES) == 21
     for structure in BATCH_STRUCTURES:
         batch = np.array(points)[:, : structure.dim]
-        frame = PointGeometry(structure.at(batch, order), batch, order)
+        frame = PointGeometry(structure.at(batch, order), batch)
         for i, point in enumerate(batch):
             single = get_frame(structure, point, order)
             for name in QUANTITIES:
@@ -415,7 +416,7 @@ def frame_checks(structure):
 @pytest.mark.parametrize("structure", BATCH_STRUCTURES)
 def test_every_check_gives_a_batch_frame_the_residuals_of_its_points(structure):
     points = sample_points(structure, count=3)
-    batch = [PointGeometry(structure.at(points, 3), points, 3)]
+    batch = [PointGeometry(structure.at(points, 3), points)]
     singles = [get_frame(structure, p, 3) for p in points]
     for name, check in frame_checks(structure).items():
         assert residuals(check(batch)) == residuals(check(singles)), name
@@ -431,7 +432,7 @@ VIEWED = ("g", "phi", "xi", "eta", "phi_low", "gamma", "riem_down", "ricci",
 @pytest.mark.parametrize("structure", BATCH_STRUCTURES)
 def test_a_point_view_reads_the_frame_values_at_its_point(structure):
     points = sample_points(structure, count=3)
-    frame = PointGeometry(structure.at(points, 2), points, 2)
+    frame = PointGeometry(structure.at(points, 2), points)
     for i in range(len(points)):
         view = frame.view(i)
         pairs = [(getattr(view, name), getattr(frame, name).value[i])

@@ -1,4 +1,7 @@
-"""Jets of expressions: finite-difference oracles, ring laws, point batches."""
+"""Jets of expressions: finite-difference and sympy oracles, ring laws,
+point batches."""
+
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -60,13 +63,56 @@ def test_third_order_symmetry_is_exact():
         assert np.array_equal(d3, d3.transpose(0, 2, 1))
 
 
+@pytest.mark.parametrize("text", EXPRESSION_CORPUS)
+def test_fourth_order_matches_sympy(text):
+    # exact partials of the expression, evaluated with 50-digit floats at
+    # the double-precision point
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols(CORPUS_COORDS)
+    expr = sympy.sympify(text, locals=dict(zip(CORPUS_COORDS, x), ln=sympy.log))
+    at = {s: sympy.Float(float(c), 50) for s, c in zip(x, CORPUS_POINT)}
+    exact = {}
+    want = np.empty((3,) * 4)
+    for idx in product(range(3), repeat=4):
+        key = tuple(sorted(idx))
+        if key not in exact:
+            exact[key] = float(expr.diff(*(x[i] for i in key)).xreplace(at))
+        want[idx] = exact[key]
+    d4 = at_point(parse(text, CORPUS_COORDS), CORPUS_POINT, 4)[4]
+    assert rel_err(d4, want) < 1e-13
+
+
+def test_fourth_order_symmetry_is_exact():
+    for ast in corpus_asts():
+        d4 = at_point(ast, CORPUS_POINT, 4)[4]
+        for perm in permutations(range(4)):
+            assert np.array_equal(d4, d4.transpose(perm))
+
+
 def test_lower_order_evaluation_is_a_restriction():
     # evaluating at a lower order must reproduce the higher-order parts
     # bit for bit; the arithmetic of each part only uses same-order data
     for ast in corpus_asts():
+        j4 = eval_jet(ast, [CORPUS_POINT], order=4)
         j3 = eval_jet(ast, [CORPUS_POINT], order=3)
         j1 = eval_jet(ast, [CORPUS_POINT], order=1)
+        assert all(np.array_equal(a, b) for a, b in zip(j4[:4], j3, strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(j3[:2], j1, strict=True))
+
+
+def test_fourth_derivatives_refuse_nothing_new():
+    # each outer function's fourth derivative is left out of its refusals:
+    # to third order these evaluate, finite and without a warning, as they
+    # did before the fourth existed; a fourth part that overflows, as ln's
+    # -6/u^4 does here, is left to the finiteness check of the structure
+    for text, u in (("ln(u)", 1e-90), ("1/u", 1e62), ("sqrt(u)", 1e100)):
+        ast = parse(text, ("u", "v"))
+        j3 = eval_jet(ast, [[u, 0.0]], order=3)
+        assert all(np.isfinite(p).all() for p in j3)
+        with np.errstate(all="ignore"):
+            j4 = eval_jet(ast, [[u, 0.0]], order=4)
+        assert all(np.array_equal(a, b) for a, b in zip(j4[:4], j3, strict=True))
+        assert np.isfinite(j4[4]).all() == (text != "ln(u)")
 
 
 def test_coordinate_jets_seed_the_chain_rule():
@@ -160,7 +206,7 @@ def test_domain_errors_from_analytic_functions():
 @given(st.integers(1, 5).flatmap(
            lambda p: st.lists(st.lists(st.floats(-0.5, 0.5), min_size=3,
                                        max_size=3), min_size=p, max_size=p)),
-       st.integers(0, 3))
+       st.integers(0, 4))
 def test_a_batch_is_bitwise_equal_to_single_points(points, order):
     points = np.array(points)
     for ast in corpus_asts():

@@ -46,15 +46,32 @@ def conformal_tables():
     return coords, g, phi, xi, eta
 
 
-def hyperboloid_metric():
-    """Minus the pull-back of the flat metric +dx0^2 + dx1^2 - dy0^2 - dy1^2
-    by the graph chart x0 = sqrt(1 - x1^2 + y0^2 + y1^2) of the unit
-    hyperboloid, so that g(xi, xi) = +1 on the Reeb field."""
+FLAT = sympy.diag(1, 1, -1, -1)
+
+
+def hyperboloid_immersion():
+    """Chart symbols and the graph chart x0 = sqrt(1 - x1^2 + y0^2 + y1^2)
+    of the unit hyperboloid, along the ambient axes (x0, x1, y0, y1)."""
     x = sympy.symbols("x1 y0 y1")
     x1, y0, y1 = x
-    immersion = sympy.Matrix([sympy.sqrt(1 - x1**2 + y0**2 + y1**2), x1, y0, y1])
+    return x, sympy.Matrix([sympy.sqrt(1 - x1**2 + y0**2 + y1**2), x1, y0, y1])
+
+
+def hyperboloid_metric():
+    """Minus the pull-back of the flat metric +dx0^2 + dx1^2 - dy0^2 - dy1^2
+    by the graph chart of the unit hyperboloid, so that g(xi, xi) = +1 on
+    the Reeb field."""
+    x, immersion = hyperboloid_immersion()
     jac = immersion.jacobian(x)
-    return x, -jac.T * sympy.diag(1, 1, -1, -1) * jac
+    return x, -jac.T * FLAT * jac
+
+
+def hyperboloid_eta():
+    """eta_a = -<I N, d_a iota> in the flat pairing, where the normal N is
+    the position vector and I swaps the x- and y-blocks."""
+    x, immersion = hyperboloid_immersion()
+    i_n = immersion[2:, :].col_join(immersion[:2, :])
+    return x, -(i_n.T * FLAT * immersion.jacobian(x))
 
 
 def christoffel(x, g):
@@ -138,6 +155,27 @@ def test_curvature_matches_the_symbolic_oracle(structure, metric):
     assert nres(f.scalar.value, scalar) < 1e-13
     # the oracle is not vacuous: the charts are curved
     assert np.max(np.abs(riem_down)) > 0.1
+
+
+def symbolic_jets(x, tensor, order):
+    """Parts 0..order of a tensor's jets at POINT, the derivative axes
+    leading, as the frame lays them out."""
+    parts = [sympy.Array(tensor)]
+    for _ in range(order):
+        parts.append(sympy.derive_by_array(parts[-1], x))
+    return [evaluate(x, p.tolist()) for p in parts]
+
+
+def test_hyperboloid_structure_jets_match_the_symbolic_oracle():
+    # part 3 of g and eta is the first that reads the fourth-order jets of
+    # the immersion, whose gradient is the tangent frame
+    sj = pc.builtin_hyperboloid(1).at(np.array([[float(c) for c in POINT]]), 3)
+    x, g = hyperboloid_metric()
+    _, eta = hyperboloid_eta()
+    for ours, tensor in ((sj.g, g), (sj.eta, list(eta))):
+        for k, part in enumerate(symbolic_jets(x, tensor, 3)):
+            assert nres(ours.parts[k], part) < 1e-13, (k, tensor)
+            assert np.max(np.abs(part)) > 0.1  # not vacuous
 
 
 # -- the canonical side -------------------------------------------------------

@@ -1,9 +1,12 @@
-"""tools/same_reports.py: its fixed manifest set and its argument check."""
+"""tools/same_reports.py: its fixed manifest set, its argument check and
+its summary of the cases that differ."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import paracurv as pc
 from paracurv.geometry import heisenberg_tables
@@ -49,3 +52,67 @@ def test_bad_arguments_exit_2(tmp_path):
         done = subprocess.run([sys.executable, str(TOOL), *argv],
                               capture_output=True, text=True)
         assert done.returncode == 2 and "usage" in done.stderr
+
+
+# canned output of tools/report_diff.py on two reports
+MOVED_ONLY = """\
+moved checks.phsc_constancy.residual_max: 4.7e-11 -> 1.6e-11 (abs change 3.1e-11)
+moved constants.b: -1.9999999999999996 -> -2 (abs change 4.44e-16)
+same names, orders, verdicts, pass flags and constant keys; 2 number(s) moved
+"""
+PASS_FLIPPED = """\
+moved checks.f9_vs_f8_phsc.residual_max: 4.99e-10 -> 1.2e-09 (abs change 7.01e-10)
+DIFFERS checks.f9_vs_f8_phsc.pass: True != False
+1 field(s) differ, 1 number(s) moved
+"""
+STDERR = "PASS phsc_constancy: residual {} (threshold 1.0e-08)\n"
+
+
+def check_run(residual, verdict="PASS", code=0):
+    return ("{report}", STDERR.format(residual).replace("PASS", verdict), code)
+
+
+def curvature_run(phsc, label="phsc"):
+    return (f"structure: hyperboloid(n=2)\npoint: 0.1, -0.2\n{label}: {phsc}\n"
+            "kappa_B: 2\n", "", 0)
+
+
+def test_a_report_with_moved_numbers_only_is_told_apart():
+    tool = load_tool()
+    kind, moves = tool.classify(check_run("4.7e-11"), check_run("1.6e-11"), MOVED_ONLY)
+    assert kind == "moved"
+    assert moves == [("checks.phsc_constancy.residual_max", 3.1e-11),
+                     ("constants.b", 4.44e-16)]
+
+
+def test_a_changed_field_pass_flag_or_exit_code_is_a_change():
+    tool = load_tool()
+    before = check_run("4.99e-10")
+    assert tool.classify(before, check_run("1.2e-09", "FAIL"), PASS_FLIPPED)[0] == "changed"
+    # the stderr flips although report_diff.py saw no field change
+    assert tool.classify(before, check_run("1.2e-09", "FAIL"), MOVED_ONLY)[0] == "changed"
+    assert tool.classify(before, check_run("4.99e-10", code=1), MOVED_ONLY)[0] == "changed"
+    # report_diff.py could not read a report
+    assert tool.classify(before, check_run("1.2e-09"), "")[0] == "changed"
+
+
+def test_curvature_lines_move_or_change():
+    tool = load_tool()
+    kind, moves = tool.classify(curvature_run(-1), curvature_run(-0.99999999999))
+    assert (kind, moves) == ("moved", [("phsc", pytest.approx(1e-11))])
+    assert tool.classify(curvature_run(-1), curvature_run(-1, "xi"))[0] == "changed"
+
+
+def test_the_summary_names_each_kind_and_the_largest_move():
+    tool = load_tool()
+    results = [("hyperboloid1_seed1", "moved", [("checks.a.residual_max", 2e-16),
+                                                ("checks.b.residual_max", 3e-11)]),
+               ("curvature_hyperboloid2_point0", "moved", [("phsc", 1e-15)]),
+               ("heisenberg1_seed1", "changed", [])]
+    assert tool.summary(results) == [
+        "2 case(s) differ only in moved numbers: hyperboloid1_seed1, "
+        "curvature_hyperboloid2_point0",
+        "1 case(s) differ in a field, check name, verdict, pass flag or exit code: "
+        "heisenberg1_seed1",
+        "largest absolute move: 3e-11, checks.b.residual_max of hyperboloid1_seed1",
+    ]

@@ -25,8 +25,13 @@ For each manifest the report on stdout (without its `wall_time_s` line),
 stderr and the exit code must be byte-identical, and so must the whole
 output of each `curvature` call.  Every case that differs is named, with a
 diff of its stderr and, for a report, the output of `report_diff.py` on its
-two reports.  Exit code 0 when nothing differs, 1 otherwise, 2 on bad
-arguments.  Standard library only, so it compares any two versions.
+two reports.  The last lines sort the differing cases in two: those that
+differ only in moved numbers (same exit code, same text once every number
+is masked, and no report field that `report_diff.py` calls different), and
+those where a field, check name, verdict, pass flag or exit code changed.
+They also name the largest absolute move, a report row or a `curvature`
+line, and its case.  Exit code 0 when nothing differs, 1 otherwise, 2 on
+bad arguments.  Standard library only, so it compares any two versions.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import difflib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -164,6 +170,65 @@ def report_diff(workdir, stem, before, after):
     return done.stdout + done.stderr
 
 
+# a number that stands alone, not a digit inside a name such as f9_vs_f8
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?!\w)")
+MOVED = re.compile(r"moved (\S+): .* \(abs change (\S+)\)$")
+SAME_FIELDS = "same names, orders, verdicts, pass flags and constant keys;"
+
+
+def curvature_moves(old, new):
+    """(label, abs change) of each `label: number` line of two `curvature`
+    outputs whose number moved."""
+    out = []
+    for a, b in zip(old.splitlines(), new.splitlines()):
+        label, _, x = a.partition(": ")
+        y = b.partition(": ")[2]
+        if x != y and NUMBER.fullmatch(x) and NUMBER.fullmatch(y):
+            out.append((label, abs(float(y) - float(x))))
+    return out
+
+
+def classify(before, after, diff_text=None):
+    """("moved" or "changed", moves) of a case whose runs differ.
+
+    ``before`` and ``after`` are (stdout, stderr, exit code); ``diff_text``
+    is the output of `report_diff.py` on the two reports of a `check`
+    whose stdout differs, and None otherwise.  A case is "moved" when the
+    exit codes are equal, the texts are equal once every number is masked
+    (a report's stdout is judged by `report_diff.py` instead) and
+    `report_diff.py` finds no field that differs.  ``moves`` lists
+    (row, abs change) of each moved number.
+    """
+    if diff_text is None:
+        texts = zip(before[:2], after[:2])
+        moves = curvature_moves(before[0], after[0])
+        fields_same = True
+    else:
+        texts = [(before[1], after[1])]
+        lines = diff_text.splitlines()
+        moves = [(m[1], float(m[2])) for m in map(MOVED.match, lines) if m]
+        fields_same = bool(lines) and lines[-1].startswith(SAME_FIELDS)
+    numbers_only = (before[2] == after[2] and fields_same
+                    and all(NUMBER.sub("#", a) == NUMBER.sub("#", b) for a, b in texts))
+    return ("moved" if numbers_only else "changed"), moves
+
+
+def summary(results):
+    """The closing lines on the differing cases, from (stem, kind, moves)."""
+    lines = []
+    for kind, what in (("moved", "differ only in moved numbers"),
+                       ("changed", "differ in a field, check name, verdict, "
+                                   "pass flag or exit code")):
+        stems = [stem for stem, k, _ in results if k == kind]
+        lines.append(f"{len(stems)} case(s) {what}" + (f": {', '.join(stems)}"
+                                                      if stems else ""))
+    moves = [(change, stem, row) for stem, _, rows in results for row, change in rows]
+    if moves:
+        change, stem, row = max(moves)
+        lines.append(f"largest absolute move: {change:.3g}, {row} of {stem}")
+    return lines
+
+
 def main(argv):
     if len(argv) != 3 or not all(os.path.isdir(os.path.join(t, "src")) for t in argv[1:]):
         print("usage: python3 tools/same_reports.py PARENT_DIR CHANGE_DIR "
@@ -173,7 +238,7 @@ def main(argv):
     cases = [(stem, doc, ("check",)) for stem, doc in manifests()] + [
         (f"curvature_{stem}", doc, ("curvature", "--point", point))
         for stem, doc, point in curvature_points()]
-    differing = 0
+    results = []
     with tempfile.TemporaryDirectory() as workdir:
         for stem, doc, (command, *options) in cases:
             path = os.path.join(workdir, f"{stem}.json")
@@ -185,7 +250,6 @@ def main(argv):
             if same_stdout and before[1:] == after[1:]:
                 print(f"same     {stem} (exit {after[2]})")
                 continue
-            differing += 1
             print(f"DIFFERS  {stem}")
             if before[2] != after[2]:
                 print(f"  exit code {before[2]} -> {after[2]}")
@@ -197,14 +261,19 @@ def main(argv):
                     "  " + line for line in difflib.unified_diff(
                         old.splitlines(keepends=True), new.splitlines(keepends=True),
                         f"parent {name}", f"change {name}"))
+            diff_text = None
             if not same_stdout and command == "check":
-                for line in report_diff(workdir, stem, before[0], after[0]).splitlines():
+                diff_text = report_diff(workdir, stem, before[0], after[0])
+                for line in diff_text.splitlines():
                     print(f"  {line}")
+            results.append((stem, *classify(before, after, diff_text)))
     reports = len(manifests())
-    print(f"{len(cases) - differing} of {len(cases)} cases give the same output, "
+    print(f"{len(cases) - len(results)} of {len(cases)} cases give the same output, "
           f"stderr and exit code ({reports} reports, {len(cases) - reports} "
           f"curvature calls)")
-    return 1 if differing else 0
+    if results:
+        print("\n".join(summary(results)))
+    return 1 if results else 0
 
 
 if __name__ == "__main__":
