@@ -18,7 +18,8 @@ fields go to third order; only an immersion is evaluated to the fourth,
 since its tangent frame is the gradient of its jets.  The rules are those
 of Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*, 2nd
 ed., ch. 13), elementwise over the points, so a point gets the same bits
-in any batch, one point included.
+in any batch, one point included.  A :class:`JetProgram` gives many ASTs
+those bits at once, each distinct node evaluated once.
 """
 
 from __future__ import annotations
@@ -220,12 +221,13 @@ def parse(text, coords):
 
 # -- evaluation ---------------------------------------------------------------
 #
-# Inside the evaluator a jet is a Python float for a constant (a subtree
-# without coordinates) or a list [value, d1, ..., d_order] of arrays, part k
-# of shape (d,)*k + (P,); a part of order 2 or more is None while it is zero
-# by construction, as a coordinate's is.  Each rule adds its terms in a
-# fixed order and leaves out the None ones, which changes no bit of a sum
-# but the sign of a zero.
+# Inside the evaluator a jet is a constant (a Python float, or in a
+# JetProgram an array of rows) for a subtree without coordinates, or a list
+# [value, d1, ..., d_order] of arrays, part k of shape (d,)*k + (P,), or
+# (d,)*k + (rows, P) in a JetProgram; a part of order 2 or more is None while
+# it is zero by construction, as a coordinate's is.  Each rule adds its terms
+# in a fixed order and leaves out the None ones, which changes no bit of a
+# sum but the sign of a zero.
 
 _DIV_EPS = 1e-14
 
@@ -357,28 +359,28 @@ def _compose(u, terms):
 
 
 def _jet_neg(a):
-    return -a if isinstance(a, float) else [None if p is None else -p for p in a]
+    return -a if not isinstance(a, list) else [None if p is None else -p for p in a]
 
 
 def _jet_add(a, b):
-    if isinstance(a, float):
-        return a + b if isinstance(b, float) else [b[0] + a] + b[1:]
-    if isinstance(b, float):
+    if not isinstance(a, list):
+        return a + b if not isinstance(b, list) else [b[0] + a] + b[1:]
+    if not isinstance(b, list):
         return [a[0] + b] + a[1:]
     return [y if x is None else x if y is None else x + y for x, y in zip(a, b)]
 
 
 def _jet_sub(a, b):
-    if isinstance(b, float) or isinstance(a, float):
+    if not isinstance(b, list) or not isinstance(a, list):
         return _jet_add(a, _jet_neg(b))
     return [x if y is None else -y if x is None else x - y for x, y in zip(a, b)]
 
 
 def _jet_mul(a, b):
     """Leibniz product; a constant factor scales every part."""
-    if isinstance(a, float) or isinstance(b, float):
-        a, b = (a, b) if isinstance(b, float) else (b, a)
-        return a * b if isinstance(a, float) else [_times(p, b) for p in a]
+    if not isinstance(a, list) or not isinstance(b, list):
+        a, b = (a, b) if not isinstance(b, list) else (b, a)
+        return a * b if not isinstance(a, list) else [_times(p, b) for p in a]
     out = [a[0] * b[0]]
     if len(a) > 1:
         out.append(a[1] * b[0] + a[0] * b[1])
@@ -446,50 +448,9 @@ def _eval(ast, coordinate):
         raise DomainError(str(e), e.value, ast.span, e.index) from None
 
 
-def _eval_shared(ast, coordinate, memo):
-    """:func:`_eval`, except that a node whose id keys ``memo`` is evaluated
-    once and then read from ``memo``.  The walk passes through negations,
-    sums, differences and products, which cannot fail; any other node is
-    left to :func:`_eval` whole."""
-    jet = memo.get(id(ast))
-    if jet is not None:
-        return jet
-    if isinstance(ast, Neg):
-        jet = _jet_neg(_eval_shared(ast.arg, coordinate, memo))
-    elif isinstance(ast, Bin) and ast.op != "/":
-        jet = _BINARY[ast.op](_eval_shared(ast.left, coordinate, memo),
-                              _eval_shared(ast.right, coordinate, memo))
-    else:
-        jet = _eval(ast, coordinate)
-    if id(ast) in memo:
-        memo[id(ast)] = jet
-    return jet
-
-
-_CHILDREN = {Neg: ("arg",), Bin: ("left", "right"), Pow: ("base",), Call: ("arg",)}
-
-
-def shared_nodes(asts):
-    """Ids of the nodes that the ASTs reach more than once: a node reached
-    again is not walked again, so a shared node's subtree counts once."""
-    seen, shared, stack = set(), set(), list(asts)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            shared.add(id(node))
-        else:
-            seen.add(id(node))
-            stack += [getattr(node, name) for name in _CHILDREN.get(type(node), ())]
-    return shared
-
-
-def eval_jet(ast, points, order=3, memo=None):
+def eval_jet(ast, points, order=3):
     """Jets of an AST over a (P, d) array of points, up to ``order`` (at
     most 4), as the list of parts ``k = 0..order`` of shape ``(d,)*k + (P,)``.
-
-    ``memo`` maps the ids of :func:`shared_nodes` to their jets over these
-    points, None until evaluated, so ASTs evaluated with one memo evaluate
-    each once; the list returned is never one that ``memo`` holds.
 
     A DomainError carries the span of the failing subexpression and, as
     ``index``, the first failing point.
@@ -504,13 +465,136 @@ def eval_jet(ast, points, order=3, memo=None):
             jet[1][i] = 1.0
         return jet
 
-    out = _eval(ast, coordinate) if memo is None else _eval_shared(ast, coordinate, memo)
+    out = _eval(ast, coordinate)
     if isinstance(out, float):
         value = np.empty(count)
         value.fill(out)
         out = [value] + [None] * order
     return [out[0]] + [np.zeros((dim,) * k + (count,)) if out[k] is None else out[k]
                        for k in range(1, order + 1)]
+
+
+# -- programs -------------------------------------------------------------------
+#
+# A JetProgram holds many ASTs as one hash-consed DAG (Filliatre & Conchon,
+# "Type-safe modular hash-consing", ML Workshop 2006): structurally equal
+# nodes are one row, and a Num is keyed on its exact bits, so 0.0 and -0.0
+# stay two.  A node's degree is None for a constant, else the highest order
+# of its parts that the rules above leave an array rather than None: a
+# function of the AST alone.  Negations, sums, differences and products
+# are grouped by height, op and operand degrees, and each group runs its
+# rule once on the stacked rows, so that each element sees the operations,
+# in the order, of the walk of its AST alone.  Every other node is a leaf.
+
+
+def _degree(op, a, b):
+    # of a negation (a, a), sum, difference or product; constants have None
+    if a is None or b is None:
+        return b if a is None else a
+    return min(a + b, 4) if op == "*" else max(a, b)
+
+
+_OPERATIONS = {"neg": _jet_neg, "+": _jet_add, "-": _jet_sub, "*": _jet_mul}
+
+
+def _leaf(node):
+    """(key, degree) of a node, its key equal for equal structures alone."""
+    if isinstance(node, Num):
+        return (Num, float(node.value).hex()), None
+    if isinstance(node, Coord):
+        return (Coord, node.index), 1
+    if isinstance(node, Bin):
+        (a, da), (b, db) = _leaf(node.left), _leaf(node.right)
+        op, db = ("*", db and 4) if node.op == "/" else (node.op, db)
+        return (node.op, a, b), _degree(op, da, db)
+    key, arg = _leaf(node.arg if hasattr(node, "arg") else node.base)
+    if isinstance(node, Neg):
+        return ("neg", key), arg
+    if isinstance(node, Call):
+        return (node.func, key), arg and 4
+    n = node.exponent
+    return (Pow, key, n), arg and (None if n == 0 else 4 if n < 0 else min(n * arg, 4))
+
+
+class JetProgram:
+    """Jets of a list of ASTs, the roots, over a batch of points, each
+    distinct node evaluated once per batch.  ``nodes[r]`` is the first node
+    visited of row r and ``degrees[r]`` its degree.  Leaves other than
+    coordinates and constants are evaluated whole, in the order first
+    visited, so the first DomainError is the one that evaluating the roots
+    one by one meets first."""
+
+    def __init__(self, asts):
+        seen, rows, keys, self.nodes = {}, {}, [], []
+
+        def row(node):
+            # an operation's key holds its operands' earlier rows; a leaf's
+            # is (None, key, degree)
+            r = seen.get(id(node))
+            if r is None:
+                if type(node) is Neg:
+                    key = ("neg", row(node.arg))
+                elif type(node) is Bin and node.op != "/":
+                    key = (node.op, row(node.left), row(node.right))
+                else:
+                    key = (None, *_leaf(node))
+                r = seen[id(node)] = rows.setdefault(key, len(keys))
+                if r == len(keys):
+                    keys.append(key)
+                    self.nodes.append(node)
+            return r
+
+        self.roots = np.array([row(a) for a in asts], dtype=np.intp)
+        self.degrees, heights, groups, self.whole_rows = [], [], {}, []
+        leaves = {Coord: [], Num: []}
+        for r, key in enumerate(keys):
+            op, a, b = key[0], key[1], key[-1]  # b is a for a negation
+            if op is None:
+                leaves.get(a[0], self.whole_rows).append(r)
+                self.degrees.append(b)
+                heights.append(0)
+            else:
+                da, db = self.degrees[a], self.degrees[b]
+                self.degrees.append(_degree(op, da, db))
+                heights.append(max(heights[a], heights[b]) + 1)
+                groups.setdefault((heights[r], op, da, db), []).append((*key[1:], r))
+        coords, nums = leaves[Coord], leaves[Num]
+        self.coords = np.array([coords, [self.nodes[r].index for r in coords]],
+                               dtype=np.intp).reshape(2, -1)
+        self.nums = nums, np.array([self.nodes[r].value for r in nums]).reshape(-1, 1)
+        # (rule, operand degrees, operand rows and the group's rows), by height
+        self.groups = [(_OPERATIONS[g[1]], g[2:], np.array(groups[g], dtype=np.intp).T)
+                       for g in sorted(groups, key=lambda g: g[0])]
+
+    def __call__(self, points, order):
+        """Parts k = 0..order of the roots' jets over a (P, d) array of
+        points, part k shaped ``(P,) + (d,)*k + (roots,)``."""
+        points = np.asarray(points, dtype=float)
+        count, dim = points.shape
+        slabs = [np.zeros((dim,) * k + (len(self.nodes), count))
+                 for k in range(order + 1)]
+        coord_rows, index = self.coords
+        slabs[0][coord_rows] = points.T[index]
+        if order:
+            slabs[1][index, coord_rows] = 1.0
+        slabs[0][self.nums[0]] = self.nums[1]
+
+        def put(rows, jet):
+            for slab, part in zip(slabs, jet if isinstance(jet, list) else [jet]):
+                if part is not None:
+                    slab[..., rows, :] = part
+
+        def take(rows, degree):
+            if degree is None:
+                return slabs[0][rows]
+            return [s[..., rows, :] if k <= degree else None
+                    for k, s in enumerate(slabs)]
+
+        for r in self.whole_rows:
+            put(r, eval_jet(self.nodes[r], points, order))
+        for rule, degrees, (*operands, rows) in self.groups:
+            put(rows, rule(*map(take, operands, degrees)))
+        return [np.moveaxis(s[..., self.roots, :], -1, 0) for s in slabs]
 
 
 # -- scalar fields -------------------------------------------------------------
@@ -524,5 +608,5 @@ class ScalarField:
     def __init__(self, ast):
         self.ast = ast
 
-    def __call__(self, points, order=3, memo=None):
-        return eval_jet(self.ast, points, order, memo)
+    def __call__(self, points, order=3):
+        return eval_jet(self.ast, points, order)

@@ -7,9 +7,9 @@ expression tables, induction from an embedding into the flat para-Kaehler
 ambient, and the D-homothetic transform of another structure.  Each
 computes on the whole batch: one :class:`StructureJets` of jet tensors with
 a leading point axis.  :meth:`CharteredStructure.at` checks that batch and
-returns it whole.  The Heisenberg builtin is built as ASTs, not parsed: its
-g entries multiply the very nodes of its eta entries, and the tables
-evaluate such a shared node once per batch.
+returns it whole.  Tables and embeddings evaluate their ASTs as one
+:class:`JetProgram`.  The Heisenberg builtin is built as ASTs, not parsed:
+its g entries multiply the very nodes of its eta entries.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     NotParacontact,
     RankDeficientJacobian,
 )
-from .exprlang import Bin, Coord, Neg, Num, ScalarField, eval_jet, parse, shared_nodes
+from .exprlang import Bin, Coord, JetProgram, Neg, Num, ScalarField, eval_jet, parse
 from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 
@@ -37,16 +37,18 @@ class StructureJets(NamedTuple):
     eta: JetTensor
 
 
-def _batch_tensor(jets, dim, shape):
-    """Jet tensor with base ``shape`` over a batch, from the :func:`eval_jet`
-    parts of its components in row-major order, as point-first arrays: each
+def _tensors(parts, dim, *shapes):
+    """Jet tensors of the given base shapes from consecutive roots of
+    :class:`JetProgram` parts, as contiguous point-first arrays: each
     point's slice is laid out as jets built at that point alone."""
-    parts = []
-    for k in range(len(jets[0])):
-        a = np.array([j[k] for j in jets])  # (N,) + (d,)*k + (P,)
-        a = np.ascontiguousarray(np.swapaxes(a, 0, -1))
-        parts.append(a.reshape(a.shape[:-1] + shape))
-    return JetTensor(dim, len(parts) - 1, parts)
+    out, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        out.append(JetTensor(dim, len(parts) - 1, [
+            np.ascontiguousarray(p[..., start:stop]).reshape(p.shape[:-1] + shape)
+            for p in parts]))
+        start = stop
+    return out
 
 
 class Domain:
@@ -144,9 +146,9 @@ class CharteredStructure:
 class ExprTableComponents:
     """Structure tensors given componentwise as scalar fields.
 
-    :meth:`at` evaluates once per batch each AST node that the fields reach
-    more than once, as a builtin's g reaches its eta entries; parsed fields
-    share no node and evaluate on their own.
+    The fields' ASTs (g row-major, phi, xi, eta) are one :class:`JetProgram`,
+    so a node that several fields reach, as a builtin's g reaches its eta
+    entries, or spell alike is evaluated once per batch.
     """
 
     def __init__(self, g, phi, xi, eta):
@@ -154,21 +156,16 @@ class ExprTableComponents:
         self.phi = phi
         self.xi = xi
         self.eta = eta
-        self.shared = shared_nodes(f.ast for f in [*sum(g + phi, []), *xi, *eta])
+        self.program = JetProgram([f.ast for f in [*sum(g + phi, []), *xi, *eta]])
 
     def at(self, points, order):
         d = len(self.xi)
-        memo = dict.fromkeys(self.shared) if self.shared else None
-
-        def stack(fields, shape):
-            return _batch_tensor([f(points, order, memo) for f in fields], d, shape)
-
-        g = stack([f for row in self.g for f in row], (d, d))
+        g, phi, xi, eta = _tensors(self.program(points, order), d,
+                                   (d, d), (d, d), (d,), (d,))
         # enforce exact symmetry of the metric jets
         g = JetTensor(d, order,
                       [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
-        phi = stack([f for row in self.phi for f in row], (d, d))
-        return StructureJets(g, phi, stack(self.xi, (d,)), stack(self.eta, (d,)))
+        return StructureJets(g, phi, xi, eta)
 
 
 class HomotheticComponents:
@@ -224,12 +221,13 @@ class Embedding:
 
 
 class InducedComponents:
-    """Component strategy backed by an embedding.  Its immersion is
-    evaluated one order above the structure jets asked for, so that the
-    tangent frame, the gradient of those jets, reaches their order."""
+    """Component strategy backed by an embedding.  Its normal and immersion,
+    one :class:`JetProgram`, are evaluated one order above the structure
+    jets, so that the tangent frame, the immersion's gradient, reaches it."""
 
     def __init__(self, embedding):
         self.embedding = embedding
+        self.program = JetProgram(embedding.normal + embedding.immersion)
 
     def at(self, points, order):
         """Induced (g, phi, xi, eta) jets over a (P, d) batch of chart points.
@@ -242,11 +240,9 @@ class InducedComponents:
         emb = self.embedding
         d, m = emb.dim, emb.ambient.dim
 
-        def stack(asts, k):
-            return _batch_tensor([eval_jet(a, points, k) for a in asts], d, (m,))
-
-        normal = stack(emb.normal, order)
-        e = stack(emb.immersion, order + 1).partial()  # (a, C): e_a = d iota / d q^a
+        # part k reads parts <= k only: the normal, cut, keeps its bits
+        normal, iota = _tensors(self.program(points, order + 1), d, (m,), (m,))
+        normal, e = normal.cut(order), iota.partial()  # (a, C): e_a = d iota / d q^a
         deficient = np.linalg.matrix_rank(e.value, tol=1e-9) < d
         if deficient.any():
             point = points[int(np.argmax(deficient))]

@@ -8,9 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 from paracurv.cli import main
-from paracurv.errors import ParacurvError
+from paracurv.errors import DomainError, ParacurvError
 from paracurv.geometry import heisenberg_tables
-from paracurv.manifest import dumps_report
+from paracurv.manifest import build_structure, dumps_report
 
 
 @pytest.fixture()
@@ -247,6 +247,27 @@ def test_non_finite_structure_exits_2(runner, tmp_path, xi_t, message):
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert f"error: {message}" in result.stderr
     assert "PASS" not in result.stderr
+
+
+def refuse_twice(manifold):
+    # at the probe point (the origin) a g entry takes sqrt(-5) and a later
+    # phi entry ln(-1); g[1][0] holds the same sqrt at another offset
+    manifold["g"][0][1] = "(-v1)*(u1) + 0*sqrt(t - 5)"
+    manifold["g"][1][0] = "0*sqrt(t - 5) + (u1)*(-v1)"
+    manifold["phi"][2][0] = "-u1 + 0*ln(t - 1)"
+
+
+def test_the_first_refusal_is_the_one_the_fields_meet_first(runner, tmp_path):
+    manifest = custom_heisenberg_manifest(n=1, mutate=refuse_twice)
+    with pytest.raises(DomainError) as exc:
+        build_structure(manifest)
+    assert str(exc.value) == "sqrt of non-positive value"
+    assert exc.value.span == (15, 26)
+    assert manifest["manifold"]["g"][0][1][15:26] == "sqrt(t - 5)"
+    assert exc.value.index == 0 and exc.value.value == -5.0
+    result = runner.invoke(main, ["check", write_manifest(tmp_path / "m.json", manifest)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stderr == "error: sqrt of non-positive value\n" and not result.stdout
 
 
 def scale_g(manifold):

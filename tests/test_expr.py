@@ -10,13 +10,17 @@ from paracurv.exprlang import (
     Bin,
     Call,
     Coord,
+    JetProgram,
     Neg,
     Num,
     Pow,
     ScalarField,
+    _eval,
     eval_jet,
     parse,
 )
+
+from conftest import CORPUS_COORDS, EXPRESSION_CORPUS
 
 COORDS = ("u1", "v1", "t")
 POINT = np.array([1.0, 2.0, 3.0])
@@ -196,3 +200,68 @@ def test_scalar_field_wrappers():
     assert jet[0][0] == 7.0
     assert np.array_equal(jet[1][:, 0], [1.0, 0.0, 2.0])
     assert f.ast == parse("u1 + 2*t", COORDS)
+
+
+# -- programs -------------------------------------------------------------
+
+
+def program_table():
+    """Corpus entries, and sums, differences, products and negations of
+    them, so that a program shares nodes across its roots; and negative
+    powers, constant operations and signed zeros."""
+    pairs = list(zip(EXPRESSION_CORPUS, EXPRESSION_CORPUS[1:]))
+    texts = [*EXPRESSION_CORPUS,
+             *(f"({a})*({b})" for a, b in pairs),
+             *(f"-({a}) + ({b})" for a, b in pairs),
+             *(f"({a}) - ({b})*w" for a, b in pairs[::3]),
+             "(2 + u)^-2", "(1 + u^2)^-3*v", "1/(3 + w) - u*v", "-(u*v) + u*v",
+             "2*3 - u", "-(2*3) + 4", "u^0*v", "-0.0*u", "0*u", "-(0.0) + v", "0.0",
+             "-0.0", "u*v*w*u", "(u*v)*(w*u) + (u*v)*(u*v)"]
+    return [parse(t, CORPUS_COORDS) for t in texts]
+
+
+PROGRAM_POINTS = np.random.default_rng(17).uniform(-0.5, 0.5, (7, 3))
+
+
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_program_jets_are_bitwise_those_of_each_ast_alone(count, order):
+    asts = program_table()
+    points = PROGRAM_POINTS[:count]
+    parts = JetProgram(asts)(points, order)
+    assert len(parts) == order + 1
+    for i, ast in enumerate(asts):
+        for k, alone in enumerate(eval_jet(ast, points, order)):
+            got = np.ascontiguousarray(parts[k][..., i])
+            want = np.ascontiguousarray(np.moveaxis(alone, -1, 0))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_program_degrees_are_the_none_parts_of_each_node(order):
+    program = JetProgram(program_table())
+
+    def coordinate(i):  # as in eval_jet
+        jet = [PROGRAM_POINTS[:, i]] + [None] * order
+        if order:
+            jet[1] = np.zeros((3, len(PROGRAM_POINTS)))
+            jet[1][i] = 1.0
+        return jet
+
+    for node, degree in zip(program.nodes, program.degrees, strict=True):
+        jet = _eval(node, coordinate)
+        if degree is None:
+            assert isinstance(jet, float)
+        else:
+            assert [p is not None for p in jet] == [k <= degree for k in range(order + 1)]
+
+
+def test_program_rows_are_structural_classes_and_keep_signed_zeros_apart():
+    # separately parsed equal texts are one row, at every node
+    texts = ["exp(u*v) + sinh(u*v)*w", "sinh(u*v)*w + exp(u*v)"]
+    program = JetProgram([parse(t, CORPUS_COORDS) for t in texts * 2])
+    assert program.roots.tolist() == [4, 5, 4, 5] and len(program.nodes) == 6
+    program = JetProgram([Num(0.0), Num(-0.0), Num(0.0), Bin("*", Num(-0.0), Coord("u", 0))])
+    assert program.roots.tolist() == [0, 1, 0, 3] and len(program.nodes) == 4
+    value = program(PROGRAM_POINTS[:1], 1)[0][0]
+    assert [np.signbit(v) for v in value[:3]] == [False, True, False]

@@ -190,14 +190,6 @@ def test_builtin_heisenberg_jets_are_bitwise_those_of_its_tables(n, count, order
     for b, t in zip(builtin.at(points, order), tables.at(points, order), strict=True):
         for x, y in zip(b.parts, t.parts, strict=True):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
-    # eta in the same pass as g and ahead of it: an eta field that is itself
-    # a shared node must not hand the other fields its zero-filled parts
-    c = builtin.components
-    fields = [*c.eta, *(f for row in c.g + c.phi for f in row), *c.xi]
-    memo = dict.fromkeys(c.shared)
-    for f in fields:
-        for x, y in zip(f(points, order, memo), f(points, order), strict=True):
-            assert x.tobytes() == y.tobytes()
 
 
 def test_domain_guard_and_errors(hyp2):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import paracurv as pc
+from paracurv.errors import DomainError
 from paracurv.geometry import heisenberg_tables
 from paracurv.manifest import build_structure, validate_manifest
 
@@ -45,6 +46,16 @@ def test_every_curvature_point_lies_in_its_chart():
         validate_manifest(manifest)
         structure = build_structure(manifest)
         assert structure.domain.contains([float(c) for c in point.split(",")])
+
+
+def test_the_bad_inputs_are_valid_manifests_that_exit_2_at_the_probe():
+    tool = load_tool()
+    cases = tool.bad_inputs()
+    assert len(cases) == len({stem for stem, _ in cases}) == 2
+    for _, manifest in cases:
+        validate_manifest(manifest)
+        with pytest.raises(DomainError):
+            build_structure(manifest)
 
 
 def test_bad_arguments_exit_2(tmp_path):

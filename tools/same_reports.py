@@ -19,7 +19,9 @@ PYTHONPATH for its own runs.  The fixed manifest set is
 
 It also runs `curvature` at 10 fixed points each on heisenberg(3),
 hyperboloid(2), hyperboloid(2) with alpha = 2, the embedded hyperboloid(1)
-graph, heisenberg(1) with alpha = 3 and heisenberg(4).
+graph, heisenberg(1) with alpha = 3 and heisenberg(4).  Last come two bad
+inputs, heisenberg(1) tables that `check` refuses with exit 2: one with two
+entries that refuse at the probe point, one with a division by nearly 0.
 
 For each manifest the report on stdout (without its `wall_time_s` line),
 stderr and the exit code must be byte-identical, and so must the whole
@@ -147,6 +149,21 @@ def curvature_points():
     return out
 
 
+def bad_inputs():
+    """(stem, manifest) of the custom tables that exit 2 at the probe point:
+    a g entry takes sqrt(-5) and a later phi entry ln(-1), the same sqrt
+    sitting in another g entry at another offset; and an xi entry divides
+    by 1e-15."""
+    refusing = heisenberg_tables(1)
+    refusing["g"][0][1] = "(-v1)*(u1) + 0*sqrt(t - 5)"
+    refusing["g"][1][0] = "0*sqrt(t - 5) + (u1)*(-v1)"
+    refusing["phi"][2][0] = "-u1 + 0*ln(t - 1)"
+    near_zero = heisenberg_tables(1)
+    near_zero["xi"][2] = "1 + 0*(u1/(t + 1e-15))"
+    return [("custom_heisenberg1_refusals", manifest(refusing)),
+            ("custom_heisenberg1_near_zero_division", manifest(near_zero))]
+
+
 def run(tree, args):
     """(stdout, stderr, exit code) of the CLI on a tree."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
@@ -237,7 +254,8 @@ def main(argv):
     parent, change = argv[1], argv[2]
     cases = [(stem, doc, ("check",)) for stem, doc in manifests()] + [
         (f"curvature_{stem}", doc, ("curvature", "--point", point))
-        for stem, doc, point in curvature_points()]
+        for stem, doc, point in curvature_points()] + [
+        (stem, doc, ("check",)) for stem, doc in bad_inputs()]
     results = []
     with tempfile.TemporaryDirectory() as workdir:
         for stem, doc, (command, *options) in cases:
@@ -267,10 +285,10 @@ def main(argv):
                 for line in diff_text.splitlines():
                     print(f"  {line}")
             results.append((stem, *classify(before, after, diff_text)))
-    reports = len(manifests())
+    reports, bad = len(manifests()), len(bad_inputs())
     print(f"{len(cases) - len(results)} of {len(cases)} cases give the same output, "
-          f"stderr and exit code ({reports} reports, {len(cases) - reports} "
-          f"curvature calls)")
+          f"stderr and exit code ({reports} reports, {len(cases) - reports - bad} "
+          f"curvature calls, {bad} bad inputs)")
     if results:
         print("\n".join(summary(results)))
     return 1 if results else 0
