@@ -35,6 +35,14 @@ def _fail(message):
     sys.exit(2)
 
 
+def _write(document, path):
+    """Write a report or manifest; an unwritable path is bad input."""
+    try:
+        write_report(document, path)
+    except OSError as e:
+        _fail(f"cannot write {path}: {e.strerror or e}")
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="paracurv")
 def main():
@@ -67,7 +75,7 @@ def check(manifest_path, out_path, tol, seed):
             wall_time_s=time.monotonic() - start,
         )
         if out_path is not None:
-            write_report(document, out_path)
+            _write(document, out_path)
         else:
             click.echo(dumps_report(document), nl=False)
     except ParacurvError as e:
@@ -143,11 +151,9 @@ def transform(manifest_path, out_path, alpha):
     """Emit a manifest for the D-homothety of the input structure."""
     try:
         manifest, _ = load_manifest(manifest_path)
-        text = dumps_report(transform_manifest(manifest, alpha))
+        _write(transform_manifest(manifest, alpha), out_path)
     except ParacurvError as e:
         _fail(e)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
     click.echo(f"wrote {out_path}")
 
 

@@ -11,15 +11,16 @@ Grammar (standard precedence, left associativity)::
 Only integer powers are allowed; fractional powers must be written via
 ``sqrt``.  Names must be declared coordinates.
 
-:func:`eval_jet` evaluates an AST over a batch of P points at once, to the
-parts of its truncated Taylor jets up to fourth order: part k has shape
-``(d,)*k + (P,)``, the point axis after the derivative axes.  Structure
-fields go to third order; only an immersion is evaluated to the fourth,
-since its tangent frame is the gradient of its jets.  The rules are those
-of Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., ch. 13), elementwise over the points, so a point gets the same bits
-in any batch, one point included.  A :class:`JetProgram` gives many ASTs
-those bits at once, each distinct node evaluated once.
+A :class:`JetProgram` evaluates a list of ASTs over a batch of P points
+at once, each distinct node once, to the parts of their truncated Taylor
+jets up to fourth order; :func:`eval_jet` is the program of one AST, its
+part k of shape ``(d,)*k + (P,)``, the point axis after the derivative
+axes.  Structure fields go to third order; only an immersion is evaluated
+to the fourth, since its tangent frame is the gradient of its jets.  The
+rules are those of Taylor arithmetic (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13), elementwise over the points and the
+stacked nodes, so a point gets the same bits in any batch and any program,
+one point and one AST included.
 """
 
 from __future__ import annotations
@@ -221,13 +222,12 @@ def parse(text, coords):
 
 # -- evaluation ---------------------------------------------------------------
 #
-# Inside the evaluator a jet is a constant (a Python float, or in a
-# JetProgram an array of rows) for a subtree without coordinates, or a list
-# [value, d1, ..., d_order] of arrays, part k of shape (d,)*k + (P,), or
-# (d,)*k + (rows, P) in a JetProgram; a part of order 2 or more is None while
-# it is zero by construction, as a coordinate's is.  Each rule adds its terms
-# in a fixed order and leaves out the None ones, which changes no bit of a
-# sum but the sign of a zero.
+# Inside the evaluator, rows of jets are stacked: a jet is a constant, a
+# (rows, P) array, for subtrees without coordinates, or a list
+# [value, d1, ..., d_order] of arrays, part k of shape (d,)*k + (rows, P); a
+# part of order 2 or more is None while it is zero by construction, as a
+# coordinate's is.  Each rule adds its terms in a fixed order and leaves out
+# the None ones, which changes no bit of a sum but the sign of a zero.
 
 _DIV_EPS = 1e-14
 
@@ -330,8 +330,8 @@ def _times(x, y):
 def _compose(u, terms):
     """Faa di Bruno through the order of u, for the outer function whose
     value and derivatives at u's value ``terms`` returns."""
-    if isinstance(u, float):
-        return float(terms(np.float64(u))[0])
+    if not isinstance(u, list):
+        return terms(u)[0]
     f = terms(u[0])
     out = [f[0]]
     if len(u) > 1:
@@ -418,126 +418,72 @@ def _jet_pow(a, n):
     return _compose(out, _reciprocal_terms) if n < 0 else out
 
 
-_BINARY = {
-    "+": _jet_add,
-    "-": _jet_sub,
-    "*": _jet_mul,
-    "/": lambda a, b: _jet_mul(a, _compose(b, _reciprocal_terms)),
-}
-
-
-def _eval(ast, coordinate):
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Coord):
-        return coordinate(ast.index)
-    if isinstance(ast, Neg):
-        return _jet_neg(_eval(ast.arg, coordinate))
-    if isinstance(ast, Bin):
-        rule, args = _BINARY[ast.op], (_eval(ast.left, coordinate),
-                                       _eval(ast.right, coordinate))
-    elif isinstance(ast, Pow):
-        rule, args = _jet_pow, (_eval(ast.base, coordinate), ast.exponent)
-    elif isinstance(ast, Call):
-        rule, args = _compose, (_eval(ast.arg, coordinate), _TERMS[ast.func])
-    else:
-        raise TypeError(f"not an AST node: {ast!r}")
-    try:
-        return rule(*args)
-    except DomainError as e:
-        raise DomainError(str(e), e.value, ast.span, e.index) from None
-
-
-def eval_jet(ast, points, order=3):
-    """Jets of an AST over a (P, d) array of points, up to ``order`` (at
-    most 4), as the list of parts ``k = 0..order`` of shape ``(d,)*k + (P,)``.
-
-    A DomainError carries the span of the failing subexpression and, as
-    ``index``, the first failing point.
-    """
-    points = np.asarray(points, dtype=float)
-    count, dim = points.shape
-
-    def coordinate(i):
-        jet = [points[:, i]] + [None] * order
-        if order:
-            jet[1] = np.zeros((dim, count))
-            jet[1][i] = 1.0
-        return jet
-
-    out = _eval(ast, coordinate)
-    if isinstance(out, float):
-        value = np.empty(count)
-        value.fill(out)
-        out = [value] + [None] * order
-    return [out[0]] + [np.zeros((dim,) * k + (count,)) if out[k] is None else out[k]
-                       for k in range(1, order + 1)]
-
-
 # -- programs -------------------------------------------------------------------
 #
 # A JetProgram holds many ASTs as one hash-consed DAG (Filliatre & Conchon,
 # "Type-safe modular hash-consing", ML Workshop 2006): structurally equal
 # nodes are one row, and a Num is keyed on its exact bits, so 0.0 and -0.0
-# stay two.  A node's degree is None for a constant, else the highest order
+# stay two.  A row's degree is None for a constant, else the highest order
 # of its parts that the rules above leave an array rather than None: a
-# function of the AST alone.  Negations, sums, differences and products
-# are grouped by height, op and operand degrees, and each group runs its
-# rule once on the stacked rows, so that each element sees the operations,
-# in the order, of the walk of its AST alone.  Every other node is a leaf.
+# function of the AST alone.  Coordinates and constants are written in;
+# every other node is grouped by height, op and operand degrees, and each
+# group runs its rule once on the stacked rows, so that each element sees
+# the same operations, in the same order, whatever rows it is stacked with.
 
 
 def _degree(op, a, b):
-    # of a negation (a, a), sum, difference or product; constants have None
+    """Degree of a row of ``op`` from its operands' (b is a for a unary op)."""
+    if op == "/":  # a product with a reciprocal
+        op, b = "*", b and 4
+    if op in _TERMS:
+        return a and 4
+    if type(op) is tuple:  # ("^", n)
+        n = op[1]
+        return a and (None if n == 0 else 4 if n < 0 else min(n * a, 4))
     if a is None or b is None:
         return b if a is None else a
     return min(a + b, 4) if op == "*" else max(a, b)
 
 
-_OPERATIONS = {"neg": _jet_neg, "+": _jet_add, "-": _jet_sub, "*": _jet_mul}
+_OPERATIONS = {"neg": _jet_neg, "+": _jet_add, "-": _jet_sub, "*": _jet_mul,
+               "/": lambda a, b: _jet_mul(a, _compose(b, _reciprocal_terms))}
 
 
-def _leaf(node):
-    """(key, degree) of a node, its key equal for equal structures alone."""
-    if isinstance(node, Num):
-        return (Num, float(node.value).hex()), None
-    if isinstance(node, Coord):
-        return (Coord, node.index), 1
-    if isinstance(node, Bin):
-        (a, da), (b, db) = _leaf(node.left), _leaf(node.right)
-        op, db = ("*", db and 4) if node.op == "/" else (node.op, db)
-        return (node.op, a, b), _degree(op, da, db)
-    key, arg = _leaf(node.arg if hasattr(node, "arg") else node.base)
-    if isinstance(node, Neg):
-        return ("neg", key), arg
-    if isinstance(node, Call):
-        return (node.func, key), arg and 4
-    n = node.exponent
-    return (Pow, key, n), arg and (None if n == 0 else 4 if n < 0 else min(n * arg, 4))
+def _rule(op):
+    """The rule of a row's op, on its operands' jets."""
+    if op in _TERMS:
+        return lambda a: _compose(a, _TERMS[op])
+    if type(op) is tuple:
+        return lambda a: _jet_pow(a, op[1])
+    return _OPERATIONS[op]
 
 
 class JetProgram:
     """Jets of a list of ASTs, the roots, over a batch of points, each
     distinct node evaluated once per batch.  ``nodes[r]`` is the first node
-    visited of row r and ``degrees[r]`` its degree.  Leaves other than
-    coordinates and constants are evaluated whole, in the order first
-    visited, so the first DomainError is the one that evaluating the roots
-    one by one meets first."""
+    visited of row r and ``degrees[r]`` its degree.  Rows are numbered in
+    the order in which evaluating the roots one by one finishes their first
+    nodes, and the DomainError raised is that of the lowest failing row, so
+    it is the one that evaluation meets first."""
 
     def __init__(self, asts):
         seen, rows, keys, self.nodes = {}, {}, [], []
 
         def row(node):
-            # an operation's key holds its operands' earlier rows; a leaf's
-            # is (None, key, degree)
+            # a node's key holds its operands' earlier rows
             r = seen.get(id(node))
             if r is None:
-                if type(node) is Neg:
-                    key = ("neg", row(node.arg))
-                elif type(node) is Bin and node.op != "/":
+                kind = type(node)
+                if kind is Num:
+                    key = (Num, float(node.value).hex())
+                elif kind is Coord:
+                    key = (Coord, node.index)
+                elif kind is Bin:
                     key = (node.op, row(node.left), row(node.right))
+                elif kind is Pow:
+                    key = (("^", node.exponent), row(node.base))
                 else:
-                    key = (None, *_leaf(node))
+                    key = ("neg" if kind is Neg else node.func, row(node.arg))
                 r = seen[id(node)] = rows.setdefault(key, len(keys))
                 if r == len(keys):
                     keys.append(key)
@@ -545,13 +491,13 @@ class JetProgram:
             return r
 
         self.roots = np.array([row(a) for a in asts], dtype=np.intp)
-        self.degrees, heights, groups, self.whole_rows = [], [], {}, []
+        self.degrees, heights, groups = [], [], {}
         leaves = {Coord: [], Num: []}
         for r, key in enumerate(keys):
-            op, a, b = key[0], key[1], key[-1]  # b is a for a negation
-            if op is None:
-                leaves.get(a[0], self.whole_rows).append(r)
-                self.degrees.append(b)
+            op, a, b = key[0], key[1], key[-1]  # b is a for a unary op
+            if op in leaves:
+                leaves[op].append(r)
+                self.degrees.append(1 if op is Coord else None)
                 heights.append(0)
             else:
                 da, db = self.degrees[a], self.degrees[b]
@@ -563,7 +509,7 @@ class JetProgram:
                                dtype=np.intp).reshape(2, -1)
         self.nums = nums, np.array([self.nodes[r].value for r in nums]).reshape(-1, 1)
         # (rule, operand degrees, operand rows and the group's rows), by height
-        self.groups = [(_OPERATIONS[g[1]], g[2:], np.array(groups[g], dtype=np.intp).T)
+        self.groups = [(_rule(g[1]), g[2:], np.array(groups[g], dtype=np.intp).T)
                        for g in sorted(groups, key=lambda g: g[0])]
 
     def __call__(self, points, order):
@@ -579,22 +525,46 @@ class JetProgram:
             slabs[1][index, coord_rows] = 1.0
         slabs[0][self.nums[0]] = self.nums[1]
 
-        def put(rows, jet):
-            for slab, part in zip(slabs, jet if isinstance(jet, list) else [jet]):
-                if part is not None:
-                    slab[..., rows, :] = part
-
         def take(rows, degree):
             if degree is None:
                 return slabs[0][rows]
             return [s[..., rows, :] if k <= degree else None
                     for k, s in enumerate(slabs)]
 
-        for r in self.whole_rows:
-            put(r, eval_jet(self.nodes[r], points, order))
-        for rule, degrees, (*operands, rows) in self.groups:
-            put(rows, rule(*map(take, operands, degrees)))
+        def run(rule, degrees, rows):
+            *operands, out = rows
+            jet = rule(*map(take, operands, degrees))
+            for slab, part in zip(slabs, jet if isinstance(jet, list) else [jet]):
+                if part is not None:
+                    slab[..., out, :] = part
+
+        refusals = {}
+        for rule, degrees, rows in self.groups:
+            try:
+                run(rule, degrees, rows)
+            except DomainError:
+                # a stacked refusal may name any of its rows: run each alone
+                for one in rows.T[:, :, None]:
+                    try:
+                        run(rule, degrees, one)
+                    except DomainError as e:
+                        refusals[int(one[-1, 0])] = e
+        if refusals:
+            r = min(refusals)
+            e = refusals[r]
+            raise DomainError(str(e), e.value, self.nodes[r].span, e.index)
         return [np.moveaxis(s[..., self.roots, :], -1, 0) for s in slabs]
+
+
+def eval_jet(ast, points, order=3):
+    """Jets of an AST over a (P, d) array of points, up to ``order`` (at
+    most 4), as the list of parts ``k = 0..order`` of shape ``(d,)*k + (P,)``:
+    a :class:`JetProgram` of one root.
+
+    A DomainError carries the span of the failing subexpression and, as
+    ``index``, the first failing point.
+    """
+    return [np.moveaxis(p[..., 0], 0, -1) for p in JetProgram([ast])(points, order)]
 
 
 # -- scalar fields -------------------------------------------------------------

@@ -7,8 +7,9 @@ expression tables, induction from an embedding into the flat para-Kaehler
 ambient, and the D-homothetic transform of another structure.  Each
 computes on the whole batch: one :class:`StructureJets` of jet tensors with
 a leading point axis.  :meth:`CharteredStructure.at` checks that batch and
-returns it whole.  Tables and embeddings evaluate their ASTs as one
-:class:`JetProgram`.  The Heisenberg builtin is built as ASTs, not parsed:
+returns it whole.  Tables, embeddings and the hyperboloid's guard each
+evaluate their ASTs as one :class:`JetProgram`, built once, which runs
+every node of them.  The Heisenberg builtin is built as ASTs, not parsed:
 its g entries multiply the very nodes of its eta entries.
 """
 
@@ -24,7 +25,7 @@ from .errors import (
     NotParacontact,
     RankDeficientJacobian,
 )
-from .exprlang import Bin, Coord, JetProgram, Neg, Num, ScalarField, eval_jet, parse
+from .exprlang import Bin, Coord, JetProgram, Neg, Num, ScalarField, parse
 from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 
@@ -355,10 +356,10 @@ HYPERBOLOID_GUARD_MIN = 0.1
 def builtin_hyperboloid(n):
     embedding, radicand_text = hyperboloid_embedding(n)
     coords = embedding.coords
-    radicand_ast = parse(radicand_text, coords)
+    radicand = JetProgram([parse(radicand_text, coords)])
 
     def guard(points):
-        return eval_jet(radicand_ast, points, order=0)[0] >= HYPERBOLOID_GUARD_MIN
+        return radicand(points, 0)[0][:, 0] >= HYPERBOLOID_GUARD_MIN
 
     d = 2 * n + 1
     domain = Domain([[-2.0, 2.0]] * d, guard=guard)

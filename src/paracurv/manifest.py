@@ -517,6 +517,9 @@ def transform_manifest(manifest, alpha):
     dim = len(manifold["coords"])
     eta = manifold["eta"]
     c = alpha * alpha - alpha
+    if not math.isfinite(c):
+        raise ManifestError(f"transform.alpha = {alpha!r} overflows alpha^2 - alpha",
+                            field="transform.alpha")
     g = manifold["g"]
     new_g = []
     for i in range(dim):

@@ -471,6 +471,34 @@ def test_transform_rejects_bad_alpha(runner, tmp_path):
     assert not (tmp_path / "t").exists()
 
 
+def test_transform_refuses_an_alpha_whose_square_overflows(runner, tmp_path):
+    # alpha^2 - alpha would write inf into the custom g entries
+    manifest = write_manifest(tmp_path / "m.json", custom_heisenberg_manifest(n=1))
+    result = runner.invoke(
+        main, ["transform", manifest, "--alpha", "1e200", "--out", str(tmp_path / "t")])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stderr == ("error: transform.alpha = 1e+200 overflows "
+                             "alpha^2 - alpha\n")
+    assert not (tmp_path / "t").exists()
+
+
+def unwritable_out(runner, tmp_path, command, *options):
+    manifest = write_manifest(tmp_path / "m.json", builtin_manifest())
+    out = tmp_path / "missing" / "out.json"
+    result = runner.invoke(main, [command, manifest, *options, "--out", str(out)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: cannot write {out}: No such file or directory\n"
+    assert not result.stdout
+
+
+def test_check_to_an_unwritable_out_path_exits_2(runner, tmp_path):
+    unwritable_out(runner, tmp_path, "check")
+
+
+def test_transform_to_an_unwritable_out_path_exits_2(runner, tmp_path):
+    unwritable_out(runner, tmp_path, "transform", "--alpha", "2")
+
+
 def test_curvature_summary(runner, tmp_path):
     manifest = write_manifest(tmp_path / "m.json", builtin_manifest())
     result = runner.invoke(

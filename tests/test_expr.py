@@ -15,12 +15,11 @@ from paracurv.exprlang import (
     Num,
     Pow,
     ScalarField,
-    _eval,
     eval_jet,
     parse,
 )
 
-from conftest import CORPUS_COORDS, EXPRESSION_CORPUS
+from conftest import CORPUS_COORDS, CORPUS_POINT, EXPRESSION_CORPUS
 
 COORDS = ("u1", "v1", "t")
 POINT = np.array([1.0, 2.0, 3.0])
@@ -237,31 +236,49 @@ def test_program_jets_are_bitwise_those_of_each_ast_alone(count, order):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+# text -> the degree of its root: None for a constant, else the highest
+# order of its jet parts that the rules leave an array rather than None
+DEGREES = {"u": 1, "2": None, "u*v": 2, "u^3": 3, "u^-1": 4, "exp(u)": 4,
+           "exp(2)": None, "v/3": 1, "u^0*v": 1, "u*v*w*u": 4, "1/u": 4, "2*3 - 1": None}
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_program_degrees_are_the_none_parts_of_each_node(order):
-    program = JetProgram(program_table())
-
-    def coordinate(i):  # as in eval_jet
-        jet = [PROGRAM_POINTS[:, i]] + [None] * order
-        if order:
-            jet[1] = np.zeros((3, len(PROGRAM_POINTS)))
-            jet[1][i] = 1.0
-        return jet
-
-    for node, degree in zip(program.nodes, program.degrees, strict=True):
-        jet = _eval(node, coordinate)
-        if degree is None:
-            assert isinstance(jet, float)
-        else:
-            assert [p is not None for p in jet] == [k <= degree for k in range(order + 1)]
+    texts = list(DEGREES)
+    program = JetProgram([parse(t, CORPUS_COORDS) for t in texts])
+    assert [program.degrees[r] for r in program.roots] == list(DEGREES.values())
+    # the parts above a root's degree are its zeros, a constant's above 0
+    parts = program(PROGRAM_POINTS, order)
+    for i, degree in enumerate(DEGREES.values()):
+        for k in range(1 if degree is None else degree + 1, order + 1):
+            assert not parts[k][..., i].any()
 
 
 def test_program_rows_are_structural_classes_and_keep_signed_zeros_apart():
     # separately parsed equal texts are one row, at every node
     texts = ["exp(u*v) + sinh(u*v)*w", "sinh(u*v)*w + exp(u*v)"]
     program = JetProgram([parse(t, CORPUS_COORDS) for t in texts * 2])
-    assert program.roots.tolist() == [4, 5, 4, 5] and len(program.nodes) == 6
+    assert program.roots.tolist() == [7, 8, 7, 8] and len(program.nodes) == 9
     program = JetProgram([Num(0.0), Num(-0.0), Num(0.0), Bin("*", Num(-0.0), Coord("u", 0))])
     assert program.roots.tolist() == [0, 1, 0, 3] and len(program.nodes) == 4
     value = program(PROGRAM_POINTS[:1], 1)[0][0]
     assert [np.signbit(v) for v in value[:3]] == [False, True, False]
+
+
+def refusal(texts, points):
+    with pytest.raises(DomainError) as exc:
+        JetProgram([parse(t, CORPUS_COORDS) for t in texts])(points, 2)
+    return exc.value
+
+
+def test_the_refusal_is_the_first_that_the_roots_one_by_one_meet():
+    # the ln refuses at a lower height than the sqrt, which is visited first
+    texts = ["1 + sqrt(exp(u) - 100)", "ln(v - 5)"]
+    e = refusal(texts, PROGRAM_POINTS)
+    assert str(e) == "sqrt of non-positive value" and e.index == 0
+    assert texts[0][slice(*e.span)] == "sqrt(exp(u) - 100)"
+    # both ln run as one stacked group, where ln(v - 5) refuses too
+    texts = ["ln(u*1e-170) + w", "ln(v - 5)"]
+    e = refusal(texts, [CORPUS_POINT, [0.2, 0.1, 0.3]])
+    assert str(e).startswith("derivatives of ln overflow") and e.index == 0
+    assert texts[0][slice(*e.span)] == "ln(u*1e-170)"

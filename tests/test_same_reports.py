@@ -51,7 +51,7 @@ def test_every_curvature_point_lies_in_its_chart():
 def test_the_bad_inputs_are_valid_manifests_that_exit_2_at_the_probe():
     tool = load_tool()
     cases = tool.bad_inputs()
-    assert len(cases) == len({stem for stem, _ in cases}) == 2
+    assert len(cases) == len({stem for stem, _ in cases}) == 3
     for _, manifest in cases:
         validate_manifest(manifest)
         with pytest.raises(DomainError):

@@ -19,9 +19,11 @@ PYTHONPATH for its own runs.  The fixed manifest set is
 
 It also runs `curvature` at 10 fixed points each on heisenberg(3),
 hyperboloid(2), hyperboloid(2) with alpha = 2, the embedded hyperboloid(1)
-graph, heisenberg(1) with alpha = 3 and heisenberg(4).  Last come two bad
-inputs, heisenberg(1) tables that `check` refuses with exit 2: one with two
-entries that refuse at the probe point, one with a division by nearly 0.
+graph, heisenberg(1) with alpha = 3 and heisenberg(4).  Last come three
+bad inputs, heisenberg(1) tables that `check` refuses with exit 2: one with
+two entries that refuse at the probe point; one whose two refusing entries
+lie at different depths, the entry met first the deeper one; and one with a
+division by nearly 0.
 
 For each manifest the report on stdout (without its `wall_time_s` line),
 stderr and the exit code must be byte-identical, and so must the whole
@@ -152,15 +154,20 @@ def curvature_points():
 def bad_inputs():
     """(stem, manifest) of the custom tables that exit 2 at the probe point:
     a g entry takes sqrt(-5) and a later phi entry ln(-1), the same sqrt
-    sitting in another g entry at another offset; and an xi entry divides
-    by 1e-15."""
+    sitting in another g entry at another offset; a g entry takes
+    sqrt(exp(0) - 5), three operations deep, and a later phi entry ln(-1),
+    two deep; and an xi entry divides by 1e-15."""
     refusing = heisenberg_tables(1)
     refusing["g"][0][1] = "(-v1)*(u1) + 0*sqrt(t - 5)"
     refusing["g"][1][0] = "0*sqrt(t - 5) + (u1)*(-v1)"
     refusing["phi"][2][0] = "-u1 + 0*ln(t - 1)"
+    deeper_first = heisenberg_tables(1)
+    deeper_first["g"][0][1] = "(-v1)*(u1) + 0*sqrt(exp(t) - 5)"
+    deeper_first["phi"][2][0] = "-u1 + 0*ln(t - 1)"
     near_zero = heisenberg_tables(1)
     near_zero["xi"][2] = "1 + 0*(u1/(t + 1e-15))"
     return [("custom_heisenberg1_refusals", manifest(refusing)),
+            ("custom_heisenberg1_deeper_refusal_first", manifest(deeper_first)),
             ("custom_heisenberg1_near_zero_division", manifest(near_zero))]
 
 
