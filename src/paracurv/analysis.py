@@ -68,7 +68,7 @@ def check_axioms(frames, threshold=1e-9):
         keep("axiom_i_eta_phi", _vecmat(eta, ph))
         keep("axiom_ii_eta_xi", _vecdot(eta, xi), 1.0)
         keep("axiom_ii_phi_sq", ph @ ph, np.eye(d) - e("i,j->ij", xi, eta))
-        keep("axiom_iii_compat", e("rs,rj,sk->jk", g, ph, ph),
+        keep("axiom_iii_compat", np.swapaxes(ph, -1, -2) @ g @ ph,
              -g + e("i,j->ij", eta, eta))
         keep("axiom_iv_deta", g @ ph, f.deta.value)
         keep("metric_duality", _matvec(g, xi), eta)
@@ -162,7 +162,7 @@ def xi_sectional(f, u):
     if abs(eps_u) < NULL_EPS:
         raise IsotropicVector(f"g(u,u) = {eps_u:g} is numerically null")
     R = f.riem_down
-    num = np.einsum("kjhi,k,j,h,i->", R, u, xi, xi, u)
+    num = u @ (((R @ u) @ xi) @ xi)
     den = eps_u * float(xi @ g @ xi)
     return float(num / den)
 
@@ -376,7 +376,7 @@ def wpc(f, x, y, z, w):
     px, py, pz, pw = ph @ x, ph @ y, ph @ z, ph @ w
     c1 = st / (4.0 * (n + 1.0) * (n + 2.0))
     c2 = 1.0 / (2.0 * (n + 2.0))
-    val = float(np.einsum("ijkl,i,j,k,l->", big_rt, x, y, z, w))
+    val = float(x @ (((big_rt @ w) @ z) @ y))
     val -= c1 * (gp(x, z) * gp(y, w) - gp(y, z) * gp(x, w))
     val += c1 * (
         fp(x, z) * fp(y, w) - fp(y, z) * fp(x, w) + 2.0 * fp(x, y) * fp(z, w)
@@ -404,7 +404,7 @@ def bochner_pairing(f, x, y, z, w):
     """B(X,Y,Z,W) at a point view ``f``, for comparison against the W^pc
     pairing."""
     b, _ = f.bochner
-    return float(np.einsum("ijkl,i,j,k,l->", b, x, y, z, w))
+    return float(x @ (((b @ w) @ z) @ y))
 
 
 # -- identity suite ------------------------------------------------------------------
@@ -482,11 +482,12 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
         ff = 0.5 * phi_block(phl, phl)
         # the target f5 and f7 share
         f5_f7 = 0.5 * (kulkarni_nomizu(g, g) + kulkarni_nomizu(phl, phl)) - big_r
-        keep("f5", e("aj,bi,ablk->jilk", ph, ph, big_r), f5_f7)
+        keep("f5", e("aj,ailk->jilk", ph, e("bi,ablk->ailk", ph, big_r)), f5_f7)
+        # f6 and f7 read one tensor, phi^l_h phi^b_i R_bmlk at (i, m, h, k)
+        pp_r = e("lh,imlk->imhk", ph, e("bi,bmlk->imlk", ph, big_r))
         keep(
             "f6",
-            e("bm,lh,bilk->mihk", ph, ph, big_r)
-            - e("bi,lh,bmlk->mihk", ph, ph, big_r),
+            pp_r - tail_transpose(pp_r, 1, 0, 2, 3),
             e("km,ih->mihk", g, g)
             - e("mh,ik->mihk", g, g)
             + e("ik,m,h->mihk", g, eta, eta)
@@ -496,8 +497,7 @@ def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None
         )
         keep(
             "f7",
-            e("bi,lh,bmlk->ihmk", ph, ph, big_r)
-            - e("bh,li,bmlk->ihmk", ph, ph, big_r),
+            tail_transpose(pp_r, 0, 2, 1, 3) - tail_transpose(pp_r, 2, 0, 1, 3),
             f5_f7,
         )
         phi_h = ph @ h

@@ -261,8 +261,7 @@ class InducedComponents:
         def product(t):
             # I is constant: applied part by part, it adds no zero jet
             # parts to the Leibniz sums
-            return JetTensor(d, order, [np.einsum("CD,...D->...C", i_mat, p)
-                                        for p in t.parts])
+            return JetTensor(d, order, [p @ i_mat.T for p in t.parts])
 
         i_n = product(normal)
         eta = -1.0 * jt_einsum("C,aC->a", i_n, e_flat)

@@ -9,6 +9,9 @@ subscripts name base axes only.  This lets curvature formulas run as plain
 einsums with an exact Leibniz rule instead of per-component jet objects,
 which matters once rank-4 tensors at hundreds of points show up.
 
+Every such einsum is a :func:`point_einsum`, whose docstring says how
+it runs.
+
 ``partial()`` is free: the (k+1)-st derivative array of a field *is* the
 k-th derivative array of its gradient, with the last derivative axis
 reinterpreted as a component axis.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -130,17 +133,72 @@ class JetTensor:
     __rmul__ = __mul__
 
 
+def _matmul_route(sa, sb, out):
+    """A contraction as (P, M, K) @ (P, K, N).  M is the free letters of
+    the operand that the output names first, N those of the other, each in
+    output order, and K the summed letters."""
+    swap = bool(out) and out[0] in sb
+    if swap:
+        sa, sb = sb, sa
+    free_a = [c for c in out if c in sa]
+    free_b = [c for c in out if c in sb]
+    summed = [c for c in sa if c not in out]
+    ax_a = (0, *(1 + sa.index(c) for c in free_a + summed))
+    ax_b = (0, *(1 + sb.index(c) for c in summed + free_b))
+    ax_out = (0, *(1 + (free_a + free_b).index(c) for c in out))
+    split_a, split_b = 1 + len(free_a), 1 + len(summed)
+
+    def run(a, b):
+        if swap:
+            a, b = b, a
+        a, b = a.transpose(ax_a), b.transpose(ax_b)
+        m, k, n = a.shape[1:split_a], a.shape[split_a:], b.shape[split_b:]
+        c = np.matmul(a.reshape(len(a), prod(m), prod(k)),
+                      b.reshape(len(b), prod(k), prod(n)))
+        return c.reshape(c.shape[:1] + m + n).transpose(ax_out)
+
+    return run
+
+
 @cache
-def _threaded(sub):
-    """``sub`` with ``...`` before every operand and the output."""
+def _plan(sub):
+    """(operand ranks, matmul route, np.einsum route) of ``sub``: operands
+    of other ranks, or a subscript that is no contraction (ranks None),
+    take np.einsum."""
     ins, out = sub.split("->")
-    return ",".join("..." + s for s in ins.split(",")) + "->..." + out
+    ins = ins.split(",")
+    threaded = ",".join("..." + s for s in ins) + "->..." + out
+
+    def fallback(*operands):
+        return np.einsum(threaded, *operands)
+
+    if len(ins) != 2:
+        return None, fallback, fallback
+    sa, sb = ins
+    # a repeated letter, a letter summed inside one operand, one that both
+    # operands keep, or no summed letter at all
+    if (any(len(set(s)) < len(s) for s in ins) or set(sa) ^ set(sb) != set(out)
+            or not set(sa) & set(sb)):
+        return None, fallback, fallback
+    return (1 + len(sa), 1 + len(sb)), _matmul_route(sa, sb, out), fallback
 
 
 def point_einsum(sub, *operands):
     """np.einsum over base axes, with the leading point axis threaded:
-    ``...`` goes before every operand and the output."""
-    return np.einsum(_threaded(sub), *operands)
+    ``...`` goes before every operand and the output.
+
+    A contraction of two operands that each lead with the point axis takes
+    a route planned once per subscript: one ``np.matmul`` of the operands
+    reshaped to (P, M, K) and (P, K, N), so one BLAS gemm per point, of
+    the same shape at every batch size, and a batch gives each point the
+    bits of its own call.  Everything else (an outer product, a repeated
+    letter, a letter summed inside one operand or kept by both, three or
+    more operands) takes np.einsum.
+    """
+    ranks, route, fallback = _plan(sub)
+    if tuple(np.ndim(x) for x in operands) == ranks:
+        return route(*operands)
+    return fallback(*operands)
 
 
 def jt_einsum(sub, a, b):

@@ -175,12 +175,16 @@ def test_k_hat_comes_from_the_one_fit_of_the_run(monkeypatch):
             "checks": checks,
         }
         fits.clear()
-        report, _, _ = run_checks(build_structure(manifest), manifest)
+        structure = build_structure(manifest)
+        report, _, _ = run_checks(structure, manifest)
         assert len(fits) == 1
         k_hat[str(checks)] = report.constants["k_hat"]
-    # a fit on the 5 identity frames gave 0.9999999999999996 here: the
-    # fit reads the space_form row's 10 points, whichever check asks first
-    assert set(k_hat.values()) == {1.0}
+    # the fit reads the space_form row's 10 points, whichever check asks
+    # first; a fit on the 5 identity frames gave 0.9999999999999996 once
+    points = sample_points(structure, seed=1, count=30)[:10]
+    want = fit(frames_at(structure, points)).k_hat
+    assert set(k_hat.values()) == {want}
+    assert want == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perturbed_phi_is_not_parasasakian():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from paracurv.connection import get_frame
 from paracurv.errors import DomainError, SingularMetric
 from paracurv.exprlang import eval_jet, parse
-from paracurv.jetfields import JetTensor, jt_einsum, jt_metric_inverse
+from paracurv.jetfields import JetTensor, jt_einsum, jt_metric_inverse, point_einsum
 
 from conftest import (
     CORPUS_COORDS,
@@ -215,6 +215,88 @@ def test_a_batch_is_bitwise_equal_to_single_points(points, order):
             single = eval_jet(ast, [point], order)
             for b, s in zip(batch, single, strict=True):
                 assert np.ascontiguousarray(b[..., i]).tobytes() == s[..., 0].tobytes()
+
+
+# -- point contractions -------------------------------------------------------
+
+# a full contraction, one whose output leads with the second operand's
+# letter, one whose output interleaves both operands' letters, and one with a
+# permuted output
+CONTRACTIONS = ["jk,jk->", "lm,mijk->ijkl", "im,amn->ain", "ij,jk->ki"]
+OUTER_PRODUCTS = ["ik,jl->ijkl", "i,j->ij", "ilk,j->ijkl"]
+
+
+def operands(sub, count, seed=0):
+    """Random operands of ``sub`` over ``count`` points; each letter has
+    its own axis length, so a mixed-up axis shows as a shape."""
+    ins = sub.split("->")[0].split(",")
+    size = {c: 2 + i for i, c in enumerate(sorted(set("".join(ins))))}
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((count, *(size[c] for c in s))) for s in ins]
+
+
+def threaded_einsum(sub, *ops):
+    ins, out = sub.split("->")
+    return np.einsum(",".join("..." + s for s in ins.split(",")) + "->..." + out, *ops)
+
+
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("sub", CONTRACTIONS)
+def test_a_contraction_agrees_with_the_threaded_einsum(sub, count):
+    ops = operands(sub, count)
+    got, want = point_einsum(sub, *ops), threaded_einsum(sub, *ops)
+    assert got.shape == want.shape
+    # each entry sums at most 5 products of standard normal draws
+    assert np.max(np.abs(got - want), initial=0.0) < 1e-13
+
+
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("sub", OUTER_PRODUCTS)
+def test_an_outer_product_is_bitwise_the_threaded_einsum(sub, count):
+    ops = operands(sub, count)
+    got, want = point_einsum(sub, *ops), threaded_einsum(sub, *ops)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("sub", CONTRACTIONS + OUTER_PRODUCTS)
+def test_a_batch_call_is_bitwise_the_stack_of_its_point_calls(sub):
+    ops = operands(sub, 7)
+    batch = point_einsum(sub, *ops)
+    for i in range(7):
+        single = point_einsum(sub, *(x[i : i + 1] for x in ops))
+        assert single.shape == (1, *batch.shape[1:])
+        assert np.ascontiguousarray(batch[i]).tobytes() == single[0].tobytes()
+
+
+def test_other_subscripts_take_np_einsum(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args):
+        calls.append(args[0])
+        return einsum(*args)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    rng = np.random.default_rng(3)
+    m, v = rng.standard_normal((7, 3, 3)), rng.standard_normal((7, 3))
+    cases = [
+        ("ii,i->i", m, v),  # a repeated letter
+        ("ij,k->ijk", m, v),  # an outer product
+        ("ij,k->i", m, v),  # a letter summed inside one operand
+        ("ij,ij->i", m, m),  # a letter both operands keep
+        ("ij,j->i", m, v[0]),  # an operand without the point axis
+        ("ij,jk,k->i", m, m, v),  # three operands
+    ]
+    for sub, *ops in cases:
+        calls.clear()
+        got = point_einsum(sub, *ops)
+        assert len(calls) == 1, sub
+        assert got.tobytes() == einsum(calls[0], *ops).tobytes()
+    for sub in CONTRACTIONS:
+        calls.clear()
+        point_einsum(sub, *operands(sub, 7))
+        assert not calls, sub
 
 
 # -- the jet metric inverse --------------------------------------------------

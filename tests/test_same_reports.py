@@ -126,4 +126,31 @@ def test_the_summary_names_each_kind_and_the_largest_move():
         "1 case(s) differ in a field, check name, verdict, pass flag or exit code: "
         "heisenberg1_seed1",
         "largest absolute move: 3e-11, checks.b.residual_max of hyperboloid1_seed1",
+        "largest absolute move outside the phsc-derived rows (phsc_constancy, "
+        "f9_vs_f8_phsc and curvature's phsc): 3e-11, checks.b.residual_max of "
+        "hyperboloid1_seed1",
     ]
+
+
+def test_the_summary_names_the_largest_move_outside_the_phsc_rows():
+    tool = load_tool()
+    results = [("heisenberg4_sections_seed34", "moved",
+                [("checks.f9_vs_f8_phsc.residual_max", 6e-9),
+                 ("checks.f5.residual_max", 2e-16)]),
+               ("hyperboloid3_seed1", "moved",
+                [("checks.phsc_constancy.residual_max", 3e-11),
+                 ("checks.wpc_equals_bochner.residual_max", 7e-12),
+                 ("constants.k_hat", 4e-16)])]
+    assert tool.summary(results)[-2:] == [
+        "largest absolute move: 6e-09, checks.f9_vs_f8_phsc.residual_max of "
+        "heisenberg4_sections_seed34",
+        "largest absolute move outside the phsc-derived rows (phsc_constancy, "
+        "f9_vs_f8_phsc and curvature's phsc): 7e-12, "
+        "checks.wpc_equals_bochner.residual_max of hyperboloid3_seed1",
+    ]
+    only_phsc = [("heisenberg4_sections_seed34", "moved",
+                  [("checks.f9_vs_f8_phsc.residual_max", 6e-9)]),
+                 ("curvature_hyperboloid2_point1", "moved", [("phsc", 2e-10)])]
+    assert tool.summary(only_phsc)[-1] == (
+        "no move outside the phsc-derived rows (phsc_constancy, f9_vs_f8_phsc "
+        "and curvature's phsc)")
