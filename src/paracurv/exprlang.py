@@ -14,9 +14,9 @@ Only integer powers are allowed; fractional powers must be written via
 A :class:`JetProgram` evaluates a list of ASTs over a batch of P points
 at once, each distinct node once, to the parts of their truncated Taylor
 jets up to fourth order; :func:`eval_jet` is the program of one AST, its
-part k of shape ``(d,)*k + (P,)``, the point axis after the derivative
-axes.  Structure fields go to third order; only an immersion is evaluated
-to the fourth, since its tangent frame is the gradient of its jets.  The
+part k of shape ``(P,) + (d,)*k``, point-first as a ``JetTensor``'s.
+Structure fields go to third order; only an immersion is evaluated to the
+fourth, since its tangent frame is the gradient of its jets.  The
 rules are those of Taylor arithmetic (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 13), elementwise over the points and the
 stacked nodes, so a point gets the same bits in any batch and any program,
@@ -514,7 +514,10 @@ class JetProgram:
 
     def __call__(self, points, order):
         """Parts k = 0..order of the roots' jets over a (P, d) array of
-        points, part k shaped ``(P,) + (d,)*k + (roots,)``."""
+        points, part k shaped ``(P,) + (d,)*k + (roots,)``.  Only orders
+        0..4 have rules: any other raises ValueError."""
+        if not 0 <= order <= 4:
+            raise ValueError(f"jet order must be 0..4, got {order}")
         points = np.asarray(points, dtype=float)
         count, dim = points.shape
         slabs = [np.zeros((dim,) * k + (len(self.nodes), count))
@@ -558,18 +561,19 @@ class JetProgram:
 
 def eval_jet(ast, points, order=3):
     """Jets of an AST over a (P, d) array of points, up to ``order`` (at
-    most 4), as the list of parts ``k = 0..order`` of shape ``(d,)*k + (P,)``:
+    most 4), as the list of parts ``k = 0..order`` of shape ``(P,) + (d,)*k``:
     a :class:`JetProgram` of one root.
 
     A DomainError carries the span of the failing subexpression and, as
     ``index``, the first failing point.
     """
-    return [np.moveaxis(p[..., 0], 0, -1) for p in JetProgram([ast])(points, order)]
+    return [p[..., 0] for p in JetProgram([ast])(points, order)]
 
 
 # -- scalar fields -------------------------------------------------------------
 
 
+# no chart uses it; kept while perfbench/tracer.py patches __call__ by name
 class ScalarField:
     """A coordinate component function, evaluable to jets over points."""
 

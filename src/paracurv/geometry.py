@@ -3,14 +3,15 @@
 A :class:`CharteredStructure` bundles the chart (coordinate names, domain
 box, optional guard) with a component strategy that produces jets of
 (g, phi, xi, eta) over a batch of points.  Three strategies exist: explicit
-expression tables, induction from an embedding into the flat para-Kaehler
+expression tables, induction from an immersion into the flat para-Kaehler
 ambient, and the D-homothetic transform of another structure.  Each
 computes on the whole batch: one :class:`StructureJets` of jet tensors with
 a leading point axis.  :meth:`CharteredStructure.at` checks that batch and
-returns it whole.  Tables, embeddings and the hyperboloid's guard each
-evaluate their ASTs as one :class:`JetProgram`, built once, which runs
-every node of them.  The Heisenberg builtin is built as ASTs, not parsed:
-its g entries multiply the very nodes of its eta entries.
+returns it whole.  Tables and immersions are given as bare ASTs, which
+their strategy, like the hyperboloid's guard, evaluates as one
+:class:`JetProgram`, built once, which runs every node of them.  The
+Heisenberg builtin is built as ASTs, not parsed: its g entries multiply the
+very nodes of its eta entries.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     NotParacontact,
     RankDeficientJacobian,
 )
-from .exprlang import Bin, Coord, JetProgram, Neg, Num, ScalarField, parse
+from .exprlang import Bin, Coord, JetProgram, Neg, Num, parse
 from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
 
 
@@ -90,13 +91,10 @@ class CharteredStructure:
         self.components = components
         self.domain = domain
         self.name = name
-        self._check_signature(probe)
-
-    def _check_signature(self, probe):
         # fail fast on manifestly bad input: g must have signature (n+1, n)
-        if probe is None:
-            probe = self.domain.box.mean(axis=1)
-        sj = self.at(np.asarray(probe, dtype=float)[None], order=0)
+        # at the probe point, by default the centre of the domain's box
+        self.probe = domain.box.mean(axis=1) if probe is None else probe
+        sj = self.at(np.asarray(self.probe, dtype=float)[None], order=0)
         eigs = np.linalg.eigvalsh(sj.g.value[0])
         pos = int(np.sum(eigs > 0))
         neg = int(np.sum(eigs < 0))
@@ -113,8 +111,11 @@ class CharteredStructure:
 
         Raises DomainError, with the index of the first such point, for a
         point outside the domain or jets that are not finite, which no check
-        could then judge.
+        could then judge; and ValueError for an order outside 0..3, past
+        which the jets are not kept exact (symmetric in their axes).
         """
+        if not 0 <= order <= 3:
+            raise ValueError(f"structure jet order must be 0..3, got {order}")
         points = np.asarray(points, dtype=float)
         outside = ~self.domain.inside(points)
         if outside.any():
@@ -145,22 +146,20 @@ class CharteredStructure:
 
 
 class ExprTableComponents:
-    """Structure tensors given componentwise as scalar fields.
+    """Structure tensors given componentwise as ASTs: g and phi as d x d
+    nested lists, xi and eta as lists.
 
-    The fields' ASTs (g row-major, phi, xi, eta) are one :class:`JetProgram`,
-    so a node that several fields reach, as a builtin's g reaches its eta
+    The ASTs (g row-major, phi, xi, eta) are one :class:`JetProgram`, so a
+    node that several entries reach, as a builtin's g reaches its eta
     entries, or spell alike is evaluated once per batch.
     """
 
     def __init__(self, g, phi, xi, eta):
-        self.g = g  # d x d nested list of ScalarField
-        self.phi = phi
-        self.xi = xi
-        self.eta = eta
-        self.program = JetProgram([f.ast for f in [*sum(g + phi, []), *xi, *eta]])
+        self.dim = len(xi)
+        self.program = JetProgram([*sum(g + phi, []), *xi, *eta])
 
     def at(self, points, order):
-        d = len(self.xi)
+        d = self.dim
         g, phi, xi, eta = _tensors(self.program(points, order), d,
                                    (d, d), (d, d), (d,), (d,))
         # enforce exact symmetry of the metric jets
@@ -188,47 +187,27 @@ class HomotheticComponents:
         return StructureJets(g, sj.phi, (1.0 / a) * sj.xi, a * sj.eta)
 
 
-class AmbientParaKaehler:
-    """Flat para-Kaehler R^{2m}: coordinates (x_0..x_{m-1}, y_0..y_{m-1}).
+class InducedComponents:
+    """Component strategy of an immersion iota of the chart into the flat
+    para-Kaehler R^{2m}, with normal N: one AST each per ambient axis, the
+    axes ordered (x_0..x_{m-1}, y_0..y_{m-1}).
 
-    The product structure swaps the x- and y-blocks; the flat metric is
-    +delta on the x-block, -delta on the y-block, zero mixed.
+    The product structure I swaps the x- and y-blocks; the flat metric is
+    diag(eps), +1 on the x-block and -1 on the y-block.  Normal and
+    immersion, one :class:`JetProgram`, are evaluated one order above the
+    structure jets, so that the tangent frame e_a = d iota / d q^a, the
+    immersion's gradient, reaches it.
     """
 
-    def __init__(self, m):
-        self.m = int(m)
-        self.dim = 2 * self.m
-        eye = np.eye(self.m)
-        zero = np.zeros((self.m, self.m))
+    def __init__(self, immersion, normal):
+        if len(immersion) != len(normal) or len(immersion) % 2:
+            raise ValueError("immersion and normal need one component per axis "
+                             "of an even-dimensional ambient")
+        m = len(immersion) // 2
+        eye, zero = np.eye(m), np.zeros((m, m))
         self.product = np.block([[zero, eye], [eye, zero]])  # I
-        self.metric = np.block([[eye, zero], [zero, -eye]])
-        self.eps = np.diag(self.metric).copy()
-
-
-class Embedding:
-    """Immersion of a (2n+1)-chart into the flat para-Kaehler ambient: one
-    AST per ambient axis for the immersion iota and for the normal N.  The
-    tangent frame e_a = d iota / d q^a is not stored; it is the gradient of
-    the immersion's jets."""
-
-    def __init__(self, ambient, coords, immersion_asts, normal_asts):
-        self.ambient = ambient
-        self.coords = tuple(coords)
-        self.dim = len(coords)
-        self.immersion = list(immersion_asts)
-        self.normal = list(normal_asts)
-        if len(self.immersion) != ambient.dim:
-            raise ValueError("immersion must have one component per ambient axis")
-
-
-class InducedComponents:
-    """Component strategy backed by an embedding.  Its normal and immersion,
-    one :class:`JetProgram`, are evaluated one order above the structure
-    jets, so that the tangent frame, the immersion's gradient, reaches it."""
-
-    def __init__(self, embedding):
-        self.embedding = embedding
-        self.program = JetProgram(embedding.normal + embedding.immersion)
+        self.eps = np.diag(np.block([[eye, zero], [zero, -eye]])).copy()
+        self.program = JetProgram([*normal, *immersion])
 
     def at(self, points, order):
         """Induced (g, phi, xi, eta) jets over a (P, d) batch of chart points.
@@ -238,8 +217,7 @@ class InducedComponents:
         signature (n, n+1) and g(xi, xi) = -1, so the sign flip is forced by
         eta(xi) = 1.  With it, every compatibility axiom comes out right.
         """
-        emb = self.embedding
-        d, m = emb.dim, emb.ambient.dim
+        d, m = points.shape[1], len(self.eps)
 
         # part k reads parts <= k only: the normal, cut, keeps its bits
         normal, iota = _tensors(self.program(points, order + 1), d, (m,), (m,))
@@ -250,18 +228,16 @@ class InducedComponents:
             raise RankDeficientJacobian(f"immersion Jacobian rank-deficient at {point}")
 
         # the paracontact pairing is minus the ambient one, over the axis C
-        e_flat = JetTensor(d, order, [p * emb.ambient.eps for p in e.parts])
+        e_flat = JetTensor(d, order, [p * self.eps for p in e.parts])
         g = -1.0 * jt_einsum("aC,bC->ab", e, e_flat)
         g = JetTensor(d, order,
                       [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
         ginv = jt_metric_inverse(g)
 
-        i_mat = emb.ambient.product
-
         def product(t):
             # I is constant: applied part by part, it adds no zero jet
             # parts to the Leibniz sums
-            return JetTensor(d, order, [p @ i_mat.T for p in t.parts])
+            return JetTensor(d, order, [p @ self.product.T for p in t.parts])
 
         i_n = product(normal)
         eta = -1.0 * jt_einsum("C,aC->a", i_n, e_flat)
@@ -317,13 +293,12 @@ def heisenberg_tables(n):
 
 
 def builtin_heisenberg(n):
-    """The :func:`heisenberg_tables` chart with its fields built as ASTs, each
+    """The :func:`heisenberg_tables` chart with its entries built as ASTs, each
     equal to ``parse`` of its table entry, and g over the shared eta nodes."""
-    coords, g, phi, xi, eta = _heisenberg(
+    coords, *tables = _heisenberg(
         n, Coord, lambda v: Num(float(v)), Neg,
         lambda a, b: Bin("*", a, b), lambda a, b: Bin("+", a, b))
-    table = lambda rows: [[ScalarField(a) for a in row] for row in rows]
-    comps = ExprTableComponents(table(g), table(phi), *table([xi, eta]))
+    comps = ExprTableComponents(*tables)
     return CharteredStructure(
         n, coords, comps, Domain.cube(2 * n + 1, 10.0), name=f"heisenberg(n={n})"
     )
@@ -334,7 +309,8 @@ def hyperboloid_embedding(n):
 
     Chart coordinates (x_1..x_n, y_0..y_n) with
     x_0 = sqrt(1 - sum x_i^2 + sum y_j^2); the normal is the position
-    vector.  Ambient axes are ordered (x_0..x_n, y_0..y_n).
+    vector.  Ambient axes are ordered (x_0..x_n, y_0..y_n).  Returns the
+    coordinates, the immersion's ASTs and the text of the radicand.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -342,19 +318,15 @@ def hyperboloid_embedding(n):
     radicand_text = "1" + "".join(f"-x{i}^2" for i in range(1, n + 1)) + "".join(
         f"+y{j}^2" for j in range(n + 1)
     )
-    x0_text = f"sqrt({radicand_text})"
-    immersion_texts = [x0_text] + coords[:]
-    asts = [parse(t, coords) for t in immersion_texts]
-    ambient = AmbientParaKaehler(n + 1)
-    return Embedding(ambient, coords, asts, normal_asts=asts), radicand_text
+    immersion = [parse(t, coords) for t in [f"sqrt({radicand_text})", *coords]]
+    return coords, immersion, radicand_text
 
 
 HYPERBOLOID_GUARD_MIN = 0.1
 
 
 def builtin_hyperboloid(n):
-    embedding, radicand_text = hyperboloid_embedding(n)
-    coords = embedding.coords
+    coords, immersion, radicand_text = hyperboloid_embedding(n)
     radicand = JetProgram([parse(radicand_text, coords)])
 
     def guard(points):
@@ -366,7 +338,7 @@ def builtin_hyperboloid(n):
     return CharteredStructure(
         n,
         coords,
-        InducedComponents(embedding),
+        InducedComponents(immersion, immersion),
         domain,
         name=f"hyperboloid(n={n})",
         probe=np.zeros(d),
@@ -391,4 +363,5 @@ def d_homothetic(structure, alpha):
         HomotheticComponents(structure.components, alpha),
         structure.domain,
         name=f"d_homothetic({structure.name}, {alpha:g})",
+        probe=structure.probe,
     )

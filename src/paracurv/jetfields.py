@@ -31,7 +31,7 @@ _DLETTERS = "ZYXW"
 _PIVOT_EPS = 1e-12
 
 
-def plu_inverse(a, pivot_eps=_PIVOT_EPS):
+def plu_inverse(a):
     """Inverse of each matrix of a (..., n, n) stack via pivoted Gaussian
     elimination with an explicit pivot check.
 
@@ -49,7 +49,7 @@ def plu_inverse(a, pivot_eps=_PIVOT_EPS):
             stack = np.arange(len(aug))
             aug[stack, col], aug[stack, piv] = aug[stack, piv], aug[stack, col]
         pivot = aug[:, col, col].copy()
-        small = np.abs(pivot) <= pivot_eps
+        small = np.abs(pivot) <= _PIVOT_EPS
         if small.any():
             raise SingularMetric(f"pivot {pivot[small.argmax()]:g} below threshold")
         aug[:, col] /= pivot[:, None]

@@ -37,13 +37,11 @@ from .analysis import (
 )
 from .connection import PointGeometry, parallel_check
 from .errors import ManifestError, NotHorizontal, ParacurvError
-from .exprlang import ScalarField, parse
+from .exprlang import parse
 from .geometry import (
     BUILTINS,
-    AmbientParaKaehler,
     CharteredStructure,
     Domain,
-    Embedding,
     ExprTableComponents,
     InducedComponents,
     d_homothetic,
@@ -371,21 +369,17 @@ def _build_chart(manifold):
                 raise ManifestError(f"{name}: {e}", field=name) from None
         return asts
 
-    def fields(key, texts):
-        return [ScalarField(a) for a in parsed(key, texts)]
-
     if manifold["kind"] == "custom":
-        g, phi = ([fields(f"{key}[{i}]", row) for i, row in enumerate(manifold[key])]
+        g, phi = ([parsed(f"{key}[{i}]", row) for i, row in enumerate(manifold[key])]
                   for key in ("g", "phi"))
-        components = ExprTableComponents(g, phi, fields("xi", manifold["xi"]),
-                                         fields("eta", manifold["eta"]))
+        components = ExprTableComponents(g, phi, parsed("xi", manifold["xi"]),
+                                         parsed("eta", manifold["eta"]))
         n, default_name = (dim - 1) // 2, "custom"
     else:
         n, default_name = manifold["n"], "embedded"
         immersion = parsed("immersion", manifold["immersion"])
         normal = parsed("normal", manifold.get("normal", manifold["immersion"]))
-        components = InducedComponents(
-            Embedding(AmbientParaKaehler(n + 1), coords, immersion, normal))
+        components = InducedComponents(immersion, normal)
     box = manifold.get("box")
     return CharteredStructure(
         n,

@@ -27,7 +27,7 @@ from paracurv.errors import (
     IsotropicVector,
     NotHorizontal,
 )
-from paracurv.exprlang import ScalarField, parse
+from paracurv.exprlang import parse
 from paracurv.geometry import (
     CharteredStructure,
     Domain,
@@ -45,15 +45,8 @@ def perturbed_phi_structure(n=1, epsilon=1e-2):
     coords, g, phi, xi, eta = heisenberg_tables(n)
     phi = [row[:] for row in phi]
     phi[0][1] = f"({phi[0][1]})+{epsilon!r}"
-    table = lambda rows: [
-        [ScalarField(parse(s, coords)) for s in row] for row in rows
-    ]
-    comps = ExprTableComponents(
-        table(g),
-        table(phi),
-        [ScalarField(parse(s, coords)) for s in xi],
-        [ScalarField(parse(s, coords)) for s in eta],
-    )
+    table = lambda rows: [[parse(s, coords) for s in row] for row in rows]
+    comps = ExprTableComponents(table(g), table(phi), *table([xi, eta]))
     return CharteredStructure(
         n, coords, comps, Domain.cube(2 * n + 1, 10.0), name="perturbed"
     )
@@ -302,13 +295,8 @@ def fibred_parasasakian(lams):
         base[u][u], base[v][v] = f"({lam})", f"-({lam})"
     g = [[f"({eta[i]})*({eta[j]})+{base[i][j]}" for j in range(d)]
          for i in range(d)]
-    field = lambda text: ScalarField(parse(text, coords))
-    comps = ExprTableComponents(
-        [[field(t) for t in row] for row in g],
-        [[field(t) for t in row] for row in phi],
-        [field(t) for t in xi],
-        [field(t) for t in eta],
-    )
+    table = lambda rows: [[parse(t, coords) for t in row] for row in rows]
+    comps = ExprTableComponents(table(g), table(phi), *table([xi, eta]))
     return CharteredStructure(n, coords, comps, Domain.cube(d, 1.0),
                               name="fibred")
 

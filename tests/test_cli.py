@@ -459,6 +459,41 @@ def test_transform_rewrites_custom_tables(runner, tmp_path):
     assert report["constants"]["k_hat"] == pytest.approx(3.0, abs=1e-8)
 
 
+def test_transform_keeps_the_probe_point(runner, tmp_path):
+    # g vanishes at t = 0, the centre of the box, so only the probe point
+    # t = 1 sees its signature; its axioms fail there, with or without alpha
+    def scale_g_by_t2(manifold):
+        manifold["g"] = [[f"t^2*({s})" for s in row] for row in manifold["g"]]
+        manifold["probe"] = [0, 0, 1]
+
+    manifest = custom_heisenberg_manifest(n=1, mutate=scale_g_by_t2)
+    for transform in (None, {"alpha": 2}):
+        if transform is not None:
+            manifest["transform"] = transform
+        path = write_manifest(tmp_path / "m.json", manifest)
+        result = runner.invoke(main, ["check", path])
+        assert result.exit_code == 1, result.stderr
+        assert "FAIL axiom" in result.stderr
+
+
+def test_embedded_normal_spelled_out_is_the_default(runner, tmp_path):
+    # the hyperboloid's normal is its position vector, the immersion itself;
+    # only the manifest's digest and the wall time may differ
+    manifest = embedded_hyperboloid_manifest()
+    reports = []
+    for tag in ("default", "normal"):
+        if tag == "normal":
+            manifest["manifold"]["normal"] = manifest["manifold"]["immersion"]
+        out = tmp_path / f"report_{tag}.json"
+        path = write_manifest(tmp_path / f"{tag}.json", manifest)
+        result = runner.invoke(main, ["check", path, "--out", str(out)])
+        assert result.exit_code == 0, result.stderr
+        report = json.loads(out.read_text())
+        del report["manifest_digest"], report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_transform_rejects_bad_alpha(runner, tmp_path):
     manifest = write_manifest(tmp_path / "m.json", builtin_manifest())
     for alpha in ("-1", "inf", "nan"):

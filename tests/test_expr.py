@@ -197,7 +197,7 @@ def test_scalar_field_wrappers():
     f = ScalarField(parse("u1 + 2*t", COORDS))
     jet = f(POINTS, 1)
     assert jet[0][0] == 7.0
-    assert np.array_equal(jet[1][:, 0], [1.0, 0.0, 2.0])
+    assert np.array_equal(jet[1][0], [1.0, 0.0, 2.0])
     assert f.ast == parse("u1 + 2*t", COORDS)
 
 
@@ -232,8 +232,7 @@ def test_program_jets_are_bitwise_those_of_each_ast_alone(count, order):
     for i, ast in enumerate(asts):
         for k, alone in enumerate(eval_jet(ast, points, order)):
             got = np.ascontiguousarray(parts[k][..., i])
-            want = np.ascontiguousarray(np.moveaxis(alone, -1, 0))
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.shape == alone.shape and got.tobytes() == alone.tobytes()
 
 
 # text -> the degree of its root: None for a constant, else the highest

@@ -16,12 +16,10 @@ from paracurv.errors import (
     RankDeficientJacobian,
     SamplingExhausted,
 )
-from paracurv.exprlang import ScalarField, eval_jet, parse
+from paracurv.exprlang import eval_jet, parse
 from paracurv.geometry import (
-    AmbientParaKaehler,
     CharteredStructure,
     Domain,
-    Embedding,
     ExprTableComponents,
     InducedComponents,
     heisenberg_tables,
@@ -53,31 +51,30 @@ def test_heisenberg_nijenhuis_on_horizontal_frame(heis1):
 def test_hyperboloid_metric_matches_finite_difference_jacobian(hyp1):
     # independent oracle: g_ab = -sum_C eps_C (d_a iota^C)(d_b iota^C)
     # with the Jacobian taken by central differences of the immersion
-    embedding, _ = hyperboloid_embedding(1)
-    eps = embedding.ambient.eps
+    _, immersion, _ = hyperboloid_embedding(1)
+    eps = np.array([1.0, 1.0, -1.0, -1.0])  # ambient axes (x0, x1, y0, y1)
     h = 1e-6
     for p in sample_points(hyp1, seed=9, count=4):
         d = hyp1.dim
-        jac = np.zeros((d, embedding.ambient.dim))
+        jac = np.zeros((d, len(immersion)))
         for a in range(d):
             e = np.zeros(d)
             e[a] = h
-            hi = [values(c, [p + e])[0] for c in embedding.immersion]
-            lo = [values(c, [p - e])[0] for c in embedding.immersion]
+            hi = [values(c, [p + e])[0] for c in immersion]
+            lo = [values(c, [p - e])[0] for c in immersion]
             jac[a] = (np.array(hi) - np.array(lo)) / (2 * h)
         g_fd = -np.einsum("aC,bC,C->ab", jac, jac, eps)
         assert np.max(np.abs(g_fd - pc.get_frame(hyp1, p, 0).g.value)) < 1e-8
 
 
 def test_hyperboloid_normal_is_ambient_orthogonal(hyp1):
-    embedding, _ = hyperboloid_embedding(1)
-    eps = embedding.ambient.eps
+    # the normal is the position vector, the immersion itself
+    _, immersion, _ = hyperboloid_embedding(1)
+    eps = np.array([1.0, 1.0, -1.0, -1.0])
     for p in sample_points(hyp1, seed=11, count=4):
-        normal = np.array(
-            [values(c, [p])[0] for c in embedding.normal]
-        )
+        normal = np.array([values(c, [p])[0] for c in immersion])
         # e_a^C = d_a iota^C, the order-1 part of the immersion's jets
-        frame = np.array([eval_jet(c, [p], 1)[1][:, 0] for c in embedding.immersion])
+        frame = np.array([eval_jet(c, [p], 1)[1][0] for c in immersion])
         for tangent in frame.T:
             assert abs(np.sum(eps * normal * tangent)) < 1e-12
         # the position vector sits on the unit hyperboloid
@@ -85,14 +82,22 @@ def test_hyperboloid_normal_is_ambient_orthogonal(hyp1):
 
 
 def test_flat_ambient_algebra_is_exact():
-    amb = AmbientParaKaehler(3)
-    eye = np.eye(amb.dim)
-    assert np.array_equal(amb.product @ amb.product, eye)
+    comps = pc.builtin_hyperboloid(2).components  # ambient R^6
+    product, metric = comps.product, np.diag(comps.eps)
+    assert np.array_equal(comps.eps, [1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    assert np.array_equal(product @ product, np.eye(6))
     # the product structure is anti-compatible with the flat metric
-    assert np.array_equal(
-        amb.product.T @ amb.metric @ amb.product, -amb.metric
-    )
-    assert np.array_equal(amb.metric, np.diag(amb.eps))
+    assert np.array_equal(product.T @ metric @ product, -metric)
+
+
+def test_induced_components_refuse_mismatched_or_odd_lists():
+    coords = ("a", "b", "c")
+    asts = [parse(t, coords) for t in ("1", "a", "b", "c", "a*b")]
+    with pytest.raises(ValueError, match="even-dimensional"):
+        InducedComponents(asts[:4], asts[:3])
+    with pytest.raises(ValueError, match="even-dimensional"):
+        InducedComponents(asts, asts)
+    InducedComponents(asts[:4], asts[1:])
 
 
 def test_hyperboloid_axioms_hold(hyp1, hyp2):
@@ -106,26 +111,24 @@ def test_rank_deficient_immersion_is_rejected():
     coords = ("a", "b", "c")
     texts = ["1", "a", "a", "0"]  # two identical columns: rank 1 Jacobian
     asts = [parse(t, coords) for t in texts]
-    embedding = Embedding(AmbientParaKaehler(2), coords, asts, asts)
     with pytest.raises(RankDeficientJacobian):
-        InducedComponents(embedding).at(np.array([[0.1, 0.2, 0.3]]), order=1)
+        InducedComponents(asts, asts).at(np.array([[0.1, 0.2, 0.3]]), order=1)
 
 
 def test_rank_deficiency_names_the_first_deficient_point_of_a_batch():
     coords = ("a", "b", "c")
     asts = [parse(t, coords) for t in ("a^2", "b", "c", "0")]  # rank 2 at a = 0
-    embedding = Embedding(AmbientParaKaehler(2), coords, asts, asts)
     points = np.array([[0.5, 0.1, 0.2], [0.0, 0.3, 0.4], [0.0, -0.3, 0.1]])
-    InducedComponents(embedding).at(points[:1], order=2)
+    InducedComponents(asts, asts).at(points[:1], order=2)
     with pytest.raises(RankDeficientJacobian, match=re.escape(str(points[1]))):
-        InducedComponents(embedding).at(points, order=2)
+        InducedComponents(asts, asts).at(points, order=2)
 
 
 def test_non_finite_jets_name_the_first_such_point_of_a_batch():
     # finite while 709 + t stays below log(max float) = 709.78
     coords, g, phi, xi, eta = heisenberg_tables(1)
     xi[2] = "1 + 0*(exp(709)*exp(t))"
-    table = lambda rows: [[ScalarField(parse(s, coords)) for s in row] for row in rows]
+    table = lambda rows: [[parse(s, coords) for s in row] for row in rows]
     comps = ExprTableComponents(table(g), table(phi), *table([xi, eta]))
     structure = CharteredStructure(1, coords, comps, Domain.cube(3))
     points = np.array([[0.1, 0.2, t] for t in (0.0, 0.5, 1.0, 1.5)])
@@ -168,11 +171,10 @@ def test_structure_jets_of_a_batch_are_bitwise_those_of_single_points(points, or
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_builtin_heisenberg_fields_are_the_parsed_tables(n):
-    coords, *tables = heisenberg_tables(n)
-    c = pc.builtin_heisenberg(n).components
-    rows = lambda g, phi, xi, eta: [*g, *phi, xi, eta]
-    for fields, texts in zip(rows(c.g, c.phi, c.xi, c.eta), rows(*tables), strict=True):
-        assert [f.ast for f in fields] == [parse(t, coords) for t in texts]
+    coords, g, phi, xi, eta = heisenberg_tables(n)
+    program = pc.builtin_heisenberg(n).components.program
+    texts = [*sum(g + phi, []), *xi, *eta]
+    assert [program.nodes[r] for r in program.roots] == [parse(t, coords) for t in texts]
 
 
 HEISENBERG_POINTS = np.random.default_rng(14).uniform(-0.8, 0.8, (7, 9))
@@ -190,6 +192,15 @@ def test_builtin_heisenberg_jets_are_bitwise_those_of_its_tables(n, count, order
     for b, t in zip(builtin.at(points, order), tables.at(points, order), strict=True):
         for x, y in zip(b.parts, t.parts, strict=True):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("order", [-1, 4, 5])
+def test_structure_jets_refuse_orders_outside_0_to_3(hyp1, order):
+    # an immersion is evaluated one order above its structure jets, and no
+    # rule exists past order 4, so order 4 would build on a zero part
+    for structure in (hyp1, pc.d_homothetic(hyp1, 2.0)):
+        with pytest.raises(ValueError, match="0..3"):
+            structure.at(np.zeros((1, 3)), order)
 
 
 def test_domain_guard_and_errors(hyp2):
@@ -210,15 +221,8 @@ def test_not_paracontact_on_bad_inputs():
     coords, g, phi, xi, eta = heisenberg_tables(1)
 
     def build(g_rows):
-        table = lambda rows: [
-            [ScalarField(parse(s, coords)) for s in row] for row in rows
-        ]
-        comps = ExprTableComponents(
-            table(g_rows),
-            table(phi),
-            [ScalarField(parse(s, coords)) for s in xi],
-            [ScalarField(parse(s, coords)) for s in eta],
-        )
+        table = lambda rows: [[parse(s, coords) for s in row] for row in rows]
+        comps = ExprTableComponents(table(g_rows), table(phi), *table([xi, eta]))
         return CharteredStructure(1, coords, comps, Domain.cube(3))
 
     # flipped metric has signature (1, 2) instead of (2, 1)

@@ -33,7 +33,7 @@ def rel_err(got, want):
 
 def at_point(ast, point, order):
     """Parts of the jet at one point, without the point axis."""
-    return [p[..., 0] for p in eval_jet(ast, [point], order)]
+    return [p[0] for p in eval_jet(ast, [point], order)]
 
 
 @pytest.mark.parametrize("text", EXPRESSION_CORPUS)
@@ -113,6 +113,13 @@ def test_fourth_derivatives_refuse_nothing_new():
             j4 = eval_jet(ast, [[u, 0.0]], order=4)
         assert all(np.array_equal(a, b) for a, b in zip(j4[:4], j3, strict=True))
         assert np.isfinite(j4[4]).all() == (text != "ln(u)")
+
+
+@pytest.mark.parametrize("order", [-1, 5])
+def test_orders_without_rules_are_refused(order):
+    # no rule builds a fifth part: it would read 0.0, not sqrt's 0.0531 here
+    with pytest.raises(ValueError, match="0..4"):
+        eval_jet(parse("sqrt(2 + u)", ["u"]), [[0.5]], order)
 
 
 def test_coordinate_jets_seed_the_chain_rule():
@@ -214,7 +221,7 @@ def test_a_batch_is_bitwise_equal_to_single_points(points, order):
         for i, point in enumerate(points):
             single = eval_jet(ast, [point], order)
             for b, s in zip(batch, single, strict=True):
-                assert np.ascontiguousarray(b[..., i]).tobytes() == s[..., 0].tobytes()
+                assert b[i].tobytes() == s[0].tobytes()
 
 
 # -- point contractions -------------------------------------------------------
