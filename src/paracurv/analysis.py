@@ -19,7 +19,6 @@ projection of f55) the point's values are computed one point at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,14 +90,8 @@ def _nijenhuis(f):
     )
 
 
-@dataclass
-class ClassifyResult:
-    verdicts: dict
-    report: CheckReport
-
-
 def classify(frames, threshold=1e-9):
-    """ParaSasakian and para-CR verdicts with the residuals behind them.
+    """One report of the paraSasakian and para-CR verdicts and their residuals.
 
     ``frames`` is a sequence of frames of jet order 1 or more; it is read
     twice, once for the axioms, whose rows lead the report.
@@ -141,13 +134,13 @@ def classify(frames, threshold=1e-9):
     nij, nphi = rows["sasakian_nijenhuis"], rows["sasakian_nabla_phi"]
     report.add("sasakian_agreement", abs(nij.residual - nphi.residual), 1e-10)
     report.extend(tail)
-    verdicts = {
+    report.verdicts = {
         "paracontact_metric": axioms_ok,
         "paraSasakian": axioms_ok and nij.passed and nphi.passed,
         "para_CR": axioms_ok and rows["para_cr_bracket"].passed
         and rows["para_cr_nabla_phi"].passed,
     }
-    return ClassifyResult(verdicts, report)
+    return report
 
 
 # -- sectional curvatures ------------------------------------------------------
@@ -227,18 +220,12 @@ def _f13_rhs(n, k):
     return n * (2 * n + 1) * (k - 3.0) + n * (k + 1.0)
 
 
-@dataclass
-class SpaceFormFit:
-    k_hat: float
-    report: CheckReport
-
-
 def space_form_fit(frames, threshold=1e-8):
     """Least-squares constant k of the space-form curvature model.
 
     The model R = (k-3)/4 A + (k+1)/4 B is linear in k, so the fit is a
-    one-parameter closed form; the fitted constant is cross-checked against
-    the Ricci and scalar contractions it implies.
+    one-parameter closed form; the fitted constant, ``k_hat``, is
+    cross-checked against the Ricci and scalar contractions it implies.
     """
     n = frames[0].n
     num = den = 0.0
@@ -268,20 +255,13 @@ def space_form_fit(frames, threshold=1e-8):
         keep("space_form_f13", 2.0 * s, _f13_rhs(n, k_hat))
         k_s = (s + 3.0 * n * n + n) / (n * (n + 1.0))
         keep("space_form_f36", r, offset + per_point(k_s, 4) * slope)
-    return SpaceFormFit(k_hat, report)
-
-
-@dataclass
-class EtaEinsteinFit:
-    a: float
-    b: float
-    report: CheckReport
+    return report
 
 
 def eta_einstein_fit(frames, threshold=1e-8):
-    """Least-squares (a, b) in r = a g + b eta (x) eta, with the
-    consistency check a + b = -2n.  Singular normal equations (eta = 0,
-    say) give a = b = nan, so both rows fail."""
+    """Least-squares (a, b) in r = a g + b eta (x) eta, the report's
+    constants, with the consistency check a + b = -2n.  Singular normal
+    equations (eta = 0, say) give a = b = nan, so both rows fail."""
     n = frames[0].n
     m = np.zeros((2, 2))
     rhs = np.zeros(2)
@@ -304,22 +284,16 @@ def eta_einstein_fit(frames, threshold=1e-8):
     for g, ee, r in cache:
         report.add("eta_einstein_fit", nres(r, a * g + b * ee), threshold)
     report.add("eta_einstein_sum", nres(a + b, -2.0 * n), 1e-10)
-    return EtaEinsteinFit(a, b, report)
+    return report
 
 
 # -- PC-Bochner tensor ----------------------------------------------------------
 
 
-@dataclass
-class BochnerData:
-    tensor: np.ndarray  # B_{ijkl}
-    kappa_B: float
-
-
 def pc_bochner(f):
-    """The PC-Bochner tensor of a frame or a point view, built once per
-    frame."""
-    return BochnerData(*f.bochner)
+    """The pair (B_{ijkl}, kappa_B) of the PC-Bochner tensor of a frame or
+    a point view, built once per frame."""
+    return f.bochner
 
 
 def bochner_symmetries(frames, threshold=1e-10):
@@ -422,20 +396,19 @@ def _project(t, proj):
     return t
 
 
-def identity_suite(frames, sampler=None, sections=50, threshold=1e-8, k_hat=None):
+def identity_suite(frames, k_hat, sampler=None, sections=50, threshold=1e-8):
     """Named residuals of the paraSasakian identity catalog.
 
     Each entry is the normalized max residual over the frames' points,
     which need jet order 2.  The space-form rows (f12, f13, f22) are judged
-    against ``k_hat``, the constant of the run's space-form fit; without it
-    the constant is fitted on these frames.  When a sampler is supplied,
-    the two equivalent forms of the paraholomorphic sectional curvature are
-    also compared on random sections, drawn point by point in point order.
+    against ``k_hat``, the constant of the run's space-form fit (the
+    ``k_hat`` of a :func:`space_form_fit` report).  When a sampler is
+    supplied, the two equivalent forms of the paraholomorphic sectional
+    curvature are also compared on random sections, drawn point by point in
+    point order.
     """
     n = frames[0].n
     ident = np.eye(frames[0].dim)
-    if k_hat is None:
-        k_hat = space_form_fit(frames).k_hat
     report = CheckReport(constants={"k_hat": k_hat})
     e = point_einsum
 

@@ -67,13 +67,9 @@ def check(manifest_path, out_path, tol, seed):
             _fail("--seed must be an unsigned 64-bit integer")
         manifest, digest = load_manifest(manifest_path)
         structure = build_structure(manifest)
-        report, verdicts, meta = run_checks(
-            structure, manifest, seed=seed, tolerance=tol
-        )
-        document = assemble_report(
-            structure, manifest, digest, report, verdicts, meta,
-            wall_time_s=time.monotonic() - start,
-        )
+        report, meta = run_checks(structure, manifest, seed=seed, tolerance=tol)
+        document = assemble_report(structure, digest, report, meta,
+                                   wall_time_s=time.monotonic() - start)
         if out_path is not None:
             _write(document, out_path)
         else:
@@ -117,7 +113,7 @@ def curvature(manifest_path, point_text):
             sampler = Sampler(structure, seed=0)
             u = sampler.horizontal_unit(f)
             v = sampler.section_vector(f)
-            bochner = pc_bochner(f)
+            bochner, kappa_b = pc_bochner(f)
             numbers = [
                 ("|g|_inf", np.max(np.abs(f.g))),
                 ("|Gamma|_inf", np.max(np.abs(f.gamma))),
@@ -126,8 +122,8 @@ def curvature(manifest_path, point_text):
                 ("scalar_s", float(f.scalar)),
                 ("xi_sectional", xi_sectional(f, u)),
                 ("phsc", phsc(f, v)),
-                ("|B|_inf", np.max(np.abs(bochner.tensor))),
-                ("kappa_B", bochner.kappa_B),
+                ("|B|_inf", np.max(np.abs(bochner))),
+                ("kappa_B", kappa_b),
             ]
         bad = [name for name, x in numbers if not np.isfinite(x)]
         if bad:

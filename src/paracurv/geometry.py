@@ -65,10 +65,11 @@ class Domain:
         return cls([[-half_width, half_width]] * dim)
 
     def inside(self, points):
-        """Which points of a (P, d) batch lie in the box and pass the guard."""
+        """Which points of a (P, d) batch lie in the box and pass the guard;
+        a nan coordinate lies in no box."""
         points = np.asarray(points, dtype=float)
-        out = ~(np.any(points < self.box[:, 0], axis=1)
-                | np.any(points > self.box[:, 1], axis=1))
+        out = np.all((points >= self.box[:, 0]) & (points <= self.box[:, 1]),
+                     axis=1)
         if self.guard is not None:
             out &= self.guard(points)
         return out

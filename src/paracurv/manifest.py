@@ -53,6 +53,9 @@ MANIFEST_SCHEMA = "paracurv-manifest/1"
 REPORT_SCHEMA = "paracurv-report/1"
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_COUNT = 200
+# the most sample points a manifest may ask for: a count beyond what any
+# run reads, refused before the sampler allocates its (count, d) array
+MAX_COUNT = 10 ** 6
 # points per frame, by the frame's jet order.  A batch shares one frame's
 # Python cost among its points, while its arrays, and so the peak memory,
 # grow with it.  On the benchmark (2 CPUs, numpy 2.4), order-1 frames of 64
@@ -68,15 +71,14 @@ BATCH = {1: 64, 2: 10, 3: 1}
 
 
 class _Context:
-    """What the checks of one run share: the sampler, the verdicts and the
-    one space-form fit that ``phsc``, ``space_form`` and ``identities``
-    report, made on the frames that ``fit_frames()`` returns: those of the
-    ``space_form`` row's points, whichever of them runs."""
+    """What the checks of one run share: the sampler and the one space-form
+    fit that ``phsc``, ``space_form`` and ``identities`` report, made on the
+    frames that ``fit_frames()`` returns: those of the ``space_form`` row's
+    points, whichever of them runs."""
 
     def __init__(self, sampler, tolerance, fit_frames):
         self.sampler = sampler
         self.tolerance = tolerance
-        self.verdicts = {}
         self._fit_frames = fit_frames
         self._fit = None
 
@@ -92,9 +94,7 @@ def _axioms(ctx, frames, budget):
 
 def _classification(ctx, frames, budget):
     # its axiom rows fold into those of ``axioms`` when both run
-    sub = classify(frames, ctx.tolerance)
-    ctx.verdicts.update(sub.verdicts)
-    return sub.report
+    return classify(frames, ctx.tolerance)
 
 
 def _xi_sectional(ctx, frames, budget):
@@ -106,7 +106,7 @@ def _xi_sectional(ctx, frames, budget):
 
 
 def _phsc(ctx, frames, budget):
-    k_hat = ctx.space_fit().k_hat
+    k_hat = ctx.space_fit().constants["k_hat"]
     report = CheckReport(constants={"k_hat": k_hat})
     for f in point_draws(frames, budget):
         v = ctx.sampler.section_vector(f)
@@ -115,19 +115,19 @@ def _phsc(ctx, frames, budget):
 
 
 def _space_form(ctx, frames, budget):
-    return ctx.space_fit().report
+    return ctx.space_fit()
 
 
 def _eta_einstein(ctx, frames, budget):
-    return eta_einstein_fit(frames, ctx.tolerance).report
+    return eta_einstein_fit(frames, ctx.tolerance)
 
 
 def _bochner(ctx, frames, budget):
     report = CheckReport()
     for f in frames:
-        report.add("bochner_vanishing", nres(pc_bochner(f).tensor), ctx.tolerance)
+        report.add("bochner_vanishing", nres(pc_bochner(f)[0]), ctx.tolerance)
     report.extend(bochner_symmetries(frames))
-    report.constants["kappa_B"] = float(pc_bochner(frames[0].view(0)).kappa_B)
+    report.constants["kappa_B"] = float(pc_bochner(frames[0].view(0))[1])
     return report
 
 
@@ -144,9 +144,9 @@ def _wpc(ctx, frames, budget):
 
 
 def _identities(ctx, frames, budget):
-    return identity_suite(frames, sampler=ctx.sampler, sections=budget,
-                          threshold=ctx.tolerance,
-                          k_hat=ctx.space_fit().k_hat)
+    return identity_suite(frames, ctx.space_fit().constants["k_hat"],
+                          sampler=ctx.sampler, sections=budget,
+                          threshold=ctx.tolerance)
 
 
 def _parallel(ctx, frames, budget):
@@ -319,8 +319,9 @@ def validate_manifest(manifest):
     _require(_integer(seed) and 0 <= seed < 2 ** 64,
              "sampling.seed must be an unsigned 64-bit integer", "sampling.seed")
     count = sampling.get("count", DEFAULT_COUNT)
-    _require(_integer(count) and count >= 1,
-             "sampling.count must be >= 1", "sampling.count")
+    _require(_integer(count) and 1 <= count <= MAX_COUNT,
+             f"sampling.count must be an integer in 1..{MAX_COUNT}",
+             "sampling.count")
     _validate_box(sampling.get("box"), dim, "sampling.box")
 
     tolerance = manifest.get("tolerance", DEFAULT_TOLERANCE)
@@ -404,7 +405,7 @@ def _frames(structure, points, order):
 
 
 def run_checks(structure, manifest, seed=None, tolerance=None):
-    """Run the selected checks; returns (CheckReport, verdicts, meta).
+    """Run the selected checks; returns (CheckReport, meta).
 
     Each sample point lies in one batch frame, at the highest jet order any
     selected check needs there; a frame holds at most ``BATCH[order]``
@@ -462,11 +463,10 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
                 view = leading(row.points)
             report.extend(row.run(ctx, view, row.budget))
     meta = {"seed": seed, "tolerance": tolerance, "point_count": count}
-    return report, ctx.verdicts, meta
+    return report, meta
 
 
-def assemble_report(structure, manifest, digest, report, verdicts, meta,
-                    wall_time_s):
+def assemble_report(structure, digest, report, meta, wall_time_s):
     return {
         "schema": REPORT_SCHEMA,
         "version": __version__,
@@ -480,7 +480,7 @@ def assemble_report(structure, manifest, digest, report, verdicts, meta,
         # written as null comes with a failed row
         "constants": {k: v if math.isfinite(v) else None
                       for k, v in report.constants.items()},
-        "verdicts": verdicts,
+        "verdicts": report.verdicts,
         "pass": report.passed,
         "wall_time_s": wall_time_s,
     }

@@ -53,11 +53,13 @@ class CheckResult:
 
 @dataclass
 class CheckReport:
-    """Rows by name in first-add order: the one place where residuals are
-    reduced over frames and draws."""
+    """Everything a check returns: its rows by name in first-add order (the
+    one place where residuals are reduced over frames and draws), the
+    constants it fits and the verdicts it reaches."""
 
     rows: dict = field(default_factory=dict)  # name -> CheckResult
     constants: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)
 
     def add(self, name, residual, threshold):
         """Fold ``residual``, one number or one per point, into the row
@@ -80,6 +82,7 @@ class CheckReport:
         for r in other.rows.values():
             self.add(r.name, r.residual, r.threshold)
         self.constants.update(other.constants)
+        self.verdicts.update(other.verdicts)
 
     @property
     def passed(self):

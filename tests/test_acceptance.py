@@ -73,9 +73,9 @@ def test_criterion_02_parasasakian(criterion, heis2, hyp2):
     ok = True
     for structure in (heis2, hyp2):
         points = pc.Sampler(structure, seed=2025).points(25)
-        result = classify(frames_at(structure, points), threshold=1e-9)
-        ok = ok and result.verdicts["paraSasakian"] and result.report.passed
-        rows = {k: r.residual for k, r in result.report.rows.items()}
+        report = classify(frames_at(structure, points), threshold=1e-9)
+        ok = ok and report.verdicts["paraSasakian"] and report.passed
+        rows = {k: r.residual for k, r in report.rows.items()}
         worst_main = max(
             worst_main, rows["sasakian_nijenhuis"], rows["sasakian_nabla_phi"]
         )
@@ -119,11 +119,12 @@ def _phsc_deviation(structure, k_expected, seed):
 def test_criterion_04_heisenberg_phsc(criterion, heis2):
     dev, frames = _phsc_deviation(heis2, 3.0, seed=2027)
     fit = space_form_fit(frames)
-    model = fit.report.rows["space_form_f20"].residual
-    ok = dev < 1e-8 and abs(fit.k_hat - 3.0) < 1e-8 and model < 1e-8
+    k_hat = fit.constants["k_hat"]
+    model = fit.rows["space_form_f20"].residual
+    ok = dev < 1e-8 and abs(k_hat - 3.0) < 1e-8 and model < 1e-8
     criterion(
         4, ok,
-        f"Heisenberg phsc = 3 (max dev {dev:.3e}), k_hat = {fit.k_hat:.12g}, "
+        f"Heisenberg phsc = 3 (max dev {dev:.3e}), k_hat = {k_hat:.12g}, "
         f"model residual {model:.3e} < 1e-8",
     )
 
@@ -131,12 +132,13 @@ def test_criterion_04_heisenberg_phsc(criterion, heis2):
 def test_criterion_05_hyperboloid_phsc(criterion, hyp2):
     dev, frames = _phsc_deviation(hyp2, -1.0, seed=2028)
     fit = space_form_fit(frames)
-    model = fit.report.rows["space_form_f20"].residual
-    ok = dev < 1e-8 and abs(fit.k_hat + 1.0) < 1e-8 and model < 1e-8
+    k_hat = fit.constants["k_hat"]
+    model = fit.rows["space_form_f20"].residual
+    ok = dev < 1e-8 and abs(k_hat + 1.0) < 1e-8 and model < 1e-8
     criterion(
         5, ok,
         f"hyperboloid n=2 phsc = -1 (max dev {dev:.3e}), "
-        f"k_hat = {fit.k_hat:.12g}, model residual {model:.3e}",
+        f"k_hat = {k_hat:.12g}, model residual {model:.3e}",
     )
 
 
@@ -146,21 +148,20 @@ def test_criterion_06_homothety_law(criterion, hyp2):
     for alpha in (0.5, 2.0, 3.0):
         bar = d_homothetic(hyp2, alpha)
         frames = frames_at(bar, pc.Sampler(bar, seed=2029).points(200))
-        fit = space_form_fit(frames[:5])
+        k_hat = space_form_fit(frames[:5]).constants["k_hat"]
         expected = (-1.0 - 3.0) / alpha + 3.0
-        ok = ok and abs(fit.k_hat - expected) < 1e-8
-        details.append(f"alpha={alpha:g}: k_hat={fit.k_hat:.12g}")
+        ok = ok and abs(k_hat - expected) < 1e-8
+        details.append(f"alpha={alpha:g}: k_hat={k_hat:.12g}")
         # re-pass criteria 1-3 on the transformed structure
         ok = ok and check_axioms(frames, threshold=1e-9).passed
-        result = classify(frames[:10], threshold=1e-9)
-        ok = ok and result.verdicts["paraSasakian"]
+        ok = ok and classify(frames[:10], threshold=1e-9).verdicts["paraSasakian"]
         sampler = pc.Sampler(bar, seed=2030)
         for i in range(50):
             f = frames[i % 5].view(0)
             u = sampler.horizontal_unit(f)
             ok = ok and abs(xi_sectional(f, u) + 1.0) < 1e-8
         if alpha == 0.5:
-            ok = ok and abs(fit.k_hat + 5.0) < 1e-8
+            ok = ok and abs(k_hat + 5.0) < 1e-8
     criterion(
         6, ok,
         "D-homothety k law within 1e-8 and criteria 1-3 re-pass "
@@ -174,16 +175,16 @@ def test_criterion_07_bochner(criterion, heis2, hyp2):
     for structure in (heis2, hyp2):
         frames = frames_at(structure, pc.Sampler(structure, seed=2031).points(5))
         for f in frames:
-            worst_b = max(worst_b, np.max(np.abs(pc_bochner(f).tensor)))
+            worst_b = max(worst_b, np.max(np.abs(pc_bochner(f)[0])))
         sym = bochner_symmetries(frames, threshold=1e-10)
         ok = ok and sym.passed
     deformed = d_homothetic(hyp2, 2.0)
     pts = pc.Sampler(deformed, seed=2032).points(3)
     ok = ok and bochner_symmetries(frames_at(deformed, pts), threshold=1e-10).passed
     # B of the alpha = 3 transform, divided by alpha, is B
-    b_bar = [pc_bochner(f.view(0)).tensor / 3.0
+    b_bar = [pc_bochner(f.view(0))[0] / 3.0
              for f in frames_at(d_homothetic(hyp2, 3.0), pts)]
-    b = [pc_bochner(f.view(0)).tensor for f in frames_at(hyp2, pts)]
+    b = [pc_bochner(f.view(0))[0] for f in frames_at(hyp2, pts)]
     ok = ok and max(nres(b_bar, b)) < 1e-8
     criterion(
         7, ok and worst_b < 1e-8,
@@ -202,9 +203,10 @@ def test_criterion_08_eta_einstein(criterion, heis2, hyp2):
         fit = eta_einstein_fit(
             frames_at(structure, pc.Sampler(structure, seed=2033).points(5))
         )
-        ok = ok and abs(fit.a - a_want) < 1e-8 and abs(fit.b - b_want) < 1e-8
-        ok = ok and fit.report.rows["eta_einstein_sum"].residual < 1e-10
-        details.append(f"{structure.name}: (a,b)=({fit.a:.10g},{fit.b:.10g})")
+        a, b = fit.constants["a"], fit.constants["b"]
+        ok = ok and abs(a - a_want) < 1e-8 and abs(b - b_want) < 1e-8
+        ok = ok and fit.rows["eta_einstein_sum"].residual < 1e-10
+        details.append(f"{structure.name}: (a,b)=({a:.10g},{b:.10g})")
     criterion(
         8, ok,
         f"eta-Einstein constants within 1e-8, a+b=-2n within 1e-10 "
@@ -262,7 +264,8 @@ def test_criterion_10_identity_suite(criterion, heis2, hyp2):
         sampler = pc.Sampler(structure, seed=2037)
         frames = frames_at(structure, sampler.points(3), 3)
         report = identity_suite(
-            frames, sampler=sampler, sections=50, threshold=1e-8
+            frames, space_form_fit(frames).constants["k_hat"],
+            sampler=sampler, sections=50, threshold=1e-8
         )
         ok = ok and report.passed
         rows = {k: r.residual for k, r in report.rows.items()}

@@ -54,14 +54,14 @@ def perturbed_phi_structure(n=1, epsilon=1e-2):
 
 def test_classify_builtins(heis1, hyp1):
     for s in (heis1, hyp1):
-        result = classify(sample_frames(s, seed=51, count=6))
-        assert result.verdicts == {
+        report = classify(sample_frames(s, seed=51, count=6))
+        assert report.verdicts == {
             "paracontact_metric": True,
             "paraSasakian": True,
             "para_CR": True,
         }
-        assert result.report.passed
-        assert max_residual(result.report) < 1e-12
+        assert report.passed
+        assert max_residual(report) < 1e-12
 
 
 def test_check_report_rows_keep_their_maximum():
@@ -136,7 +136,7 @@ def test_run_checks_reports_each_row_once():
     structure = pc.builtin_heisenberg(1)
 
     def names(checks):
-        report, _, _ = run_checks(structure, dict(manifest, checks=checks))
+        report, _ = run_checks(structure, dict(manifest, checks=checks))
         return list(report.rows)
 
     both = names(["axioms", "classification"])
@@ -169,22 +169,22 @@ def test_k_hat_comes_from_the_one_fit_of_the_run(monkeypatch):
         }
         fits.clear()
         structure = build_structure(manifest)
-        report, _, _ = run_checks(structure, manifest)
+        report, _ = run_checks(structure, manifest)
         assert len(fits) == 1
         k_hat[str(checks)] = report.constants["k_hat"]
     # the fit reads the space_form row's 10 points, whichever check asks
     # first; a fit on the 5 identity frames gave 0.9999999999999996 once
     points = sample_points(structure, seed=1, count=30)[:10]
-    want = fit(frames_at(structure, points)).k_hat
+    want = fit(frames_at(structure, points)).constants["k_hat"]
     assert set(k_hat.values()) == {want}
     assert want == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perturbed_phi_is_not_parasasakian():
     bad = perturbed_phi_structure()
-    result = classify(sample_frames(bad, seed=55, count=6))
-    assert not result.verdicts["paraSasakian"]
-    failing = {r.name for r in result.report.rows.values() if not r.passed}
+    report = classify(sample_frames(bad, seed=55, count=6))
+    assert not report.verdicts["paraSasakian"]
+    failing = {r.name for r in report.rows.values() if not r.passed}
     assert failing  # the residual rows name the broken criteria
 
 
@@ -226,38 +226,38 @@ def test_phsc_forms_agree(heis2):
 
 def test_space_form_fit(heis2, hyp2):
     for s, k_want in ((heis2, 3.0), (hyp2, -1.0)):
-        fit = space_form_fit(sample_frames(s, seed=61, count=5))
-        assert fit.k_hat == pytest.approx(k_want, abs=1e-10)
-        rows = fit.report.rows
+        report = space_form_fit(sample_frames(s, seed=61, count=5))
+        assert list(report.constants) == ["k_hat"]
+        assert report.constants["k_hat"] == pytest.approx(k_want, abs=1e-10)
         for name in ("space_form_f20", "space_form_f12", "space_form_f13",
                      "space_form_f36"):
-            assert rows[name].residual < 1e-12
-        assert fit.report.constants == {"k_hat": fit.k_hat}
+            assert report.rows[name].residual < 1e-12
 
 
 def test_eta_einstein_fit_closed_forms(heis1):
     # n = 1: s = 2, so a = s/2n + 1 = 2 and b = -s/2n - 3 = -4
     frames = sample_frames(heis1, seed=63, count=5)
-    fit = eta_einstein_fit(frames)
-    assert fit.a == pytest.approx(2.0, abs=1e-10)
-    assert fit.b == pytest.approx(-4.0, abs=1e-10)
-    assert fit.report.rows["eta_einstein_fit"].residual < 1e-12
-    assert fit.report.rows["eta_einstein_sum"].residual < 1e-12
+    report = eta_einstein_fit(frames)
+    a, b = report.constants["a"], report.constants["b"]
+    assert a == pytest.approx(2.0, abs=1e-10)
+    assert b == pytest.approx(-4.0, abs=1e-10)
+    assert report.rows["eta_einstein_fit"].residual < 1e-12
+    assert report.rows["eta_einstein_sum"].residual < 1e-12
     for f in frames:
         s = float(f.view(0).scalar)
-        assert nres(fit.a, s / 2 + 1.0) < 1e-12
-        assert nres(fit.b, -s / 2 - 3.0) < 1e-12
+        assert nres(a, s / 2 + 1.0) < 1e-12
+        assert nres(b, -s / 2 - 3.0) < 1e-12
 
 
 def test_bochner_constant_and_vanishing(heis1, hyp2):
     # kappa_B = -(s - 2n)/(2n + 2): 0 for the Heisenberg model (s = 2n),
     # 4 for the hyperboloid at n = 2 (s = -20)
-    data = pc_bochner(sample_frames(heis1, seed=65, count=1)[0].view(0))
-    assert data.kappa_B == pytest.approx(0.0, abs=1e-12)
-    assert np.max(np.abs(data.tensor)) < 1e-12
-    data2 = pc_bochner(sample_frames(hyp2, seed=65, count=1)[0].view(0))
-    assert data2.kappa_B == pytest.approx(4.0, abs=1e-10)
-    assert np.max(np.abs(data2.tensor)) < 1e-12
+    b, kappa_b = pc_bochner(sample_frames(heis1, seed=65, count=1)[0].view(0))
+    assert kappa_b == pytest.approx(0.0, abs=1e-12)
+    assert np.max(np.abs(b)) < 1e-12
+    b2, kappa_b2 = pc_bochner(sample_frames(hyp2, seed=65, count=1)[0].view(0))
+    assert kappa_b2 == pytest.approx(4.0, abs=1e-10)
+    assert np.max(np.abs(b2)) < 1e-12
 
 
 def test_bochner_symmetries_hold_on_deformed_input(hyp1):
@@ -309,14 +309,14 @@ def test_d_homothety_scales_bochner_and_k_hat(hyp1):
         points = sample_points(s, seed=69, count=3)
         frames = frames_at(s, points)
         b = np.array([f.view(0).bochner[0] for f in frames])
-        k_hat = space_form_fit(frames).k_hat
+        k_hat = space_form_fit(frames).constants["k_hat"]
         verdicts = classify(frames).verdicts
         for alpha in (0.5, 2.0):
             bar = frames_at(pc.d_homothetic(s, alpha), points)
             assert max(nres([f.view(0).bochner[0] for f in bar], alpha * b)) < 1e-12
             assert classify(bar).verdicts == verdicts
             if s is hyp1:
-                k_bar = space_form_fit(bar).k_hat
+                k_bar = space_form_fit(bar).constants["k_hat"]
                 assert k_bar == pytest.approx((k_hat - 3.0) / alpha + 3.0,
                                               abs=1e-10)
     assert np.max(np.abs(b)) > 0.1  # the fibred chart's B
@@ -384,8 +384,8 @@ def test_linear_chart_change_keeps_verdicts_and_constants(n, data):
             "checks": "all",
         }
         structure = build_structure(manifest)
-        report, verdicts, _ = run_checks(structure, manifest)
-        runs.append((structure, report.constants, verdicts))
+        report, _ = run_checks(structure, manifest)
+        runs.append((structure, report.constants, report.verdicts))
     (x_chart, consts, verdicts), (y_chart, consts_y, verdicts_y) = runs
     assert verdicts_y == verdicts and all(verdicts.values())
     assert sorted(consts_y) == sorted(consts) == ["a", "b", "k_hat", "kappa_B"]
@@ -418,7 +418,8 @@ def test_wpc_equals_bochner_pairing(hyp1):
 def test_identity_suite_on_heisenberg(heis1):
     sampler = pc.Sampler(heis1, seed=75)
     frames = frames_at(heis1, sampler.points(3), 3)
-    report = identity_suite(frames, sampler=sampler, sections=10)
+    k_hat = space_form_fit(frames).constants["k_hat"]
+    report = identity_suite(frames, k_hat, sampler=sampler, sections=10)
     assert report.passed
     assert max_residual(report) < 1e-10
     names = set(report.rows)
@@ -429,7 +430,8 @@ def test_identity_suite_on_heisenberg(heis1):
 
 
 def test_identity_suite_without_sampler(hyp1):
-    report = identity_suite(sample_frames(hyp1, seed=77, count=2, order=3))
+    frames = sample_frames(hyp1, seed=77, count=2, order=3)
+    report = identity_suite(frames, space_form_fit(frames).constants["k_hat"])
     assert report.passed
     assert "f9_vs_f8_phsc" not in report.rows
     assert report.constants["k_hat"] == pytest.approx(-1.0, abs=1e-10)

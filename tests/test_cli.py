@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from paracurv.cli import main
 from paracurv.errors import DomainError, ParacurvError
 from paracurv.geometry import heisenberg_tables
-from paracurv.manifest import build_structure, dumps_report
+from paracurv.manifest import MAX_COUNT, build_structure, dumps_report
 
 
 @pytest.fixture()
@@ -199,6 +199,9 @@ def test_invalid_manifests_exit_2_and_name_the_field(runner, tmp_path):
         (dict(builtin_manifest(), transform={"alpha": True}), "transform.alpha"),
         (dict(builtin_manifest(), sampling={"seed": True}), "sampling.seed"),
         (dict(builtin_manifest(), sampling={"count": True}), "sampling.count"),
+        # a count above the ceiling is refused before any array is allocated
+        (builtin_manifest(count=10 ** 20), "error: sampling.count"),
+        (builtin_manifest(count=MAX_COUNT + 1), "error: sampling.count"),
         (with_field(builtin_manifest(), "n", True), "manifold.n"),
         # coordinate names must be distinct strings, or two share a slot
         (with_field(custom(n=1), "coords", ["u1", "u1", "t"]), "manifold.coords"),
@@ -548,6 +551,11 @@ def test_curvature_summary(runner, tmp_path):
         main, ["curvature", manifest, "--point", "50,0,0"]
     )
     assert outside.exit_code == 2
+
+    # the Heisenberg jets do not depend on t: only the domain refuses a nan
+    nan = runner.invoke(main, ["curvature", manifest, "--point", "0,0,nan"])
+    assert nan.exit_code == 2 and isinstance(nan.exception, SystemExit)
+    assert "outside the chart domain" in nan.stderr and not nan.stdout
 
     wrong_arity = runner.invoke(
         main, ["curvature", manifest, "--point", "0.1,0.2"]

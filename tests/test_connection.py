@@ -337,8 +337,8 @@ def test_run_checks_keeps_only_the_leading_frames_alive(monkeypatch):
         init(self, jets, point)
 
     monkeypatch.setattr(PointGeometry, "__init__", tracking_init)
-    report, _, _ = run_checks(pc.builtin_heisenberg(1),
-                              axioms_and_classification(3000))
+    report, _ = run_checks(pc.builtin_heisenberg(1),
+                           axioms_and_classification(3000))
     assert report.passed
     # the 25 leading frames, the one in use and the one being built
     assert most[0] <= 27
@@ -395,7 +395,8 @@ def test_batch_frames_are_bitwise_the_frames_of_their_points(points, order):
 
 def residuals(report):
     return ({r.name: repr(r.residual) for r in report.rows.values()},
-            {k: repr(v) for k, v in report.constants.items()})
+            {k: repr(v) for k, v in report.constants.items()},
+            report.verdicts)
 
 
 def frame_checks(structure):
@@ -403,12 +404,13 @@ def frame_checks(structure):
     an = pc.analysis
     return {
         "axioms": an.check_axioms,
-        "classify": lambda frames: an.classify(frames).report,
-        "space_form": lambda frames: an.space_form_fit(frames).report,
-        "eta_einstein": lambda frames: an.eta_einstein_fit(frames).report,
+        "classify": an.classify,
+        "space_form": an.space_form_fit,
+        "eta_einstein": an.eta_einstein_fit,
         "bochner": an.bochner_symmetries,
         "identities": lambda frames: an.identity_suite(
-            frames, sampler=pc.Sampler(structure, 5), sections=4),
+            frames, an.space_form_fit(frames).constants["k_hat"],
+            sampler=pc.Sampler(structure, 5), sections=4),
         "parallel": parallel_check,
     }
 
@@ -420,8 +422,6 @@ def test_every_check_gives_a_batch_frame_the_residuals_of_its_points(structure):
     singles = [get_frame(structure, p, 3) for p in points]
     for name, check in frame_checks(structure).items():
         assert residuals(check(batch)) == residuals(check(singles)), name
-    verdicts = [pc.analysis.classify(fs).verdicts for fs in (batch, singles)]
-    assert verdicts[0] == verdicts[1]
 
 
 # every quantity the readers of one drawn vector take from a point view
@@ -455,7 +455,7 @@ def test_run_checks_gives_the_same_report_one_point_per_frame(monkeypatch, built
 
     def report():
         structure = build_structure(manifest)
-        document = assemble_report(structure, manifest, "", *run_checks(
+        document = assemble_report(structure, "", *run_checks(
             structure, manifest), wall_time_s=0.0)
         return dumps_report(document)
 
