@@ -162,7 +162,17 @@ def xi_sectional(f, u):
 
 def phsc(f, v, form="f8"):
     """Paraholomorphic sectional curvature of the section (phi v, phi^2 v),
-    at a point view ``f``."""
+    at a point view ``f``.
+
+    ``form="f8"`` is R(phi v, phi^2 v, phi^2 v, phi v) / (q1 q2), with
+    q1 = g(phi v, phi v) and q2 = g(phi^2 v, phi^2 v): one contraction of
+    R with four vectors.  ``form="f9"`` is
+    -(R(phi v, v, v, phi v) - eta(v)^2 g_h(v, v)) / g_h(v, v)^2, with
+    g_h = g - eta (x) eta, as a chain of vector products, O(d^4) like f8.
+    Their rounding errors grow like 1/(q1 q2) and like 1/g_h(v, v)^2
+    respectively, so the two forms drift apart on a section where either
+    divisor is small.
+    """
     g, ph, eta = f.g, f.phi, f.eta
     v = np.asarray(v, dtype=float)
     pv = ph @ v
@@ -181,13 +191,11 @@ def phsc(f, v, form="f8"):
         return float(num / (q1 * q2)) if np.isfinite(q1 * q2) else math.nan
     if form == "f9":
         R = f.riem_down
-        e = np.einsum
-        gh = g - np.outer(eta, eta)
-        core = e("dk,bi,djhb->kjhi", ph, ph, R) - e(
-            "j,h,ki->kjhi", eta, eta, gh
-        )
-        num = e("kjhi,k,j,h,i->", core, v, v, v, v)
-        den = float((v @ gh @ v) ** 2)
+        # numpy scalars throughout: an overflow gives inf, not OverflowError
+        ev = eta @ v
+        gh = v @ g @ v - ev * ev  # g_h(v, v), the horizontal part of g
+        num = pv @ (((R @ pv) @ v) @ v) - ev * ev * gh
+        den = gh * gh
         return float(-num / den) if np.isfinite(den) else math.nan
     raise ValueError(f"unknown phsc form {form!r}")
 

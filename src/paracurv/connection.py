@@ -272,12 +272,14 @@ class PointGeometry:
         out = tail_transpose(r, 1, 2, 3, 0)  # reorder to (i, j, k, l)
         out = out + e("ilk,j->ijkl", npl, eta) - e("jlk,i->ijkl", npl, eta)
         out = out + 2.0 * e("ij,lk->ijkl", phl, ph)
-        out = out - e("ls,js,i,k->ijkl", ph, nxi, eta, eta)
-        out = out + e("ls,is,j,k->ijkl", ph, nxi, eta, eta)
-        out = out + e("l,is,sk,j->ijkl", xi, neta, ph, eta)
-        out = out - e("l,js,sk,i->ijkl", xi, neta, ph, eta)
-        out = out - e("l,sijk,s->ijkl", xi, r, eta)
-        out = out - e("k,lijs,s->ijkl", eta, r, xi)
+        # each product of four factors as one matmul and one outer product
+        m = ph @ tail_transpose(nxi, 1, 0)  # (l, j): phi^l_s nabla_j xi^s
+        q = neta @ ph  # (i, k): nabla_i eta_s phi^s_k
+        ee, ex = e("i,j->ij", eta, eta), e("i,j->ij", eta, xi)
+        out = out - e("lj,ik->ijkl", m, ee) + e("li,jk->ijkl", m, ee)
+        out = out + e("ik,jl->ijkl", q, ex) - e("jk,il->ijkl", q, ex)
+        out = out - e("ijk,l->ijkl", e("s,sijk->ijk", eta, r), xi)
+        out = out - e("lij,k->ijkl", e("lijs,s->lij", r, xi), eta)
         out = out + e("jk,il->ijkl", neta, nxi)
         out = out - e("ik,jl->ijkl", neta, nxi)
         # back to (l, i, j, k) to match riem_tilde_up.value

@@ -224,6 +224,48 @@ def test_phsc_forms_agree(heis2):
         assert k9 == pytest.approx(k8, abs=1e-10)
 
 
+def f9_by_einsum(f, v):
+    """phsc's f9 form as one O(d^6) tensor contracted with v four times,
+    the reference for the chain of vector products in ``phsc``."""
+    g, ph, eta = f.g, f.phi, f.eta
+    gh = g - np.outer(eta, eta)
+    core = np.einsum("dk,bi,djhb->kjhi", ph, ph, f.riem_down) - np.einsum(
+        "j,h,ki->kjhi", eta, eta, gh)
+    num = np.einsum("kjhi,k,j,h,i->", core, v, v, v, v)
+    return float(-num / (v @ gh @ v) ** 2)
+
+
+def test_f9_matches_its_einsum_form(heis2, hyp2):
+    hyp2_alpha2 = pc.d_homothetic(hyp2, 2.0)
+    for s in (heis2, hyp2, hyp2_alpha2):
+        sampler = pc.Sampler(s, seed=63)
+        for frame in sample_frames(s, seed=63, count=4):
+            f = frame.view(0)
+            for _ in range(25):
+                v = sampler.section_vector(f)
+                want = f9_by_einsum(f, v)
+                # both forms lose accuracy like 1/g_h(v, v)^2, measured
+                # against the Euclidean |v|^2
+                ev = f.eta @ v
+                cond = max(1.0, (v @ v / abs(v @ f.g @ v - ev * ev)) ** 2)
+                assert abs(phsc(f, v, "f9") - want) <= 1e-12 * abs(want) * cond
+
+
+def test_f9_of_an_overflowed_curvature_is_non_finite():
+    # the heisenberg(1) tables with g scaled by 1e160: the jets are finite,
+    # and g_h(v, v)^2 overflows
+    coords, g, phi, xi, eta = heisenberg_tables(1)
+    g = [[f"1e160*({s})" for s in row] for row in g]
+    structure = build_structure({"manifold": {
+        "kind": "custom", "coords": coords, "g": g, "phi": phi, "xi": xi,
+        "eta": eta}})
+    f = get_frame(structure, np.array([0.1, 0.2, 0.3]), 2).view(0)
+    v = pc.Sampler(structure, seed=65).section_vector(f)
+    with np.errstate(all="ignore"):  # as run_checks calls it
+        k = phsc(f, v, "f9")
+    assert isinstance(k, float) and not np.isfinite(k)
+
+
 def test_space_form_fit(heis2, hyp2):
     for s, k_want in ((heis2, 3.0), (hyp2, -1.0)):
         report = space_form_fit(sample_frames(s, seed=61, count=5))

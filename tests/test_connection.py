@@ -17,8 +17,9 @@ from paracurv.connection import (
     get_frame,
     kulkarni_nomizu,
     parallel_check,
+    tail_transpose,
 )
-from paracurv.jetfields import jt_einsum, plu_inverse
+from paracurv.jetfields import jt_einsum, plu_inverse, point_einsum
 from paracurv.jetfields import JetTensor
 from paracurv.manifest import (
     BATCH,
@@ -422,6 +423,35 @@ def test_every_check_gives_a_batch_frame_the_residuals_of_its_points(structure):
     singles = [get_frame(structure, p, 3) for p in points]
     for name, check in frame_checks(structure).items():
         assert residuals(check(batch)) == residuals(check(singles)), name
+
+
+def f21_by_einsum(f):
+    """f21_rhs with each product of three or four factors as one einsum,
+    the reference for its matmul-then-outer-product form."""
+    npl, nxi, neta = f.nabla_phi.value, f.nabla_xi.value, f.nabla_eta.value
+    eta, xi, phl, ph = f.eta.value, f.xi.value, f.phi_low.value, f.phi.value
+    r = f.riem_up.value
+    e = point_einsum  # np.einsum for three or more operands
+    out = tail_transpose(r, 1, 2, 3, 0)
+    out = out + e("ilk,j->ijkl", npl, eta) - e("jlk,i->ijkl", npl, eta)
+    out = out + 2.0 * e("ij,lk->ijkl", phl, ph)
+    out = out - e("ls,js,i,k->ijkl", ph, nxi, eta, eta)
+    out = out + e("ls,is,j,k->ijkl", ph, nxi, eta, eta)
+    out = out + e("l,is,sk,j->ijkl", xi, neta, ph, eta)
+    out = out - e("l,js,sk,i->ijkl", xi, neta, ph, eta)
+    out = out - e("l,sijk,s->ijkl", xi, r, eta)
+    out = out - e("k,lijs,s->ijkl", eta, r, xi)
+    out = out + e("jk,il->ijkl", neta, nxi)
+    out = out - e("ik,jl->ijkl", neta, nxi)
+    return tail_transpose(out, 3, 0, 1, 2)
+
+
+# heisenberg(2), hyperboloid(2) and its D-homothety alpha = 2
+@pytest.mark.parametrize("structure", BATCH_STRUCTURES[:3])
+def test_f21_rhs_matches_its_einsum_form(structure):
+    points = sample_points(structure, seed=67, count=4)
+    frame = PointGeometry(structure.at(points, 2), points)
+    assert max(nres(frame.f21_rhs, f21_by_einsum(frame))) < 1e-13
 
 
 # every quantity the readers of one drawn vector take from a point view

@@ -13,9 +13,10 @@ PYTHONPATH for its own runs.  The fixed manifest set is
   ragged last batch, on the embedded hyperboloid(2) graph and on the
   heisenberg(3) tables with alpha = 2;
 * a custom chart (the heisenberg(1) tables), an embedded chart (the
-  hyperboloid(1) graph), heisenberg(4) with phsc and identities at seed 34,
-  and the heisenberg(1) tables with g scaled by 1e160, whose curvature
-  overflows.
+  hyperboloid(1) graph), phsc and identities on heisenberg(4) at seed 34
+  and on heisenberg(1) at seed 84, whose `f9_vs_f8_phsc` sits near its
+  threshold, and the heisenberg(1) tables with g scaled by 1e160, whose
+  curvature overflows.
 
 It also runs `curvature` at 10 fixed points each on heisenberg(3),
 hyperboloid(2), hyperboloid(2) with alpha = 2, the embedded hyperboloid(1)
@@ -123,6 +124,8 @@ def manifests():
     out.append(("embedded_hyperboloid1", manifest(embedded_hyperboloid(1))))
     out.append(("heisenberg4_sections_seed34",
                 manifest(builtin("heisenberg", 4), seed=34, checks=["phsc", "identities"])))
+    out.append(("heisenberg1_sections_seed84",
+                manifest(builtin("heisenberg", 1), seed=84, checks=["phsc", "identities"])))
     scaled = dict(HEISENBERG1, g=[[f"1e160*({s})" for s in row]
                                   for row in HEISENBERG1["g"]])
     out.append(("custom_heisenberg1_g1e160", manifest(scaled, count=30)))
