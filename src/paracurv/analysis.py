@@ -6,9 +6,13 @@ and eta-Einstein fitting, the PC-Bochner tensor with its W^pc counterpart,
 and the named identity suite.  The functions over many points read frames
 (see :class:`paracurv.connection.PointGeometry`), each a batch of points,
 and add one normalized residual per point to their report's rows, which
-keep the maximum.  The functions of one drawn vector (``xi_sectional``,
+keep the maximum.  The functions of drawn vectors (``xi_sectional``,
 ``phsc``, ``wpc``, ``bochner_pairing``) read the values at one point of a
-frame (:meth:`PointGeometry.view`).
+frame (:meth:`PointGeometry.view`) and a stack of vectors (..., d) there,
+the point's tensors broadcast over the stack, and give one value per
+vector.  A check draws its vectors in one batch, draw i at point i mod P
+(:class:`Draws`), and reads each point's draws as one stack; each value
+has the bits of that vector evaluated alone.
 
 A batch frame gives every point bitwise the residuals of a frame built at
 that point alone: a point's entries are contracted and summed on their own,
@@ -24,26 +28,11 @@ import numpy as np
 
 from .connection import kulkarni_nomizu, per_point, phi_block, tail_transpose
 from .errors import IsotropicSection, IsotropicVector, NotHorizontal
-from .jetfields import point_einsum
+from .jetfields import bilinear, matvec, point_einsum, vecdot, vecmat
 from .report import CheckReport, nres
 from .sampling import NULL_EPS
 
 HORIZONTAL_EPS = 1e-10
-
-
-# products at each point as a stacked matmul, which gives each point the
-# bits of its own ``@`` and runs on numpy 1.24 (np.matvec, np.vecmat and
-# np.vecdot need numpy 2.2)
-def _matvec(a, v):
-    return (a @ v[..., None])[..., 0]
-
-
-def _vecmat(v, a):
-    return (v[..., None, :] @ a)[..., 0, :]
-
-
-def _vecdot(u, v):
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 # -- axioms -----------------------------------------------------------------
@@ -63,14 +52,14 @@ def check_axioms(frames, threshold=1e-9):
     for f in frames:
         d = f.dim
         g, ph, xi, eta = f.g.value, f.phi.value, f.xi.value, f.eta.value
-        keep("axiom_i_phi_xi", _matvec(ph, xi))
-        keep("axiom_i_eta_phi", _vecmat(eta, ph))
-        keep("axiom_ii_eta_xi", _vecdot(eta, xi), 1.0)
+        keep("axiom_i_phi_xi", matvec(ph, xi))
+        keep("axiom_i_eta_phi", vecmat(eta, ph))
+        keep("axiom_ii_eta_xi", vecdot(eta, xi), 1.0)
         keep("axiom_ii_phi_sq", ph @ ph, np.eye(d) - e("i,j->ij", xi, eta))
         keep("axiom_iii_compat", np.swapaxes(ph, -1, -2) @ g @ ph,
              -g + e("i,j->ij", eta, eta))
         keep("axiom_iv_deta", g @ ph, f.deta.value)
-        keep("metric_duality", _matvec(g, xi), eta)
+        keep("metric_duality", matvec(g, xi), eta)
     return report
 
 
@@ -146,23 +135,37 @@ def classify(frames, threshold=1e-9):
 # -- sectional curvatures ------------------------------------------------------
 
 
+def _pairing(t, x, y, z, w):
+    """t(x, y, z, w) of a tensor t at one point, as x @ (((t @ w) @ z) @ y)
+    over the vectors' leading axes: each draw's products are those of its
+    own chain, so each value has that chain's bits."""
+    t = t @ w[..., None, None, :, None]
+    t = t[..., 0] @ z[..., None, :, None]
+    return (x[..., None, :] @ (t[..., 0] @ y[..., :, None]))[..., 0, 0]
+
+
+def _ratio(num, den):
+    """num / den, nan where den is not finite: an overflowed denominator
+    would read as a curvature of 0 (nan / inf is nan, without a warning)."""
+    return np.where(np.isfinite(den), num, math.nan) / den
+
+
 def xi_sectional(f, u):
-    """Sectional curvature of the plane spanned by xi and a horizontal u, at
-    a point view ``f``."""
+    """Sectional curvature of the planes spanned by xi and horizontal
+    vectors u (..., d), at a point view ``f``."""
     g, xi = f.g, f.xi
     u = np.asarray(u, dtype=float)
-    eps_u = float(u @ g @ u)
-    if abs(eps_u) < NULL_EPS:
-        raise IsotropicVector(f"g(u,u) = {eps_u:g} is numerically null")
-    R = f.riem_down
-    num = u @ (((R @ u) @ xi) @ xi)
-    den = eps_u * float(xi @ g @ xi)
-    return float(num / den)
+    eps_u = bilinear(u, g, u)
+    null = np.abs(eps_u) < NULL_EPS
+    if np.count_nonzero(null):
+        raise IsotropicVector(f"g(u,u) = {eps_u[null][0]:g} is numerically null")
+    num = _pairing(f.riem_down, u, xi, xi, u)
+    return num / (eps_u * (xi @ g @ xi))
 
 
 def phsc(f, v, form="f8"):
-    """Paraholomorphic sectional curvature of the section (phi v, phi^2 v),
-    at a point view ``f``.
+    """Paraholomorphic sectional curvature of the sections (phi v, phi^2 v)
+    of vectors v (..., d), at a point view ``f``.
 
     ``form="f8"`` is R(phi v, phi^2 v, phi^2 v, phi v) / (q1 q2), with
     q1 = g(phi v, phi v) and q2 = g(phi^2 v, phi^2 v): one contraction of
@@ -175,28 +178,25 @@ def phsc(f, v, form="f8"):
     """
     g, ph, eta = f.g, f.phi, f.eta
     v = np.asarray(v, dtype=float)
-    pv = ph @ v
-    ppv = ph @ pv
-    q1 = float(pv @ g @ pv)
-    q2 = float(ppv @ g @ ppv)
-    if abs(q1) < NULL_EPS or abs(q2) < NULL_EPS:
+    pv = matvec(ph, v)
+    ppv = matvec(ph, pv)
+    q1 = bilinear(pv, g, pv)
+    q2 = bilinear(ppv, g, ppv)
+    bad = (np.abs(q1) < NULL_EPS) | (np.abs(q2) < NULL_EPS)
+    if np.count_nonzero(bad):
         raise IsotropicSection(
-            f"section degenerate: g(phi v, phi v) = {q1:g}, "
-            f"g(phi^2 v, phi^2 v) = {q2:g}"
+            f"section degenerate: g(phi v, phi v) = {q1[bad][0]:g}, "
+            f"g(phi^2 v, phi^2 v) = {q2[bad][0]:g}"
         )
+    R = f.riem_down
     if form == "f8":
-        R = f.riem_down
-        num = np.einsum("dcab,d,c,a,b->", R, pv, ppv, ppv, pv)
-        # an overflowed denominator would read as a curvature of 0
-        return float(num / (q1 * q2)) if np.isfinite(q1 * q2) else math.nan
+        num = np.einsum("dcab,...d,...c,...a,...b->...", R, pv, ppv, ppv, pv)
+        return _ratio(num, q1 * q2)
     if form == "f9":
-        R = f.riem_down
-        # numpy scalars throughout: an overflow gives inf, not OverflowError
-        ev = eta @ v
-        gh = v @ g @ v - ev * ev  # g_h(v, v), the horizontal part of g
-        num = pv @ (((R @ pv) @ v) @ v) - ev * ev * gh
-        den = gh * gh
-        return float(-num / den) if np.isfinite(den) else math.nan
+        ev = vecdot(eta, v)
+        gh = bilinear(v, g, v) - ev * ev  # g_h(v, v), the horizontal part of g
+        num = _pairing(R, pv, v, v, pv) - ev * ev * gh
+        return _ratio(-num, gh * gh)
     raise ValueError(f"unknown phsc form {form!r}")
 
 
@@ -329,36 +329,39 @@ def bochner_symmetries(frames, threshold=1e-10):
 # -- W^pc -------------------------------------------------------------------------
 
 
-def _require_horizontal(eta, vectors):
-    for v in vectors:
-        pairing = float(eta @ v)
-        if abs(pairing) > HORIZONTAL_EPS:
-            raise NotHorizontal(f"eta(v) = {pairing:g} exceeds {HORIZONTAL_EPS:g}")
+def horizontal(eta, v):
+    """Whether eta(v) vanishes within HORIZONTAL_EPS, for each vector of v
+    (..., d)."""
+    return ~(np.abs(vecdot(eta, v)) > HORIZONTAL_EPS)
 
 
 def wpc(f, x, y, z, w):
-    """The paracontact conformal curvature pairing on horizontal vectors, at
-    a point view ``f``."""
+    """The paracontact conformal curvature pairing on horizontal vectors
+    (..., d), at a point view ``f``."""
     n = f.n
     g, ph, big_f, eta = f.g, f.phi, f.phi_low, f.eta
-    x, y, z, w = (np.asarray(v, dtype=float) for v in (x, y, z, w))
-    _require_horizontal(eta, (x, y, z, w))
+    x, y, z, w = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                       for v in (x, y, z, w)))
+    quad = np.stack([x, y, z, w], axis=-2)
+    off = ~horizontal(eta, quad)
+    if np.count_nonzero(off):
+        pairing = vecdot(eta, quad)[off][0]
+        raise NotHorizontal(f"eta(v) = {pairing:g} exceeds {HORIZONTAL_EPS:g}")
     rt, st = f.ricci_tilde, float(f.scalar_tilde)
-    big_rt = f.riem_tilde_down
 
     def gp(u, v):
-        return float(u @ g @ v)
+        return bilinear(u, g, v)
 
     def fp(u, v):
-        return float(u @ big_f @ v)
+        return bilinear(u, big_f, v)
 
     def rp(u, v):
-        return float(u @ rt @ v)
+        return bilinear(u, rt, v)
 
-    px, py, pz, pw = ph @ x, ph @ y, ph @ z, ph @ w
+    px, py, pz = matvec(ph, x), matvec(ph, y), matvec(ph, z)
     c1 = st / (4.0 * (n + 1.0) * (n + 2.0))
     c2 = 1.0 / (2.0 * (n + 2.0))
-    val = float(x @ (((big_rt @ w) @ z) @ y))
+    val = _pairing(f.riem_tilde_down, x, y, z, w)
     val -= c1 * (gp(x, z) * gp(y, w) - gp(y, z) * gp(x, w))
     val += c1 * (
         fp(x, z) * fp(y, w) - fp(y, z) * fp(x, w) + 2.0 * fp(x, y) * fp(z, w)
@@ -383,10 +386,10 @@ def wpc(f, x, y, z, w):
 
 
 def bochner_pairing(f, x, y, z, w):
-    """B(X,Y,Z,W) at a point view ``f``, for comparison against the W^pc
-    pairing."""
+    """B(X,Y,Z,W) on vectors (..., d) at a point view ``f``, for comparison
+    against the W^pc pairing."""
     b, _ = f.bochner
-    return float(x @ (((b @ w) @ z) @ y))
+    return _pairing(b, x, y, z, w)
 
 
 # -- identity suite ------------------------------------------------------------------
@@ -485,7 +488,7 @@ def identity_suite(frames, k_hat, sampler=None, sections=50, threshold=1e-8):
         keep("f51_xi", nxi, tail_transpose(-ph + phi_h, 1, 0))
         keep("f51_phi_h", phi_h + h @ ph)
         keep("f51_trace_h", np.trace(h, axis1=-2, axis2=-1))
-        keep("f51_h_xi", _matvec(h, xi))
+        keep("f51_h_xi", matvec(h, xi))
         keep("tnweb_g", f.cov(f.g.cut(1), "ll", kind="canonical_tilde").value)
         keep("tnweb_xi", f.cov(f.xi.cut(1), "u", kind="canonical_tilde").value)
         keep("tnweb_eta", f.cov(f.eta.cut(1), "l", kind="canonical_tilde").value)
@@ -523,11 +526,12 @@ def identity_suite(frames, k_hat, sampler=None, sections=50, threshold=1e-8):
         keep("f13", 2.0 * s, _f13_rhs(n, k_hat))
         keep("f22", big_rt, 0.25 * (k_hat - 3.0) * (a_blk + b_blk))
 
-    if sampler is not None:
-        for f in point_draws(frames, sections):
-            v = sampler.section_vector(f)
-            report.add("f9_vs_f8_phsc", nres(phsc(f, v, "f8"), phsc(f, v, "f9")),
-                       1e-9)
+    if sampler is not None and sections:
+        draws = Draws(frames, sections)
+        v = sampler.section_vector(*draws.values("g", "phi"))
+        report.add("f9_vs_f8_phsc", nres(
+            draws.map(phsc, v), draws.map(lambda f, v: phsc(f, v, "f9"), v)),
+            1e-9)
     return report
 
 
@@ -537,9 +541,35 @@ def _projected(t, proj):
     return np.stack([_project(x, p) for x, p in zip(t, proj)])
 
 
-def point_draws(frames, count):
-    """``count`` point views in draw order: the frames' points in turn, from
-    the first again once every point has had a draw."""
-    points = [f.view(i) for f in frames for i in range(len(f.point))]
-    for i in range(count):
-        yield points[i % len(points)]
+class Draws:
+    """``count`` draws over the frames' points in turn: draw i sits at
+    point i mod P, the frames' points taken in order, so a point has its
+    second draw only once every point has had one.  The draws at a point
+    are its stack, in draw order."""
+
+    def __init__(self, frames, count):
+        self.frames, self.count = frames, count
+        self.points = sum(len(f.point) for f in frames)
+
+    def values(self, *names):
+        """The frames' values of ``names`` at each draw's point, in draw
+        order: what the sampler reads for the draws."""
+        at = np.arange(self.count) % self.points
+        return [np.concatenate([getattr(f, name).value for f in self.frames])[at]
+                for name in names]
+
+    def map(self, fn, *vectors, where=None):
+        """``fn(view, *stacks)`` at each point, on that point's stack of
+        the drawn ``vectors`` (each (count, d)): the values in draw order,
+        and nan at each draw that ``where`` leaves out."""
+        out = np.full(self.count, math.nan)
+        p = 0
+        for f in self.frames:
+            for i in range(len(f.point)):
+                at = np.arange(p, self.count, self.points)
+                if where is not None:
+                    at = at[where[at]]
+                if len(at):
+                    out[at] = fn(f.view(i), *(v[at] for v in vectors))
+                p += 1
+        return out

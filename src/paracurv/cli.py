@@ -111,8 +111,8 @@ def curvature(manifest_path, point_text):
         with np.errstate(all="ignore"):
             f = get_frame(structure, point, order=2).view(0)
             sampler = Sampler(structure, seed=0)
-            u = sampler.horizontal_unit(f)
-            v = sampler.section_vector(f)
+            u = sampler.horizontal_unit(f.g, f.xi, f.eta)
+            v = sampler.section_vector(f.g, f.phi)
             bochner, kappa_b = pc_bochner(f)
             numbers = [
                 ("|g|_inf", np.max(np.abs(f.g))),

@@ -201,6 +201,26 @@ def point_einsum(sub, *operands):
     return fallback(*operands)
 
 
+# products at each point as a stacked matmul, which gives each point the
+# bits of its own ``@`` and runs on numpy 1.24 (np.matvec, np.vecmat and
+# np.vecdot need numpy 2.2)
+def matvec(a, v):
+    return (a @ v[..., None])[..., 0]
+
+
+def vecmat(v, a):
+    return (v[..., None, :] @ a)[..., 0, :]
+
+
+def vecdot(u, v):
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def bilinear(u, a, v):
+    """u a v at each point, as ``(u @ a) @ v``."""
+    return (u[..., None, :] @ a @ v[..., :, None])[..., 0, 0]
+
+
 def jt_einsum(sub, a, b):
     """einsum of two jet tensors with the exact Leibniz rule.
 

@@ -22,21 +22,22 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    Draws,
     bochner_pairing,
     bochner_symmetries,
     check_axioms,
     classify,
     eta_einstein_fit,
+    horizontal,
     identity_suite,
     pc_bochner,
     phsc,
-    point_draws,
     space_form_fit,
     wpc,
     xi_sectional,
 )
 from .connection import PointGeometry, parallel_check
-from .errors import ManifestError, NotHorizontal, ParacurvError
+from .errors import ManifestError, ParacurvError
 from .exprlang import parse
 from .geometry import (
     BUILTINS,
@@ -98,19 +99,20 @@ def _classification(ctx, frames, budget):
 
 
 def _xi_sectional(ctx, frames, budget):
+    draws = Draws(frames, budget)
+    u = ctx.sampler.horizontal_unit(*draws.values("g", "xi", "eta"))
     report = CheckReport()
-    for f in point_draws(frames, budget):
-        u = ctx.sampler.horizontal_unit(f)
-        report.add("xi_sectional", nres(xi_sectional(f, u), -1.0), ctx.tolerance)
+    report.add("xi_sectional", nres(draws.map(xi_sectional, u), -1.0),
+               ctx.tolerance)
     return report
 
 
 def _phsc(ctx, frames, budget):
     k_hat = ctx.space_fit().constants["k_hat"]
+    draws = Draws(frames, budget)
+    v = ctx.sampler.section_vector(*draws.values("g", "phi"))
     report = CheckReport(constants={"k_hat": k_hat})
-    for f in point_draws(frames, budget):
-        v = ctx.sampler.section_vector(f)
-        report.add("phsc_constancy", nres(phsc(f, v), k_hat), ctx.tolerance)
+    report.add("phsc_constancy", nres(draws.map(phsc, v), k_hat), ctx.tolerance)
     return report
 
 
@@ -132,14 +134,19 @@ def _bochner(ctx, frames, budget):
 
 
 def _wpc(ctx, frames, budget):
+    draws = Draws(frames, budget)
+    # each draw's point, once for each of its four vectors
+    g, xi, eta = (np.repeat(x[:, None], 4, axis=1)
+                  for x in draws.values("g", "xi", "eta"))
+    quads = ctx.sampler.horizontal_unit(g, xi, eta)  # (budget, 4, d)
+    # eta(xi) != 1 leaves no vector horizontal: such a quadruple reads nan
+    ok = horizontal(eta, quads).all(axis=1)
+    quad = quads.transpose(1, 0, 2)
+    residual = nres(draws.map(bochner_pairing, *quad, where=ok),
+                    draws.map(wpc, *quad, where=ok))
+    residual[~ok] = math.nan
     report = CheckReport()
-    for f in point_draws(frames, budget):
-        quad = [ctx.sampler.horizontal_unit(f) for _ in range(4)]
-        try:
-            residual = nres(bochner_pairing(f, *quad), wpc(f, *quad))
-        except NotHorizontal:  # eta(xi) != 1: no vector is horizontal
-            residual = math.nan
-        report.add("wpc_equals_bochner", residual, ctx.tolerance)
+    report.add("wpc_equals_bochner", residual, ctx.tolerance)
     return report
 
 
@@ -252,6 +259,9 @@ def _validate_box(box, dim, field):
         )
         _require(ok, f"{field}[{i}] must be [lo, hi], finite, with lo < hi",
                  field)
+        # the sampler draws lo + (hi - lo) * u, so the width must be finite
+        _require(float(interval[1]) - float(interval[0]) < math.inf,
+                 f"{field}[{i}] is wider than the largest float", field)
 
 
 def validate_manifest(manifest):

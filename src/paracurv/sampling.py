@@ -4,6 +4,9 @@ The generator is numpy's PCG64 (O'Neill's permuted congruential generator,
 128-bit state, 64-bit output), seeded from the manifest seed, and every
 sample is drawn sequentially from the single stream, so reports are
 reproducible bit-for-bit regardless of how checks fan out afterwards.
+Points and vectors are drawn in batches that consume the stream exactly as
+one attempt at a time would: the same attempts, in the same order, given
+to the same draws.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SamplingExhausted
+from .jetfields import bilinear, matvec, vecdot
 
 MAX_ATTEMPTS = 100
 NULL_EPS = 1e-6
@@ -60,38 +64,73 @@ class Sampler:
             accepted += len(new)
         return out
 
-    def raw_vector(self):
-        return self.rng.uniform(-1.0, 1.0, self.structure.dim)
-
-    def horizontal_unit(self, f):
-        """Horizontal vector at a point view ``f``, normalized to g(u,u) = +-1.
+    def horizontal_unit(self, g, xi, eta):
+        """Horizontal vectors normalized to g(u,u) = +-1, one per draw: g is
+        (..., d, d) and xi, eta are (..., d), each draw's values along the
+        leading axes, and the vectors come back as (..., d) in that order.
 
         Coordinates are drawn uniformly, projected along xi, and rejected
         while nearly null; split signature makes both signs appear.
         """
-        g, xi, eta = f.g, f.xi, f.eta
-        for _ in range(MAX_ATTEMPTS):
-            w = self.raw_vector()
-            w = w - (eta @ w) * xi
-            q = float(w @ g @ w)
-            if abs(q) < NULL_EPS:
-                continue
-            return w / np.sqrt(abs(q))
-        raise SamplingExhausted(
-            f"no non-null horizontal vector after {MAX_ATTEMPTS} attempts"
-        )
+        lead, d = xi.shape[:-1], xi.shape[-1]
+        g, xi, eta = g.reshape(-1, d, d), xi.reshape(-1, d), eta.reshape(-1, d)
 
-    def section_vector(self, f):
-        """A vector at a point view ``f`` whose phi-image and phi^2-image are
-        both non-null."""
-        g, phi = f.g, f.phi
-        for _ in range(MAX_ATTEMPTS):
-            v = self.raw_vector()
-            pv = phi @ v
-            ppv = phi @ pv
-            if abs(pv @ g @ pv) < NULL_EPS or abs(ppv @ g @ ppv) < NULL_EPS:
-                continue
-            return v
-        raise SamplingExhausted(
-            f"no non-degenerate section vector after {MAX_ATTEMPTS} attempts"
-        )
+        def reject(tries, at):
+            w = tries - vecdot(eta[at], tries)[:, None] * xi[at]
+            q = np.abs(bilinear(w, g[at], w))
+            null = q < NULL_EPS
+            return w / np.sqrt(np.where(null, 1.0, q))[:, None], null
+
+        out = self._draws(len(xi), reject, "no non-null horizontal vector")
+        return out.reshape(lead + (d,))
+
+    def section_vector(self, g, phi):
+        """Vectors whose phi-image and phi^2-image are both non-null, one
+        per draw: g and phi are (..., d, d), each draw's values along the
+        leading axes, and the vectors come back as (..., d) in that order."""
+        lead, d = phi.shape[:-2], phi.shape[-1]
+        g, phi = g.reshape(-1, d, d), phi.reshape(-1, d, d)
+
+        def reject(tries, at):
+            pv = matvec(phi[at], tries)
+            ppv = matvec(phi[at], pv)
+            q1 = bilinear(pv, g[at], pv)
+            q2 = bilinear(ppv, g[at], ppv)
+            return tries, (np.abs(q1) < NULL_EPS) | (np.abs(q2) < NULL_EPS)
+
+        out = self._draws(len(phi), reject, "no non-degenerate section vector")
+        return out.reshape(lead + (d,))
+
+    def _draws(self, count, reject, failure):
+        """``count`` vectors by rejection, in draw order.
+
+        ``reject(tries, at)`` tests the attempts ``tries`` against the draws
+        ``at``, one attempt each, and returns the vectors they make and
+        whether each is rejected.  A round draws one attempt per missing
+        vector in one batch and accepts them up to the first rejected one,
+        which counts against its draw; the attempts after it are tested
+        again, against the draws that follow.  So the stream gives the same
+        attempts, in the same order and to the same draws, as one attempt
+        at a time, and no attempt is drawn that is not used.
+        """
+        parts, tries = [], ()
+        done = run = 0  # run: rejections in a row at draw ``done``
+        while done < count:
+            if not len(tries):
+                tries = self.rng.uniform(-1.0, 1.0,
+                                         size=(count - done, self.structure.dim))
+            vecs, rejected = reject(tries, slice(done, done + len(tries)))
+            # the draws up to the first rejected attempt
+            taken = (int(np.argmax(rejected)) if np.count_nonzero(rejected)
+                     else len(tries))
+            parts.append(vecs[:taken])
+            done += taken
+            if taken:
+                run = 0
+            if taken < len(tries):
+                run += 1
+                if run == MAX_ATTEMPTS:
+                    raise SamplingExhausted(
+                        f"{failure} after {MAX_ATTEMPTS} attempts")
+            tries = tries[taken + 1 :]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -97,7 +97,7 @@ def test_criterion_03_xi_sectional(criterion, all_builtins):
         frames = frames_at(structure, sampler.points(5))
         for i in range(50):
             f = frames[i % len(frames)].view(0)
-            u = sampler.horizontal_unit(f)
+            u = sampler.horizontal_unit(f.g, f.xi, f.eta)
             worst = max(worst, abs(xi_sectional(f, u) + 1.0))
     criterion(
         3, worst < 1e-8,
@@ -111,7 +111,7 @@ def _phsc_deviation(structure, k_expected, seed):
     worst = 0.0
     for i in range(50):
         f = frames[i % len(frames)].view(0)
-        v = sampler.section_vector(f)
+        v = sampler.section_vector(f.g, f.phi)
         worst = max(worst, abs(phsc(f, v) - k_expected))
     return worst, frames
 
@@ -158,7 +158,7 @@ def test_criterion_06_homothety_law(criterion, hyp2):
         sampler = pc.Sampler(bar, seed=2030)
         for i in range(50):
             f = frames[i % 5].view(0)
-            u = sampler.horizontal_unit(f)
+            u = sampler.horizontal_unit(f.g, f.xi, f.eta)
             ok = ok and abs(xi_sectional(f, u) + 1.0) < 1e-8
         if alpha == 0.5:
             ok = ok and abs(k_hat + 5.0) < 1e-8
@@ -286,7 +286,7 @@ def test_criterion_11_wpc(criterion, all_builtins):
         frames = frames_at(structure, sampler.points(3))
         for i in range(100):
             f = frames[i % len(frames)].view(0)
-            quad = [sampler.horizontal_unit(f) for _ in range(4)]
+            quad = [sampler.horizontal_unit(f.g, f.xi, f.eta) for _ in range(4)]
             worst = max(worst, nres(bochner_pairing(f, *quad), wpc(f, *quad)))
     criterion(
         11, worst < 1e-8,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import paracurv as pc
 from paracurv.analysis import (
+    Draws,
     _project,
     bochner_pairing,
     bochner_symmetries,
@@ -21,7 +22,7 @@ from paracurv.analysis import (
     wpc,
     xi_sectional,
 )
-from paracurv.connection import get_frame
+from paracurv.connection import PointGeometry, get_frame
 from paracurv.errors import (
     IsotropicSection,
     IsotropicVector,
@@ -193,7 +194,7 @@ def test_xi_sectional_constant(heis1, hyp2):
         sampler = pc.Sampler(s, seed=57)
         f = get_frame(s, sampler.point(), 2).view(0)
         for _ in range(10):
-            u = sampler.horizontal_unit(f)
+            u = sampler.horizontal_unit(f.g, f.xi, f.eta)
             assert xi_sectional(f, u) == pytest.approx(-1.0, abs=1e-10)
 
 
@@ -202,6 +203,9 @@ def test_xi_sectional_rejects_null_vectors(heis1):
     null = np.array([1.0, 1.0, 0.0])  # g(u,u) = 1 - 1 = 0 at the origin
     with pytest.raises(IsotropicVector):
         xi_sectional(f, null)
+    # one null vector in a stack is enough
+    with pytest.raises(IsotropicVector, match="g\\(u,u\\) = 0 "):
+        xi_sectional(f, np.stack([np.array([1.0, 0.0, 0.0]), null]))
 
 
 def test_phsc_rejects_degenerate_sections(heis1):
@@ -209,6 +213,8 @@ def test_phsc_rejects_degenerate_sections(heis1):
     v = np.array([1.0, 1.0, 0.0])  # phi v is null at the origin
     with pytest.raises(IsotropicSection):
         phsc(f, v)
+    with pytest.raises(IsotropicSection):
+        phsc(f, np.stack([np.array([1.0, 0.0, 0.0]), v]))
     with pytest.raises(ValueError):
         phsc(f, np.array([1.0, 0.0, 0.0]), form="f99")
 
@@ -217,7 +223,7 @@ def test_phsc_forms_agree(heis2):
     sampler = pc.Sampler(heis2, seed=59)
     f = get_frame(heis2, sampler.point(), 2).view(0)
     for _ in range(10):
-        v = sampler.section_vector(f)
+        v = sampler.section_vector(f.g, f.phi)
         k8 = phsc(f, v, "f8")
         k9 = phsc(f, v, "f9")
         assert k8 == pytest.approx(3.0, abs=1e-10)
@@ -242,7 +248,7 @@ def test_f9_matches_its_einsum_form(heis2, hyp2):
         for frame in sample_frames(s, seed=63, count=4):
             f = frame.view(0)
             for _ in range(25):
-                v = sampler.section_vector(f)
+                v = sampler.section_vector(f.g, f.phi)
                 want = f9_by_einsum(f, v)
                 # both forms lose accuracy like 1/g_h(v, v)^2, measured
                 # against the Euclidean |v|^2
@@ -260,7 +266,7 @@ def test_f9_of_an_overflowed_curvature_is_non_finite():
         "kind": "custom", "coords": coords, "g": g, "phi": phi, "xi": xi,
         "eta": eta}})
     f = get_frame(structure, np.array([0.1, 0.2, 0.3]), 2).view(0)
-    v = pc.Sampler(structure, seed=65).section_vector(f)
+    v = pc.Sampler(structure, seed=65).section_vector(f.g, f.phi)
     with np.errstate(all="ignore"):  # as run_checks calls it
         k = phsc(f, v, "f9")
     assert isinstance(k, float) and not np.isfinite(k)
@@ -442,19 +448,50 @@ def test_linear_chart_change_keeps_verdicts_and_constants(n, data):
 def test_wpc_requires_horizontal_arguments(heis1):
     f = sample_frames(heis1, seed=71, count=1)[0].view(0)
     sampler = pc.Sampler(heis1, seed=71)
-    u = sampler.horizontal_unit(f)
+    u = sampler.horizontal_unit(f.g, f.xi, f.eta)
     with pytest.raises(NotHorizontal):
         wpc(f, f.xi, u, u, u)
+    with pytest.raises(NotHorizontal, match="eta\\(v\\) = 1 "):
+        wpc(f, u, np.stack([u, f.xi]), u, u)
 
 
 def test_wpc_equals_bochner_pairing(hyp1):
     sampler = pc.Sampler(hyp1, seed=73)
     f = get_frame(hyp1, sampler.point(), 2).view(0)
     for _ in range(10):
-        quad = [sampler.horizontal_unit(f) for _ in range(4)]
+        quad = [sampler.horizontal_unit(f.g, f.xi, f.eta) for _ in range(4)]
         b = bochner_pairing(f, *quad)
         w = wpc(f, *quad)
         assert w == pytest.approx(b, abs=1e-10)
+
+
+def test_stacked_draws_have_the_bits_of_single_draws(hyp2):
+    # a batch frame of two points and a frame of one; 11 draws leave the
+    # third point one draw short
+    points = pc.Sampler(hyp2, seed=77).points(3)
+    frames = [PointGeometry(hyp2.at(points[:2], 2), points[:2]),
+              get_frame(hyp2, points[2], 2)]
+    views = [frames[0].view(0), frames[0].view(1), frames[1].view(0)]
+    draws = Draws(frames, 11)
+    at = [views[i % 3] for i in range(11)]
+    sampler = pc.Sampler(hyp2, seed=78)
+    u = sampler.horizontal_unit(*draws.values("g", "xi", "eta"))
+    v = sampler.section_vector(*draws.values("g", "phi"))
+    quad = sampler.horizontal_unit(*(np.repeat(x[:, None], 4, axis=1)
+                                     for x in draws.values("g", "xi", "eta")))
+    quad = quad.transpose(1, 0, 2)
+    cases = [(xi_sectional, [u]), (phsc, [v]),
+             (lambda f, v: phsc(f, v, "f9"), [v]),
+             (wpc, quad), (bochner_pairing, quad)]
+    for fn, vectors in cases:
+        one = np.array([fn(f, *(x[i] for x in vectors)) for i, f in enumerate(at)])
+        assert draws.map(fn, *vectors).tobytes() == one.tobytes()
+    # a draw left out reads nan; the others keep their values
+    keep = np.arange(11) % 4 != 1
+    got = draws.map(xi_sectional, u, where=keep)
+    want = np.array([xi_sectional(f, u[i]) for i, f in enumerate(at)])
+    assert got[keep].tobytes() == want[keep].tobytes()
+    assert np.isnan(got[~keep]).all()
 
 
 def test_identity_suite_on_heisenberg(heis1):

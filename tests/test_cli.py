@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paracurv.cli import main
 from paracurv.errors import DomainError, ParacurvError
@@ -188,6 +190,10 @@ def test_invalid_manifests_exit_2_and_name_the_field(runner, tmp_path):
         (with_field(embedded(), "box", [[-0.5, "INF"]] * 3), "manifold.box"),
         (dict(builtin_manifest(), sampling={"box": [[0, "INF"]] * 3}),
          "sampling.box"),
+        # finite bounds whose width overflows, which the sampler cannot draw in
+        (with_field(embedded(), "box", [[-1e308, 1e308]] * 3), "manifold.box"),
+        (dict(builtin_manifest(), sampling={"box": [[-1e308, 1e308]] * 3}),
+         "sampling.box[0] is wider than the largest float"),
         (dict(builtin_manifest(), tolerance="INF"), "tolerance"),
         (with_field(custom(n=1), "name", 5), "manifold.name"),
         (with_field(custom(n=1), "name", ["x"]), "manifold.name"),
@@ -325,6 +331,43 @@ def test_wpc_without_horizontal_vectors_fails_its_row(runner, tmp_path):
         rows = {row["name"]: row for row in json.loads(result.stdout)["checks"]}
         assert rows["wpc_equals_bochner"]["non_finite"] == "nan"
         assert not rows["axiom_ii_eta_xi"]["pass"]
+
+
+# sampling fields, valid and not: boxes of bounds in and around
+# heisenberg(1)'s domain [-2, 2]^3 (twice as likely), and boxes of any
+# bounds, non-finite, reversed, missing or extra among them
+NEAR = st.floats(-2.5, 2.5)
+BOUND = st.one_of(NEAR, st.floats(), st.integers(-3, 3))
+NEAR_BOX = st.lists(st.tuples(NEAR, NEAR).map(sorted), min_size=3, max_size=3)
+ANY_BOX = st.lists(st.one_of(st.tuples(BOUND, BOUND).map(sorted),
+                             st.lists(BOUND, max_size=3)), max_size=4)
+BOX = st.one_of(st.none(), NEAR_BOX, NEAR_BOX, ANY_BOX)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(-1, 2 ** 64 - 1),
+       count=st.integers(1, 12), box=BOX)
+def test_sampling_fields_keep_the_exit_contract(seed, count, box):
+    sampling = {"seed": seed, "count": count}
+    if box is not None:
+        sampling["box"] = box
+    manifest = builtin_manifest(
+        checks=("xi_sectional", "phsc", "wpc", "identities"), sampling=sampling)
+    runner = CliRunner()
+    with runner.isolated_filesystem(), warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["check", write_manifest(Path("m.json"), manifest)])
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output + result.stderr
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    if result.exit_code == 2:
+        assert result.stderr.startswith("error:")
+    lines = result.stderr.splitlines()
+    if result.exit_code == 1:
+        assert any(line.startswith("FAIL ") for line in lines)
+    if result.exit_code == 0:
+        assert lines and all(line.startswith("PASS ") for line in lines)
 
 
 def test_singular_eta_einstein_system_fails_both_rows(runner, tmp_path):

@@ -317,11 +317,11 @@ def test_sampler_vectors(heis1):
     f = pc.get_frame(heis1, p, 0).view(0)
     signs = set()
     for _ in range(50):
-        u = sampler.horizontal_unit(f)
+        u = sampler.horizontal_unit(f.g, f.xi, f.eta)
         assert abs(f.eta @ u) < 1e-12
         assert abs(abs(u @ f.g @ u) - 1.0) < 1e-12
         signs.add(float(np.sign(u @ f.g @ u)))
     assert signs == {1.0, -1.0}
-    v = sampler.section_vector(f)
+    v = sampler.section_vector(f.g, f.phi)
     pv = f.phi @ v
     assert abs(pv @ f.g @ pv) > 1e-6

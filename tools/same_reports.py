@@ -15,8 +15,10 @@ PYTHONPATH for its own runs.  The fixed manifest set is
 * a custom chart (the heisenberg(1) tables), an embedded chart (the
   hyperboloid(1) graph), phsc and identities on heisenberg(4) at seed 34
   and on heisenberg(1) at seed 84, whose `f9_vs_f8_phsc` sits near its
-  threshold, and the heisenberg(1) tables with g scaled by 1e160, whose
-  curvature overflows.
+  threshold, the heisenberg(1) tables with g scaled by 1e160, whose
+  curvature overflows, and every check on those tables with xi stretched
+  to 1.1 d/dt, whose eta(xi) = 1.1 leaves no quadruple horizontal, so
+  that every `wpc` draw reads nan.
 
 It also runs `curvature` at 10 fixed points each on heisenberg(3),
 hyperboloid(2), hyperboloid(2) with alpha = 2, the embedded hyperboloid(1)
@@ -129,6 +131,9 @@ def manifests():
     scaled = dict(HEISENBERG1, g=[[f"1e160*({s})" for s in row]
                                   for row in HEISENBERG1["g"]])
     out.append(("custom_heisenberg1_g1e160", manifest(scaled, count=30)))
+    stretched = dict(HEISENBERG1, xi=["0", "0", "1.1"])
+    out.append(("custom_heisenberg1_xi_stretched",
+                manifest(stretched, seed=3, count=20)))
     return out
 
 
