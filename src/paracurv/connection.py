@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jetfields import jt_einsum, jt_metric_inverse, point_einsum
+from .jetfields import jt_einsum, jt_metric_inverse, jt_sum, point_einsum
 from .report import CheckReport, nres
 
 _SLOT_LETTERS = "ijklmnop"
@@ -59,11 +59,14 @@ def covariant(t, kinds, gamma):
         x = letters[s]
         tsub = letters[:s] + "s" + letters[s + 1 :]
         if kind == "u":
-            res = res + jt_einsum(f"{x}as,{tsub}->a{letters}", gamma, t)
+            op, sub = np.add, f"{x}as,{tsub}->a{letters}"
         elif kind == "l":
-            res = res - jt_einsum(f"sa{x},{tsub}->a{letters}", gamma, t)
+            op, sub = np.subtract, f"sa{x},{tsub}->a{letters}"
         else:
             raise ValueError(f"slot kind must be 'u' or 'l', got {kind!r}")
+        # res starts as t's partial, whose parts are t's: the first sum
+        # makes new parts, and the later ones go into them
+        res = jt_sum(op, res, jt_einsum(sub, gamma, t), out=res if s else None)
     return res
 
 
@@ -73,8 +76,10 @@ def _riemann_from_gamma(gamma):
     t1 = dgam.tb((1, 0, 2, 3))  # (l, i, j, k): d_i Gam^l_{jk}
     low = gamma.cut(dgam.order)  # R has dgam's order, so Gam Gam needs no more
     q1 = jt_einsum("lis,sjk->lijk", low, low)
-    r = t1 - t1.tb((0, 2, 1, 3)) + q1 - q1.tb((0, 2, 1, 3))
-    return r
+    # t1 - t1' + q1 - q1', summed left to right into the first difference
+    r = t1 - t1.tb((0, 2, 1, 3))
+    r = jt_sum(np.add, r, q1, out=r)
+    return jt_sum(np.subtract, r, q1.tb((0, 2, 1, 3)), out=r)
 
 
 def tail_transpose(t, *perm):
@@ -201,18 +206,19 @@ class PointGeometry:
         h = self.h
         phi_h = jt_einsum("ls,si->li", phi, h)  # (phi h)^l_i
         h_philow = jt_einsum("si,sj->ij", h, self.phi_low)  # h^s_i phi_{sj}
-        extra = (
-            jt_einsum("i,lj->lij", eta, phi)
-            + jt_einsum("j,li->lij", eta, phi - phi_h)
-            + jt_einsum("ij,l->lij", self.phi_low - h_philow, xi)
-        )
-        return self.gamma + extra
+        extra = (jt_einsum("i,lj->lij", eta, phi)
+                 + jt_einsum("j,li->lij", eta, phi - phi_h))
+        # the later sums, in the same order, go into extra's parts
+        extra = jt_sum(np.add, extra,
+                       jt_einsum("ij,l->lij", self.phi_low - h_philow, xi), out=extra)
+        return jt_sum(np.add, self.gamma, extra, out=extra)
 
-    # parallel_check differentiates it; the identities read the value
+    # order 1: parallel_check differentiates it once and reads the value
+    # of that; the identities read the value
     @cached_property
     def torsion_up(self):
         """T^l_{ij} of the canonical connection, from antisymmetrized Gam~."""
-        gt = self.gamma_tilde
+        gt = self.gamma_tilde.cut(1)
         return gt - gt.tb((0, 2, 1))
 
     # parallel_check differentiates it; f21 reads the value
@@ -323,8 +329,7 @@ def parallel_check(frames, threshold=1e-8):
     """Max components of nab~ T and nab~ R~ over the frames' points."""
     report = CheckReport()
     for f in frames:
-        # both rows read values, so the torsion is differentiated at order 1
-        nt = f.cov(f.torsion_up.cut(1), "ull", kind="canonical_tilde")
+        nt = f.cov(f.torsion_up, "ull", kind="canonical_tilde")
         nr = f.cov(f.riem_tilde_up, "ulll", kind="canonical_tilde")
         report.add("parallel_torsion", nres(nt.value), threshold)
         report.add("parallel_curvature", nres(nr.value), threshold)

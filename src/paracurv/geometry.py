@@ -220,13 +220,22 @@ class InducedComponents:
         """
         d, m = points.shape[1], len(self.eps)
 
-        # part k reads parts <= k only: the normal, cut, keeps its bits
+        # part k reads parts <= k only: the normal, cut, keeps its bits.
+        # Each intermediate is dropped after its last use: at order 3 they
+        # are the largest arrays of the batch, and held to the end they
+        # set its peak memory
         normal, iota = _tensors(self.program(points, order + 1), d, (m,), (m,))
         normal, e = normal.cut(order), iota.partial()  # (a, C): e_a = d iota / d q^a
+        del iota
         deficient = np.linalg.matrix_rank(e.value, tol=1e-9) < d
         if deficient.any():
             point = points[int(np.argmax(deficient))]
             raise RankDeficientJacobian(f"immersion Jacobian rank-deficient at {point}")
+
+        def product(t):
+            # I is constant: applied part by part, it adds no zero jet
+            # parts to the Leibniz sums
+            return JetTensor(d, order, [p @ self.product.T for p in t.parts])
 
         # the paracontact pairing is minus the ambient one, over the axis C
         e_flat = JetTensor(d, order, [p * self.eps for p in e.parts])
@@ -234,22 +243,21 @@ class InducedComponents:
         g = JetTensor(d, order,
                       [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
         ginv = jt_metric_inverse(g)
-
-        def product(t):
-            # I is constant: applied part by part, it adds no zero jet
-            # parts to the Leibniz sums
-            return JetTensor(d, order, [p @ self.product.T for p in t.parts])
+        i_e = product(e)
+        del e
 
         i_n = product(normal)
         eta = -1.0 * jt_einsum("C,aC->a", i_n, e_flat)
+        del i_n
         xi = jt_einsum("ab,b->a", ginv, eta)
 
         # phi^b_a solves  sum_b phi^b_a e_b = -(I e_a - eta_a N); the rhs is
         # tangent, and the overall minus partners the metric flip above so
         # that g(X, phi Y) = d eta(X, Y) comes out with the right sign
-        i_e = product(e)
         rhs = i_e - jt_einsum("a,C->aC", eta, normal)
+        del i_e, normal
         proj = -1.0 * jt_einsum("cC,aC->ca", e_flat, rhs)
+        del e_flat, rhs
         phi = -1.0 * jt_einsum("bc,ca->ba", ginv, proj)
         return StructureJets(g, phi, xi, eta)
 

@@ -119,18 +119,27 @@ class JetTensor:
         raise TypeError("expected JetTensor")
 
     def __add__(self, b):
-        a, b = self._other(b)
-        return JetTensor(a.dim, a.order, [x + y for x, y in zip(a.parts, b.parts)])
+        return jt_sum(np.add, *self._other(b))
 
     def __sub__(self, b):
-        a, b = self._other(b)
-        return JetTensor(a.dim, a.order, [x - y for x, y in zip(a.parts, b.parts)])
+        return jt_sum(np.subtract, *self._other(b))
 
     def __mul__(self, c):
         c = float(c)
         return JetTensor(self.dim, self.order, [c * x for x in self.parts])
 
     __rmul__ = __mul__
+
+
+def jt_sum(op, a, b, out=None):
+    """``op(a, b)`` part by part, for ``op`` np.add or np.subtract and two
+    jet tensors of one order: the bits of ``a + b`` or ``a - b``.  With
+    ``out``, a tensor of that order that owns its parts (``a`` or ``b``),
+    the parts are written into its own, so a running sum makes no new
+    array."""
+    outs = out.parts if out is not None else [None] * len(a.parts)
+    return JetTensor(a.dim, a.order, [op(x, y, out=o) for x, y, o
+                                      in zip(a.parts, b.parts, outs, strict=True)])
 
 
 def _matmul_route(sa, sb, out):

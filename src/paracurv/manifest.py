@@ -57,15 +57,6 @@ DEFAULT_COUNT = 200
 # the most sample points a manifest may ask for: a count beyond what any
 # run reads, refused before the sampler allocates its (count, d) array
 MAX_COUNT = 10 ** 6
-# points per frame, by the frame's jet order.  A batch shares one frame's
-# Python cost among its points, while its arrays, and so the peak memory,
-# grow with it.  On the benchmark (2 CPUs, numpy 2.4), order-1 frames of 64
-# points ran `wide` about 5 times faster than one frame per point and raised
-# its peak RSS by 2% (43.1 -> 43.9 MiB); order-3 frames of 5 points raised
-# that of `sweep` by 14% (63.9 -> 72.6 MiB) and gained no time, so they keep
-# one point.  The order-2 entry is no tuned size: it is the most points an
-# order-2 row of CHECKS reads, so those points make one frame.
-BATCH = {1: 64, 2: 10, 3: 1}
 
 
 # -- the check table ------------------------------------------------------------
@@ -188,6 +179,22 @@ ALL_CHECKS = tuple(row.name for row in CHECKS)
 # reports the fit
 FIT_ROW = CHECKS[ALL_CHECKS.index("space_form")]
 FIT_READERS = ("phsc", "space_form", "identities")
+# points per frame, by the frame's jet order.  A batch shares one frame's
+# Python cost among its points, while its arrays, and so the peak memory,
+# grow with it.  On the benchmark (2 CPUs, numpy 2.4), order-1 frames of 64
+# points ran `wide` about 5 times faster than one frame per point and raised
+# its peak RSS by 2% (43.1 -> 43.9 MiB).  The order-2 and order-3 sizes are
+# no tuned figures: each is the most points a row of that order reads, so
+# those points make one frame.  For order 3, the 5 points of `parallel`,
+# the batch alone cut `sweep`'s run_s by 17% (0.54 -> 0.45 s) and raised
+# its peak RSS by 13% (64.4 -> 72.8 MiB), past the benchmark's 10% bound;
+# with the order-3 transients trimmed (`InducedComponents.at` drops each
+# intermediate after its last use, `nres` of one operand makes no zeros,
+# `torsion_up` stops at order 1, and `covariant`, `_riemann_from_gamma`
+# and `gamma_tilde` sum in place) run_s fell by 26% (0.53 -> 0.39 s) and
+# peak RSS rose by 3% (64.4 -> 66.5 MiB).
+BATCH = {1: 64, **{order: max(r.points for r in CHECKS if r.order == order)
+                   for order in (2, 3)}}
 
 
 # -- loading and validation ---------------------------------------------------

@@ -16,12 +16,17 @@ def nres(lhs, rhs=None):
     non-finite residual is ``inf``, so the row it enters fails.
     """
     lhs = np.asarray(lhs, dtype=float)
-    rhs = np.zeros_like(lhs) if rhs is None else np.asarray(rhs, dtype=float)
-    lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    axes = tuple(range(1, lhs.ndim))
-    num = np.max(np.abs(lhs - rhs), axis=axes, initial=0.0)
-    den = (1.0 + np.max(np.abs(lhs), axis=axes, initial=0.0)
-           + np.max(np.abs(rhs), axis=axes, initial=0.0))
+    if rhs is None:
+        # |L - 0| and 1 + |L| + 0 keep the bits of |L| and 1 + |L|
+        axes = tuple(range(1, lhs.ndim))
+        num = np.max(np.abs(lhs), axis=axes, initial=0.0)
+        den = 1.0 + num
+    else:
+        lhs, rhs = np.broadcast_arrays(lhs, np.asarray(rhs, dtype=float))
+        axes = tuple(range(1, lhs.ndim))
+        num = np.max(np.abs(lhs - rhs), axis=axes, initial=0.0)
+        den = (1.0 + np.max(np.abs(lhs), axis=axes, initial=0.0)
+               + np.max(np.abs(rhs), axis=axes, initial=0.0))
     out = np.full(num.shape, math.inf)
     np.divide(num, den, out=out, where=np.isfinite(num) & np.isfinite(den))
     return out if out.ndim else float(out)

@@ -104,6 +104,22 @@ def test_nres_keeps_the_point_axis():
     assert type(one) is float and one == 4.0 / 5.0
 
 
+def test_nres_of_one_operand_is_bitwise_that_against_zeros():
+    inf, nan = float("inf"), float("nan")
+    values = [nan, inf, -inf, -0.0, 0.0, 1.5, -2.5e300]
+    for x in values:  # 0-d
+        got, want = nres(x), nres(x, 0.0)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    stacks = [np.array(values),  # one number per point
+              np.array([[[-0.0, 0.0], [-0.0, -0.0]], [[1.0, nan], [-inf, 2.0]],
+                        [[inf, -3.0], [0.5, -0.0]], [[-1e-300, 4.0], [-5.0, 0.0]]])]
+    for x in stacks:
+        got, want = nres(x), nres(x, np.zeros_like(x))
+        assert got.shape == want.shape == x.shape[:1]
+        assert got.tobytes() == want.tobytes()
+
+
 def test_check_report_folds_a_vector_in_point_order():
     inf, nan = float("inf"), float("nan")
     report = CheckReport()

@@ -372,7 +372,7 @@ def quantity(frame, name):
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(1, 4).flatmap(
+@given(st.integers(1, 5).flatmap(
            lambda p: st.lists(st.lists(st.floats(-0.5, 0.5), min_size=5,
                                        max_size=5), min_size=p, max_size=p)),
        st.integers(0, 3))
@@ -473,8 +473,35 @@ def test_a_point_view_reads_the_frame_values_at_its_point(structure):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_order_2_frames_hold_every_point_an_order_2_check_reads():
-    assert BATCH[2] == max(r.points for r in CHECKS if r.order == 2)
+def test_frames_of_orders_2_and_3_hold_every_point_a_row_of_their_order_reads():
+    for order in (2, 3):
+        assert BATCH[order] == max(r.points for r in CHECKS if r.order == order)
+
+
+@pytest.mark.parametrize("count", [200, 3])
+def test_run_checks_builds_the_parallel_points_as_one_order_3_frame(monkeypatch,
+                                                                     count):
+    sizes = []
+    init = PointGeometry.__init__
+
+    def recording_init(self, jets, points):
+        if jets.g.order == 3:
+            sizes.append(len(points))
+        init(self, jets, points)
+
+    monkeypatch.setattr(PointGeometry, "__init__", recording_init)
+    manifest = dict(ALL_CHECKS_MANIFEST, sampling={"seed": 2, "count": count})
+    run_checks(pc.builtin_heisenberg(1), manifest)
+    assert sizes == [min(count, 5)]
+
+
+def test_torsion_is_kept_at_order_1(hyp2):
+    f = sample_frames(hyp2, seed=49, count=1, order=3)[0]
+    gt = f.gamma_tilde
+    assert gt.order == 2 and f.torsion_up.order == 1
+    want = gt - gt.tb((0, 2, 1))
+    for got, x in zip(f.torsion_up.parts, want.parts[:2], strict=True):
+        assert got.shape == x.shape and got.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("builtin", ["heisenberg", "hyperboloid"])

@@ -1,6 +1,7 @@
 """Builtin structures, induced embeddings and the D-homothety."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ BATCH_STRUCTURES = [
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(1, 4).flatmap(
+@given(st.integers(1, 5).flatmap(
            lambda p: st.lists(st.lists(st.floats(-0.5, 0.5), min_size=5,
                                        max_size=5), min_size=p, max_size=p)),
        st.integers(0, 3))
@@ -167,6 +168,23 @@ def test_structure_jets_of_a_batch_are_bitwise_those_of_single_points(points, or
                 for x, y in zip(b.parts, s.parts, strict=True):
                     assert x.shape == (len(batch),) + y.shape[1:]
                     assert x[i].tobytes() == y[0].tobytes()
+
+
+def test_induced_jets_peak_at_a_small_multiple_of_their_size(hyp2):
+    # the intermediates of an order-3 induced batch are larger than the
+    # jets it returns; each is dropped after its last use, so that a
+    # 5-point order-3 frame stays inside the benchmark's memory bound.
+    # Held to the end they peak at 5.4 times the jets, dropped at 4.0
+    points = sample_points(hyp2, seed=5, count=5)
+    hyp2.at(points, 3)  # anything built once per structure is built now
+    tracemalloc.start()
+    try:
+        jets = hyp2.at(points, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(p.nbytes for t in jets for p in t.parts)
+    assert peak <= 4.5 * size
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from paracurv.connection import get_frame
 from paracurv.errors import DomainError, SingularMetric
 from paracurv.exprlang import eval_jet, parse
-from paracurv.jetfields import JetTensor, jt_einsum, jt_metric_inverse, point_einsum
+from paracurv.jetfields import (
+    JetTensor,
+    jt_einsum,
+    jt_metric_inverse,
+    jt_sum,
+    point_einsum,
+)
 
 from conftest import (
     CORPUS_COORDS,
@@ -304,6 +310,25 @@ def test_other_subscripts_take_np_einsum(monkeypatch):
         calls.clear()
         point_einsum(sub, *operands(sub, 7))
         assert not calls, sub
+
+
+def test_a_sum_in_place_has_the_bits_of_the_new_sum():
+    rng = np.random.default_rng(5)
+    a, b = (JetTensor(3, 2, [rng.normal(size=(4,) + (3,) * k + (3, 3))
+                             for k in range(3)]) for _ in range(2))
+    # a transposed view, as a contraction's route returns
+    b = b.tb((1, 0))
+    for op, new in ((np.add, [x + y for x, y in zip(a.parts, b.parts)]),
+                    (np.subtract, [x - y for x, y in zip(a.parts, b.parts)])):
+        kept = [p.copy() for p in a.parts]
+        fresh = jt_sum(op, a, b)
+        assert all(np.array_equal(p, q) for p, q in zip(a.parts, kept))
+        into = JetTensor(3, 2, kept)
+        summed = jt_sum(op, into, b, out=into)
+        assert all(p is q for p, q in zip(summed.parts, kept))
+        for got in (fresh, summed):
+            assert all(p.tobytes() == q.tobytes()
+                       for p, q in zip(got.parts, new, strict=True))
 
 
 # -- the jet metric inverse --------------------------------------------------

@@ -18,7 +18,9 @@ PYTHONPATH for its own runs.  The fixed manifest set is
   threshold, the heisenberg(1) tables with g scaled by 1e160, whose
   curvature overflows, and every check on those tables with xi stretched
   to 1.1 d/dt, whose eta(xi) = 1.1 leaves no quadruple horizontal, so
-  that every `wpc` draw reads nan.
+  that every `wpc` draw reads nan;
+* every check on hyperboloid(2) at 3 sample points, fewer than one
+  order-3 frame holds, so that its one frame is a ragged batch.
 
 It also runs `curvature` at 10 fixed points each on heisenberg(3),
 hyperboloid(2), hyperboloid(2) with alpha = 2, the embedded hyperboloid(1)
@@ -134,6 +136,8 @@ def manifests():
     stretched = dict(HEISENBERG1, xi=["0", "0", "1.1"])
     out.append(("custom_heisenberg1_xi_stretched",
                 manifest(stretched, seed=3, count=20)))
+    # fewer points than one order-3 frame holds: a ragged order-3 batch
+    out.append(("hyperboloid2_count3", manifest(builtin("hyperboloid", 2), count=3)))
     return out
 
 
