@@ -396,14 +396,15 @@ def bochner_pairing(f, x, y, z, w):
 
 
 def _project(t, proj):
-    """t with every slot projected: P^a_i P^b_j ... t_{ab...}.
+    """t with every slot projected at each point: P^a_i P^b_j ... t_{ab...}.
 
     One slot at a time, O(d^(r+1)) per slot instead of O(d^(2r)) for the
     one-shot contraction; each step appends the new axis, so after all r
     steps the axes are back in order.
     """
-    for _ in range(t.ndim):
-        t = np.tensordot(t, proj, axes=([0], [0]))
+    s = "abcdefgh"[: t.ndim - 1]
+    for _ in s:
+        t = point_einsum(f"{s},{s[0]}z->{s[1:]}z", t, proj)
     return t
 
 
@@ -515,7 +516,7 @@ def identity_suite(frames, k_hat, sampler=None, sections=50, threshold=1e-8):
         keep("f54", big_rt, big_r - b_blk)
         keep("f53", rt, r - 2.0 * g + 2.0 * (n + 1.0) * ee)
         proj = ident - e("i,j->ij", xi, eta)
-        keep("f55", _projected(big_rt, proj), _projected(big_r - ff, proj))
+        keep("f55", _project(big_rt, proj), _project(big_r - ff, proj))
         keep(
             "f56_ricci",
             e("ai,bj,ab->ij", proj, proj, rt),
@@ -533,12 +534,6 @@ def identity_suite(frames, k_hat, sampler=None, sections=50, threshold=1e-8):
             draws.map(phsc, v), draws.map(lambda f, v: phsc(f, v, "f9"), v)),
             1e-9)
     return report
-
-
-def _projected(t, proj):
-    """:func:`_project` at each point: its tensordot has no batched form
-    that sums in the same order."""
-    return np.stack([_project(x, p) for x, p in zip(t, proj)])
 
 
 class Draws:

@@ -15,7 +15,8 @@ import math
 import sys
 from collections.abc import Callable
 from copy import deepcopy
-from itertools import chain, groupby
+from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -62,24 +63,19 @@ MAX_COUNT = 10 ** 6
 # -- the check table ------------------------------------------------------------
 
 
-class _Context:
-    """What the checks of one run share: the sampler and the one space-form
-    fit that ``phsc``, ``space_form`` and ``identities`` report, made on the
-    frames that ``fit_frames()`` returns: those of the ``space_form`` row's
-    points, whichever of them runs."""
+class _Context(NamedTuple):
+    """What the checks of one run share: the sampler, the tolerance and the
+    one space-form fit that ``phsc``, ``space_form`` and ``identities``
+    report, made on the ``space_form`` row's points, whichever of them
+    runs, when first asked for."""
 
-    def __init__(self, sampler, tolerance, fit_frames):
-        self.sampler = sampler
-        self.tolerance = tolerance
-        self._fit_frames = fit_frames
-        self._fit = None
-
-    def space_fit(self):
-        if self._fit is None:
-            self._fit = space_form_fit(self._fit_frames(), self.tolerance)
-        return self._fit
+    sampler: Sampler
+    tolerance: float
+    space_fit: Callable  # () -> CheckReport
 
 
+# the rows call the analysis through this module's globals, which
+# perfbench/tracer.py rebinds to time them
 def _axioms(ctx, frames, budget):
     return check_axioms(frames, ctx.tolerance)
 
@@ -179,22 +175,10 @@ ALL_CHECKS = tuple(row.name for row in CHECKS)
 # reports the fit
 FIT_ROW = CHECKS[ALL_CHECKS.index("space_form")]
 FIT_READERS = ("phsc", "space_form", "identities")
-# points per frame, by the frame's jet order.  A batch shares one frame's
-# Python cost among its points, while its arrays, and so the peak memory,
-# grow with it.  On the benchmark (2 CPUs, numpy 2.4), order-1 frames of 64
-# points ran `wide` about 5 times faster than one frame per point and raised
-# its peak RSS by 2% (43.1 -> 43.9 MiB).  The order-2 and order-3 sizes are
-# no tuned figures: each is the most points a row of that order reads, so
-# those points make one frame.  For order 3, the 5 points of `parallel`,
-# the batch alone cut `sweep`'s run_s by 17% (0.54 -> 0.45 s) and raised
-# its peak RSS by 13% (64.4 -> 72.8 MiB), past the benchmark's 10% bound;
-# with the order-3 transients trimmed (`InducedComponents.at` drops each
-# intermediate after its last use, `nres` of one operand makes no zeros,
-# `torsion_up` stops at order 1, and `covariant`, `_riemann_from_gamma`
-# and `gamma_tilde` sum in place) run_s fell by 26% (0.53 -> 0.39 s) and
-# peak RSS rose by 3% (64.4 -> 66.5 MiB).
-BATCH = {1: 64, **{order: max(r.points for r in CHECKS if r.order == order)
-                   for order in (2, 3)}}
+# points per frame past the last point limit, where only ``axioms`` reads:
+# on the benchmark (2 CPUs, numpy 2.4), frames of 64 points ran `wide`
+# about 5 times faster than one frame per point, for 2% more peak RSS.
+BATCH = 64
 
 
 # -- loading and validation ---------------------------------------------------
@@ -412,28 +396,19 @@ def _build_chart(manifold):
 # -- check execution -----------------------------------------------------------
 
 
-def _frames(structure, points, order):
-    """Batch frames over the points, each built when it is reached, of at
-    most ``BATCH[order]`` points."""
-    size = BATCH[order]
-    for start in range(0, len(points), size):
-        batch = points[start : start + size]
-        yield PointGeometry(structure.at(batch, order), batch)
-
-
 def run_checks(structure, manifest, seed=None, tolerance=None):
     """Run the selected checks; returns (CheckReport, meta).
 
-    Each sample point lies in one batch frame, at the highest jet order any
-    selected check needs there; a frame holds at most ``BATCH[order]``
-    points.  The frames of the leading points, which every check with a
-    point limit and the one space-form fit read, are built first and kept
-    for the run; they break at every point limit, so each such reader reads
-    whole frames.  A check that reads every point (``axioms``) gets them
-    followed by the frames of the other points, each built when it is
-    reached and dropped after use, so memory does not grow with
-    ``sampling.count``.  The arithmetic runs with numpy warnings off: a
-    non-finite result becomes a failed row.
+    The leading sample points, which every check with a point limit and
+    the one space-form fit read, are split at each of those limits, clipped
+    to ``sampling.count``, and each run of points between two limits is one
+    frame, at the highest jet order of the checks that read its first
+    point.  These frames are built first and kept for the run, so each
+    such check reads whole frames.  A check that reads every point
+    (``axioms``) gets them followed by frames of at most ``BATCH`` of the
+    other points, each built when it is reached and dropped after use, so
+    memory does not grow with ``sampling.count``.  The arithmetic runs with
+    numpy warnings off: a non-finite result becomes a failed row.
     """
     sampling = manifest.get("sampling", {})
     if seed is None:
@@ -447,35 +422,31 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     rows = [row for row in CHECKS if row.name in selected]
     # the rows that need frames at a point, the fit's among them
     framed = rows + [FIT_ROW] * any(r.name in FIT_READERS for r in rows)
-
-    def reading(i):
-        return [r for r in framed if r.points is None or i < r.points]
-
-    def order_at(i):
-        return max(r.order for r in reading(i))
-
+    ends = sorted({min(r.points, count) for r in framed if r.points is not None})
     sampler = Sampler(structure, seed, sampling.get("box"))
     points = sampler.points(count)
-    lead = min(count, max((r.points or 0 for r in framed), default=0))
+
+    def frame(start, stop, order):
+        return PointGeometry(structure.at(points[start:stop], order),
+                             points[start:stop])
+
     report = CheckReport()
     with np.errstate(all="ignore"):
-        frames, ends = [], []  # the leading frames, and where each ends
-        # a new run of points wherever a check stops reading
-        for _, group in groupby(range(lead), lambda i: len(reading(i))):
-            group = list(group)
-            for f in _frames(structure, points[group[0] : group[-1] + 1],
-                             order_at(group[0])):
-                frames.append(f)
-                ends.append((ends[-1] if ends else 0) + len(f.point))
+        frames = [frame(start, stop, max(r.order for r in framed
+                                         if r.points is None or start < r.points))
+                  for start, stop in zip([0, *ends], ends)]
 
         def leading(limit):
             return frames[: ends.index(min(limit, count)) + 1]
 
-        ctx = _Context(sampler, tolerance, lambda: leading(FIT_ROW.points))
+        # lazy, so a failed fit is not raised ahead of an earlier row's error
+        fit = cache(lambda: space_form_fit(leading(FIT_ROW.points), tolerance))
+        ctx = _Context(sampler, tolerance, fit)
         for row in rows:
             if row.points is None:
-                rest = _frames(structure, points[lead:], order_at(lead))
-                view = chain(frames, rest)
+                lead = max(ends, default=0)
+                view = chain(frames, (frame(start, start + BATCH, row.order)
+                                      for start in range(lead, count, BATCH)))
             else:
                 view = leading(row.points)
             report.extend(row.run(ctx, view, row.budget))

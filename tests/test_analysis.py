@@ -539,7 +539,28 @@ def test_slotwise_projection_matches_one_shot_einsum(d):
     xi, eta = rng.standard_normal(d), rng.standard_normal(d)
     proj = np.eye(d) - np.outer(xi, eta)
     one_shot = np.einsum("ai,bj,ck,dl,abcd->ijkl", proj, proj, proj, proj, t)
-    assert nres(_project(t, proj)[None], one_shot[None])[0] < 1e-13
+    assert nres(_project(t[None], proj[None]), one_shot[None])[0] < 1e-13
+
+
+def project_per_point(t, proj):
+    """f55's projection as one np.tensordot per slot at each point, the
+    reference for the batched form."""
+    out = []
+    for x, p in zip(t, proj, strict=True):
+        for _ in range(x.ndim):
+            x = np.tensordot(x, p, axes=([0], [0]))
+        out.append(x)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_batched_projection_has_the_bits_of_per_point_tensordots(points, d):
+    rng = np.random.default_rng(10 * d + points)
+    t = rng.standard_normal((points,) + (d,) * 4)
+    proj = rng.standard_normal((points, d, d))
+    got, want = _project(t, proj), project_per_point(t, proj)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_nres_is_inf_on_non_finite_input():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import paracurv as pc
+from paracurv.analysis import space_form_fit
 from paracurv.connection import PointGeometry
 from paracurv.manifest import CHECKS, _Context
 
@@ -21,8 +22,8 @@ def run_row(row, structure, order, seed=5):
     points = sampler.points(FRAMES)
     frames = [PointGeometry(structure.at(points, order), points)]
     with np.errstate(all="ignore"):
-        return row.run(_Context(sampler, 1e-8, lambda: frames), frames,
-                       row.budget)
+        ctx = _Context(sampler, 1e-8, lambda: space_form_fit(frames, 1e-8))
+        return row.run(ctx, frames, row.budget)
 
 
 @pytest.mark.parametrize("row", CHECKS, ids=[row.name for row in CHECKS])

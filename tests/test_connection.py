@@ -313,7 +313,7 @@ def test_run_checks_builds_each_frame_once_above_2048_points(monkeypatch):
 
     def counting_init(self, jets, points):
         order = jets.g.order  # a frame's order is its metric jets'
-        assert len(points) <= BATCH[order]
+        assert len(points) <= BATCH
         built.extend([order] * len(points))
         init(self, jets, points)
 
@@ -327,7 +327,14 @@ def test_run_checks_builds_each_frame_once_above_2048_points(monkeypatch):
                      for i in range(2100)]
 
 
-def test_run_checks_keeps_only_the_leading_frames_alive(monkeypatch):
+# (checks, leading frames: one per point-limit segment)
+ALIVE_CASES = [(["axioms", "classification"], 1), ("all", 3)]
+
+
+@pytest.mark.parametrize("checks, segments", ALIVE_CASES,
+                         ids=["axioms_classification", "all"])
+def test_run_checks_keeps_only_the_leading_frames_alive(monkeypatch, checks,
+                                                        segments):
     alive = weakref.WeakSet()
     most = [0]
     init = PointGeometry.__init__
@@ -338,11 +345,11 @@ def test_run_checks_keeps_only_the_leading_frames_alive(monkeypatch):
         init(self, jets, point)
 
     monkeypatch.setattr(PointGeometry, "__init__", tracking_init)
-    report, _ = run_checks(pc.builtin_heisenberg(1),
-                           axioms_and_classification(3000))
+    manifest = dict(axioms_and_classification(3000), checks=checks)
+    report, _ = run_checks(pc.builtin_heisenberg(1), manifest)
     assert report.passed
-    # the 25 leading frames, the one in use and the one being built
-    assert most[0] <= 27
+    # the leading frames, the tail frame in use and the one being built
+    assert most[0] <= segments + 2
 
 
 EMBEDDED = {
@@ -473,9 +480,43 @@ def test_a_point_view_reads_the_frame_values_at_its_point(structure):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_frames_of_orders_2_and_3_hold_every_point_a_row_of_their_order_reads():
-    for order in (2, 3):
-        assert BATCH[order] == max(r.points for r in CHECKS if r.order == order)
+# (checks, (point limit, jet order) of each leading segment in point order,
+# whether axioms reads the points past the last limit)
+SEGMENTS = [
+    ("all", [(5, 3), (10, 2), (25, 1)], True),
+    # the fit reads the 10 points of the space_form row
+    (["wpc", "space_form"], [(5, 2), (10, 2)], False),
+    (["classification", "parallel"], [(5, 3), (25, 1)], False),
+    (["axioms"], [], True),
+]
+
+
+@pytest.mark.parametrize("count", [3, 7, 30, 200])
+@pytest.mark.parametrize("checks, segments, tail", SEGMENTS,
+                         ids=["all", "wpc_space_form", "classification_parallel",
+                              "axioms"])
+def test_run_checks_builds_one_frame_per_point_limit_segment(monkeypatch, checks,
+                                                             segments, tail,
+                                                             count):
+    built = []
+    init = PointGeometry.__init__
+
+    def recording_init(self, jets, points):
+        built.append((jets.g.order, len(points)))
+        init(self, jets, points)
+
+    monkeypatch.setattr(PointGeometry, "__init__", recording_init)
+    manifest = dict(ALL_CHECKS_MANIFEST, sampling={"seed": 2, "count": count},
+                    checks=checks)
+    run_checks(pc.builtin_heisenberg(1), manifest)
+    want, start = [], 0
+    for limit, order in segments:
+        if min(limit, count) > start:
+            want.append((order, min(limit, count) - start))
+            start = min(limit, count)
+    if tail:
+        want += [(1, min(BATCH, count - i)) for i in range(start, count, BATCH)]
+    assert built == want
 
 
 @pytest.mark.parametrize("count", [200, 3])
@@ -517,5 +558,5 @@ def test_run_checks_gives_the_same_report_one_point_per_frame(monkeypatch, built
         return dumps_report(document)
 
     batched = report()
-    monkeypatch.setattr("paracurv.manifest.BATCH", dict.fromkeys(BATCH, 1))
+    monkeypatch.setattr("paracurv.manifest.BATCH", 1)
     assert report() == batched

@@ -20,7 +20,10 @@ PYTHONPATH for its own runs.  The fixed manifest set is
   to 1.1 d/dt, whose eta(xi) = 1.1 leaves no quadruple horizontal, so
   that every `wpc` draw reads nan;
 * every check on hyperboloid(2) at 3 sample points, fewer than one
-  order-3 frame holds, so that its one frame is a ragged batch.
+  order-3 frame holds, so that its one frame is a ragged batch;
+* wpc and space_form on heisenberg(2), whose leading points make two
+  order-2 frames, and classification and parallel on hyperboloid(2),
+  an order-3 frame and then an order-1 one, each at 30 sample points.
 
 It also runs `curvature` at 10 fixed points each on heisenberg(3),
 hyperboloid(2), hyperboloid(2) with alpha = 2, the embedded hyperboloid(1)
@@ -138,6 +141,14 @@ def manifests():
                 manifest(stretched, seed=3, count=20)))
     # fewer points than one order-3 frame holds: a ragged order-3 batch
     out.append(("hyperboloid2_count3", manifest(builtin("hyperboloid", 2), count=3)))
+    # frame plans of partial selections: two order-2 segments; an order-3
+    # segment, then an order-1 one
+    out.append(("heisenberg2_wpc_space_form",
+                manifest(builtin("heisenberg", 2), count=30,
+                         checks=["wpc", "space_form"])))
+    out.append(("hyperboloid2_classification_parallel",
+                manifest(builtin("hyperboloid", 2), count=30,
+                         checks=["classification", "parallel"])))
     return out
 
 
