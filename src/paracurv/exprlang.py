@@ -14,7 +14,8 @@ Only integer powers are allowed; fractional powers must be written via
 A :class:`JetProgram` evaluates a list of ASTs over a batch of P points
 at once, each distinct node once, to the parts of their truncated Taylor
 jets up to fourth order; :func:`eval_jet` is the program of one AST, its
-part k of shape ``(P,) + (d,)*k``, point-first as a ``JetTensor``'s.
+part k of shape ``(P,) + (d,)*k``, point-first, in the full derivative
+layout that a ``JetTensor`` packs for k >= 2.
 Structure fields go to third order; only an immersion is evaluated to the
 fourth, since its tangent frame is the gradient of its jets.  The
 rules are those of Taylor arithmetic (Griewank & Walther, *Evaluating

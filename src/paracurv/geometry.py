@@ -27,7 +27,7 @@ from .errors import (
     RankDeficientJacobian,
 )
 from .exprlang import Bin, Coord, JetProgram, Neg, Num, parse
-from .jetfields import JetTensor, jt_einsum, jt_metric_inverse
+from .jetfields import JetTensor, jt_einsum, jt_metric_inverse, packed_index
 
 
 class StructureJets(NamedTuple):
@@ -41,14 +41,21 @@ class StructureJets(NamedTuple):
 
 def _tensors(parts, dim, *shapes):
     """Jet tensors of the given base shapes from consecutive roots of
-    :class:`JetProgram` parts, as contiguous point-first arrays: each
-    point's slice is laid out as jets built at that point alone."""
+    :class:`JetProgram` parts, part k with k derivative axes after its
+    point axis, as contiguous point-first arrays, each part k >= 2 packed
+    by one gather of its sorted multi-indices: each point's slice is laid
+    out as jets built at that point alone."""
     out, start = [], 0
     for shape in shapes:
         stop = start + int(np.prod(shape))
-        out.append(JetTensor(dim, len(parts) - 1, [
-            np.ascontiguousarray(p[..., start:stop]).reshape(p.shape[:-1] + shape)
-            for p in parts]))
+        packed = []
+        for k, p in enumerate(parts):
+            p = p[..., start:stop]
+            if k >= 2:
+                rows = p.reshape(p.shape[:1] + (dim**k,) + p.shape[1 + k:])
+                p = np.take(rows, packed_index(dim, k), axis=1)
+            packed.append(np.ascontiguousarray(p).reshape(p.shape[:1 + min(k, 1)] + shape))
+        out.append(JetTensor(dim, len(parts) - 1, packed))
         start = stop
     return out
 
@@ -112,8 +119,9 @@ class CharteredStructure:
 
         Raises DomainError, with the index of the first such point, for a
         point outside the domain or jets that are not finite, which no check
-        could then judge; and ValueError for an order outside 0..3, past
-        which the jets are not kept exact (symmetric in their axes).
+        could then judge; and ValueError for an order outside 0..3: an
+        immersion is evaluated one order above its structure jets, and the
+        expression language has rules up to order 4 only.
         """
         if not 0 <= order <= 3:
             raise ValueError(f"structure jet order must be 0..3, got {order}")
@@ -220,13 +228,18 @@ class InducedComponents:
         """
         d, m = points.shape[1], len(self.eps)
 
-        # part k reads parts <= k only: the normal, cut, keeps its bits.
+        # part k reads parts <= k only: the normal, without the last part,
+        # keeps its bits.  The tangent frame e_a = d iota / d q^a is packed
+        # from the immersion's parts 1.., each read with its last
+        # derivative axis as the axis a, by one gather per part: packing
+        # the immersion and then taking its gradient would gather twice.
         # Each intermediate is dropped after its last use: at order 3 they
         # are the largest arrays of the batch, and held to the end they
         # set its peak memory
-        normal, iota = _tensors(self.program(points, order + 1), d, (m,), (m,))
-        normal, e = normal.cut(order), iota.partial()  # (a, C): e_a = d iota / d q^a
-        del iota
+        parts = self.program(points, order + 1)
+        normal, = _tensors(parts[:-1], d, (m,))
+        e, = _tensors([p[..., m:] for p in parts[1:]], d, (d, m))  # (a, C)
+        del parts
         deficient = np.linalg.matrix_rank(e.value, tol=1e-9) < d
         if deficient.any():
             point = points[int(np.argmax(deficient))]

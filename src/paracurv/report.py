@@ -17,9 +17,12 @@ def nres(lhs, rhs=None):
     """
     lhs = np.asarray(lhs, dtype=float)
     if rhs is None:
-        # |L - 0| and 1 + |L| + 0 keep the bits of |L| and 1 + |L|
+        # |L - 0| and 1 + |L| + 0 keep the bits of |L| and 1 + |L|.  The
+        # max of |L| as the larger of max L and -min L makes no |L| array;
+        # "+ 0.0" turns the -0.0 that these maxima can give into 0.0
         axes = tuple(range(1, lhs.ndim))
-        num = np.max(np.abs(lhs), axis=axes, initial=0.0)
+        num = np.maximum(np.max(lhs, axis=axes, initial=0.0),
+                         -np.min(lhs, axis=axes, initial=0.0)) + 0.0
         den = 1.0 + num
     else:
         lhs, rhs = np.broadcast_arrays(lhs, np.asarray(rhs, dtype=float))

@@ -1,4 +1,7 @@
-"""Shared fixtures: builtin structures, sample points, FD oracles."""
+"""Shared fixtures: builtin structures, sample points, FD oracles, and
+the full derivative layout of packed jet parts."""
+
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -32,6 +35,34 @@ EXPRESSION_CORPUS = [
     "u*exp(v) - w*ln(2 + v)",
     "(u^2 - v^2)/(1 + w^2)",
 ]
+
+
+def sorted_indices(d, k):
+    """The sorted multi-indices of length k over range(d): the rows of a
+    packed jet part k, in order."""
+    return list(combinations_with_replacement(range(d), k))
+
+
+def unpack(part, d, k):
+    """A packed part k, ``(P, rows) + base``, in the full layout
+    ``(P,) + (d,)*k + base``: every multi-index reads the row of its
+    sorted indices.  Parts 0 and 1 are returned as they are."""
+    if k < 2:
+        return part
+    row = {index: r for r, index in enumerate(sorted_indices(d, k))}
+    rows = np.empty((d,) * k, dtype=np.intp)
+    for index in np.ndindex(rows.shape):
+        rows[index] = row[tuple(sorted(index))]
+    return part[:, rows]
+
+
+def pack(part, d, k):
+    """The rows at sorted multi-indices of a full-layout part k, as a
+    contiguous packed part."""
+    if k < 2:
+        return np.ascontiguousarray(part)
+    return np.ascontiguousarray(np.stack(
+        [part[(slice(None), *index)] for index in sorted_indices(d, k)], axis=1))
 
 
 def values(ast, points):

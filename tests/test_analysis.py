@@ -120,6 +120,32 @@ def test_nres_of_one_operand_is_bitwise_that_against_zeros():
         assert got.tobytes() == want.tobytes()
 
 
+def nres_through_abs(lhs):
+    """One-operand ``nres`` through an array of |L|, the formula it
+    replaced: max |L| over the non-point axes, 1 + that below it."""
+    lhs = np.asarray(lhs, dtype=float)
+    num = np.max(np.abs(lhs), axis=tuple(range(1, lhs.ndim)), initial=0.0)
+    out = np.full(num.shape, np.inf)
+    np.divide(num, 1.0 + num, out=out, where=np.isfinite(num))
+    return out if out.ndim else float(out)
+
+
+def test_nres_of_one_operand_keeps_the_bits_of_the_abs_formula():
+    inf, nan = float("inf"), float("nan")
+    values = [nan, inf, -inf, -0.0, 0.0, 1.5, -2.5e300, -1e-310]
+    rng = np.random.default_rng(57)
+    stacks = [np.array(values),
+              np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-3.0, 2.0]]),
+              np.array([[[-0.0, nan], [-inf, 2.0]], [[inf, -inf], [0.5, -0.0]],
+                        [[-1e-300, 4.0], [-5.0, 0.0]], [[nan, inf], [-0.0, -2.0]]]),
+              rng.standard_normal((5, 3, 4, 2)), -np.abs(rng.standard_normal((3, 6))),
+              np.zeros((3, 0)), -np.zeros((2, 4))]
+    for x in values + stacks:
+        got, want = nres(x), nres_through_abs(x)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+
+
 def test_check_report_folds_a_vector_in_point_order():
     inf, nan = float("inf"), float("nan")
     report = CheckReport()

@@ -2,6 +2,7 @@
 point batches."""
 
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from paracurv.jetfields import (
     jt_einsum,
     jt_metric_inverse,
     jt_sum,
+    plu_inverse,
     point_einsum,
 )
 
@@ -27,7 +29,10 @@ from conftest import (
     fd_gradient,
     fd_hessian,
     fd_third,
+    pack,
     sample_points,
+    sorted_indices,
+    unpack,
 )
 
 
@@ -314,8 +319,10 @@ def test_other_subscripts_take_np_einsum(monkeypatch):
 
 def test_a_sum_in_place_has_the_bits_of_the_new_sum():
     rng = np.random.default_rng(5)
-    a, b = (JetTensor(3, 2, [rng.normal(size=(4,) + (3,) * k + (3, 3))
-                             for k in range(3)]) for _ in range(2))
+    # packed parts: 4 points, then no row axis, 3 first partials and the
+    # 6 sorted pairs of second partials, then the base
+    a, b = (JetTensor(3, 2, [rng.normal(size=(4,) + rows + (3, 3))
+                             for rows in ((), (3,), (6,))]) for _ in range(2))
     # a transposed view, as a contraction's route returns
     b = b.tb((1, 0))
     for op, new in ((np.add, [x + y for x, y in zip(a.parts, b.parts)]),
@@ -329,6 +336,142 @@ def test_a_sum_in_place_has_the_bits_of_the_new_sum():
         for got in (fresh, summed):
             assert all(p.tobytes() == q.tobytes()
                        for p, q in zip(got.parts, new, strict=True))
+
+
+# -- packed parts against the full derivative layout -------------------------
+#
+# The reference below is the Leibniz rule on full-layout parts, (P,) +
+# (d,)*k + base, each mixed term symmetrized over its derivative axes by
+# moveaxis sums, with the metric inverse symmetrized over all (k+1)!
+# permutations.  Its inputs are the unpacked packed inputs, so exactly
+# symmetric.  Their entries are small multiples of 1/4, so that every
+# product and sum is exact: BLAS rounds a contraction differently for
+# different matrix shapes, and exact arithmetic leaves only the placement
+# of each term to be compared, bit for bit.
+
+FULL_LETTERS = "ZYXW"
+KERNEL_SUBSCRIPTS = ["ij,jk->ik", "i,j->ij", "sj,si->ij", "s,sij->ij"]
+
+
+def full_einsum(sub, a, b):
+    """The Leibniz rule on lists of full-layout parts."""
+    ins, out = sub.split("->")
+    sa, sb = ins.split(",")
+    parts = []
+    for k in range(min(len(a), len(b))):
+        acc = None
+        for j in range(k + 1):
+            da, db = FULL_LETTERS[:j], FULL_LETTERS[j:k]
+            term = point_einsum(f"{da}{sa},{db}{sb}->{FULL_LETTERS[:k]}{out}",
+                                a[j], b[k - j])
+            if k == 2 and j == 1:
+                term = term + np.swapaxes(term, 1, 2)
+            elif k == 3 and j == 1:
+                term = term + np.moveaxis(term, 1, 2) + np.moveaxis(term, 1, 3)
+            elif k == 3 and j == 2:
+                term = term + np.moveaxis(term, 3, 2) + np.moveaxis(term, 3, 1)
+            acc = term if acc is None else acc + term
+        parts.append(acc)
+    return parts
+
+
+def full_metric_inverse(g):
+    """dG = -G (dg) G order by order on full-layout parts, each new part
+    above the first averaged over every permutation of its derivative
+    axes."""
+    parts = [plu_inverse(g[0])]
+    dg = g[1:]  # the last derivative axis is the gradient's component axis
+    for k in range(len(g) - 1):
+        h = full_einsum("im,amn->ain", parts[: k + 1], dg[: k + 1])
+        h = -full_einsum("ain,nj->aij", h, parts[: k + 1])[k]
+        if k == 0:
+            parts.append(h)
+            continue
+        acc = np.zeros_like(h)
+        for perm in permutations(range(1, k + 2)):
+            acc += np.transpose(h, (0, *perm, *range(k + 2, h.ndim)))
+        parts.append(acc / factorial(k + 1))
+    return parts
+
+
+def packed_jet(rng, d, order, count, base, draw):
+    """A jet tensor of random packed parts of ``base`` shape."""
+    return JetTensor(d, order, [
+        draw(rng, (count,) + ((len(sorted_indices(d, k)),) if k else ()) + base)
+        for k in range(order + 1)])
+
+
+def quarters(rng, shape):
+    return rng.integers(-8, 9, size=shape) / 4.0
+
+
+def normals(rng, shape):
+    return rng.standard_normal(shape)
+
+
+def base_shapes(sub, d):
+    return [(d,) * len(s) for s in sub.split("->")[0].split(",")]
+
+
+def full_parts(t):
+    return [unpack(p, t.dim, k) for k, p in enumerate(t.parts)]
+
+
+def assert_packs(got, want):
+    """``got``'s packed parts are ``want``'s full parts at sorted indices,
+    bit for bit."""
+    assert got.order == len(want) - 1
+    for k, (p, q) in enumerate(zip(got.parts, want, strict=True)):
+        q = pack(q, got.dim, k)
+        assert p.shape == q.shape, k
+        assert np.ascontiguousarray(p).tobytes() == q.tobytes(), k
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_packed_einsum_is_the_full_leibniz_rule(d, order):
+    rng = np.random.default_rng(100 * d + order)
+    for count in range(1, 6):
+        for sub in KERNEL_SUBSCRIPTS:
+            sa, sb = base_shapes(sub, d)
+            a = packed_jet(rng, d, order, count, sa, quarters)
+            b = packed_jet(rng, d, order + 1, count, sb, quarters)
+            got = jt_einsum(sub, a, b)
+            assert_packs(got, full_einsum(sub, full_parts(a), full_parts(b)))
+            # on general floats the two round apart, by a few ulps
+            a = packed_jet(rng, d, order, count, sa, normals)
+            b = packed_jet(rng, d, order, count, sb, normals)
+            want = full_einsum(sub, full_parts(a), full_parts(b))
+            for k, p in enumerate(jt_einsum(sub, a, b).parts):
+                assert np.allclose(p, pack(want[k], d, k), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_packed_partial_is_the_full_gradient(d, order):
+    rng = np.random.default_rng(200 + 10 * d + order)
+    for count in range(1, 6):
+        t = packed_jet(rng, d, order, count, (2, d), normals)
+        # in the full layout the last derivative axis becomes the first
+        # base axis
+        assert_packs(t.partial(), full_parts(t)[1:])
+        assert t.partial().base_shape == (d, 2, d)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_packed_metric_inverse_is_the_full_one(d, order):
+    # a diagonal of signed powers of two inverts exactly, so the parts
+    # above it stay exact but for the division by 3 of the order-3 part,
+    # which rounds the same exact sum in both
+    rng = np.random.default_rng(300 + 10 * d + order)
+    for count in range(1, 6):
+        g = packed_jet(rng, d, order, count, (d, d), quarters)
+        g.parts[0][:] = 0.0
+        diagonal = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=(count, d))
+        g.parts[0][:, np.arange(d), np.arange(d)] = diagonal
+        g = JetTensor(d, order, [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
+        assert_packs(jt_metric_inverse(g), full_metric_inverse(full_parts(g)))
 
 
 # -- the jet metric inverse --------------------------------------------------

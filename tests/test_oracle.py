@@ -21,6 +21,8 @@ from paracurv.geometry import heisenberg_tables
 from paracurv.manifest import build_structure
 from paracurv.report import nres
 
+from conftest import unpack
+
 POINT = (sympy.Rational(1, 3), sympy.Rational(-1, 5), sympy.Rational(1, 7))
 CONFORMAL = "sqrt(2 + u1^2)*exp(t/3)"
 
@@ -158,8 +160,9 @@ def test_curvature_matches_the_symbolic_oracle(structure, metric):
 
 
 def symbolic_jets(x, tensor, order):
-    """Parts 0..order of a tensor's jets at POINT, the derivative axes
-    leading, as the frame lays them out."""
+    """Parts 0..order of a tensor's jets at POINT in the full layout, the
+    derivative axes leading: a frame's packed parts are compared through
+    ``unpack``."""
     parts = [sympy.Array(tensor)]
     for _ in range(order):
         parts.append(sympy.derive_by_array(parts[-1], x))
@@ -174,7 +177,7 @@ def test_hyperboloid_structure_jets_match_the_symbolic_oracle():
     _, eta = hyperboloid_eta()
     for ours, tensor in ((sj.g, g), (sj.eta, list(eta))):
         for k, part in enumerate(symbolic_jets(x, tensor, 3)):
-            assert nres(ours.parts[k], part) < 1e-13, (k, tensor)
+            assert nres(unpack(ours.parts[k], 3, k), part) < 1e-13, (k, tensor)
             assert np.max(np.abs(part)) > 0.1  # not vacuous
 
 
