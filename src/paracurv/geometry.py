@@ -6,16 +6,18 @@ box, optional guard) with a component strategy that produces jets of
 expression tables, induction from an immersion into the flat para-Kaehler
 ambient, and the D-homothetic transform of another structure.  Each
 computes on the whole batch: one :class:`StructureJets` of jet tensors with
-a leading point axis.  :meth:`CharteredStructure.at` checks that batch and
+a leading point axis, eta to its own order, which may lie above that of
+g, phi and xi.  :meth:`CharteredStructure.at` checks that batch and
 returns it whole.  Tables and immersions are given as bare ASTs, which
-their strategy, like the hyperboloid's guard, evaluates as one
-:class:`JetProgram`, built once, which runs every node of them.  The
-Heisenberg builtin is built as ASTs, not parsed: its g entries multiply the
-very nodes of its eta entries.
+their strategy evaluates as one :class:`JetProgram`, built once, which
+runs every node of them.  The Heisenberg builtin is built as ASTs, not
+parsed: its g entries multiply the very nodes of its eta entries.  The
+hyperboloid's guard sums its radicand in plain numpy.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -112,19 +114,29 @@ class CharteredStructure:
                 f"({self.n + 1},{self.n})"
             )
 
-    def at(self, points, order=3):
+    def at(self, points, order=3, eta_order=None):
         """Structure jets over a (P, d) batch of points in the chart domain:
         the strategy's batch, one :class:`StructureJets` whose parts lead
-        with the point axis.
+        with the point axis.  g, phi and xi are built to ``order`` and eta
+        to ``eta_order``, by default ``order``: a frame that reads only the
+        values and d eta asks for order 0 and eta to order 1.  Each part
+        has the bits of the same part of a build at the higher order.
 
         Raises DomainError, with the index of the first such point, for a
         point outside the domain or jets that are not finite, which no check
-        could then judge; and ValueError for an order outside 0..3: an
-        immersion is evaluated one order above its structure jets, and the
-        expression language has rules up to order 4 only.
+        could then judge.  Only the parts built are judged: a point where
+        just a derivative of g, phi or xi above ``order`` is not finite
+        passes, while a refusal of the expression language (sqrt or ln of
+        a non-positive value, division by ~0, overflow of a function or of
+        its derivatives) is made on the values and raises at any order.
+        Raises ValueError unless 0 <= order <= eta_order <= 3: an
+        immersion is evaluated one order above its eta, and the expression
+        language has rules up to order 4 only.
         """
-        if not 0 <= order <= 3:
-            raise ValueError(f"structure jet order must be 0..3, got {order}")
+        eta_order = order if eta_order is None else eta_order
+        if not 0 <= order <= eta_order <= 3:
+            raise ValueError("structure jet orders must lie in 0..3, eta's at "
+                             f"least the others', got {order} and {eta_order}")
         points = np.asarray(points, dtype=float)
         outside = ~self.domain.inside(points)
         if outside.any():
@@ -132,7 +144,7 @@ class CharteredStructure:
             raise DomainError(f"point outside chart domain of {self.name}",
                               value=points[i], index=i)
         with np.errstate(all="ignore"):
-            batch = self.components.at(points, order)
+            batch = self.components.at(points, order, eta_order)
         # contiguous, so each point's slice is laid out as jets built at
         # that point alone
         batch = StructureJets(*(
@@ -160,17 +172,27 @@ class ExprTableComponents:
 
     The ASTs (g row-major, phi, xi, eta) are one :class:`JetProgram`, so a
     node that several entries reach, as a builtin's g reaches its eta
-    entries, or spell alike is evaluated once per batch.
+    entries, or spell alike is evaluated once per batch.  eta above the
+    others' order comes from a program of its own ASTs, whose groups give
+    each row the operations of the whole program: the same bits.
     """
 
     def __init__(self, g, phi, xi, eta):
         self.dim = len(xi)
+        self.eta = eta
         self.program = JetProgram([*sum(g + phi, []), *xi, *eta])
 
-    def at(self, points, order):
+    # built on first use: the probe and single-point frames never read it
+    @cached_property
+    def eta_program(self):
+        return JetProgram(self.eta)
+
+    def at(self, points, order, eta_order=None):
         d = self.dim
         g, phi, xi, eta = _tensors(self.program(points, order), d,
                                    (d, d), (d, d), (d,), (d,))
+        if eta_order is not None and eta_order > order:
+            eta, = _tensors(self.eta_program(points, eta_order), d, (d,))
         # enforce exact symmetry of the metric jets
         g = JetTensor(d, order,
                       [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
@@ -188,10 +210,11 @@ class HomotheticComponents:
         self.base = base
         self.alpha = float(alpha)
 
-    def at(self, points, order):
+    def at(self, points, order, eta_order=None):
         a = self.alpha
-        sj = self.base.at(points, order)
-        eta_eta = jt_einsum("i,j->ij", sj.eta, sj.eta)
+        sj = self.base.at(points, order, eta_order)
+        low = sj.eta.cut(order)  # eta (x) eta at g's order
+        eta_eta = jt_einsum("i,j->ij", low, low)
         g = a * sj.g + (a * a - a) * eta_eta
         return StructureJets(g, sj.phi, (1.0 / a) * sj.xi, a * sj.eta)
 
@@ -203,9 +226,10 @@ class InducedComponents:
 
     The product structure I swaps the x- and y-blocks; the flat metric is
     diag(eps), +1 on the x-block and -1 on the y-block.  Normal and
-    immersion, one :class:`JetProgram`, are evaluated one order above the
-    structure jets, so that the tangent frame e_a = d iota / d q^a, the
-    immersion's gradient, reaches it.
+    immersion, one :class:`JetProgram`, are evaluated one order above
+    eta, so that the tangent frame e_a = d iota / d q^a, the immersion's
+    gradient, reaches it: eta reads e to its own order, and g, phi and xi
+    read e and N cut to theirs.
     """
 
     def __init__(self, immersion, normal):
@@ -218,8 +242,10 @@ class InducedComponents:
         self.eps = np.diag(np.block([[eye, zero], [zero, -eye]])).copy()
         self.program = JetProgram([*normal, *immersion])
 
-    def at(self, points, order):
-        """Induced (g, phi, xi, eta) jets over a (P, d) batch of chart points.
+    def at(self, points, order, eta_order=None):
+        """Induced (g, phi, xi, eta) jets over a (P, d) batch of chart points,
+        eta to ``eta_order`` (by default ``order``) and the others to
+        ``order``.
 
         The paracontact-compatible induced metric is the *negative* of the
         ambient restriction: the ambient pairing gives the tangent space
@@ -227,6 +253,7 @@ class InducedComponents:
         eta(xi) = 1.  With it, every compatibility axiom comes out right.
         """
         d, m = points.shape[1], len(self.eps)
+        eta_order = order if eta_order is None else eta_order
 
         # part k reads parts <= k only: the normal, without the last part,
         # keeps its bits.  The tangent frame e_a = d iota / d q^a is packed
@@ -236,7 +263,7 @@ class InducedComponents:
         # Each intermediate is dropped after its last use: at order 3 they
         # are the largest arrays of the batch, and held to the end they
         # set its peak memory
-        parts = self.program(points, order + 1)
+        parts = self.program(points, eta_order + 1)
         normal, = _tensors(parts[:-1], d, (m,))
         e, = _tensors([p[..., m:] for p in parts[1:]], d, (d, m))  # (a, C)
         del parts
@@ -248,27 +275,25 @@ class InducedComponents:
         def product(t):
             # I is constant: applied part by part, it adds no zero jet
             # parts to the Leibniz sums
-            return JetTensor(d, order, [p @ self.product.T for p in t.parts])
+            return JetTensor(d, t.order, [p @ self.product.T for p in t.parts])
 
         # the paracontact pairing is minus the ambient one, over the axis C
-        e_flat = JetTensor(d, order, [p * self.eps for p in e.parts])
+        e_flat = JetTensor(d, eta_order, [p * self.eps for p in e.parts])
+        eta = -1.0 * jt_einsum("C,aC->a", product(normal), e_flat)
+        # g, phi and xi read their inputs at their own order
+        e, e_flat, normal = e.cut(order), e_flat.cut(order), normal.cut(order)
         g = -1.0 * jt_einsum("aC,bC->ab", e, e_flat)
         g = JetTensor(d, order,
                       [0.5 * (p + np.swapaxes(p, -1, -2)) for p in g.parts])
         ginv = jt_metric_inverse(g)
-        i_e = product(e)
-        del e
-
-        i_n = product(normal)
-        eta = -1.0 * jt_einsum("C,aC->a", i_n, e_flat)
-        del i_n
-        xi = jt_einsum("ab,b->a", ginv, eta)
+        low = eta.cut(order)
+        xi = jt_einsum("ab,b->a", ginv, low)
 
         # phi^b_a solves  sum_b phi^b_a e_b = -(I e_a - eta_a N); the rhs is
         # tangent, and the overall minus partners the metric flip above so
         # that g(X, phi Y) = d eta(X, Y) comes out with the right sign
-        rhs = i_e - jt_einsum("a,C->aC", eta, normal)
-        del i_e, normal
+        rhs = product(e) - jt_einsum("a,C->aC", low, normal)
+        del e, normal
         proj = -1.0 * jt_einsum("cC,aC->ca", e_flat, rhs)
         del e_flat, rhs
         phi = -1.0 * jt_einsum("bc,ca->ba", ginv, proj)
@@ -347,12 +372,22 @@ def hyperboloid_embedding(n):
 HYPERBOLOID_GUARD_MIN = 0.1
 
 
+def _radicand(points, n):
+    """The hyperboloid(n) radicand 1 - x1^2 - ... - xn^2 + y0^2 + ... + yn^2
+    over a (P, 2n+1) batch, summed left to right with x^2 as x*x: the bits
+    of the radicand's program at order 0."""
+    squares = points * points
+    out = 1.0 - squares[:, 0]
+    for k in range(1, 2 * n + 1):
+        out = out - squares[:, k] if k < n else out + squares[:, k]
+    return out
+
+
 def builtin_hyperboloid(n):
-    coords, immersion, radicand_text = hyperboloid_embedding(n)
-    radicand = JetProgram([parse(radicand_text, coords)])
+    coords, immersion, _ = hyperboloid_embedding(n)
 
     def guard(points):
-        return radicand(points, 0)[0][:, 0] >= HYPERBOLOID_GUARD_MIN
+        return _radicand(points, n) >= HYPERBOLOID_GUARD_MIN
 
     d = 2 * n + 1
     domain = Domain([[-2.0, 2.0]] * d, guard=guard)

@@ -176,9 +176,12 @@ ALL_CHECKS = tuple(row.name for row in CHECKS)
 FIT_ROW = CHECKS[ALL_CHECKS.index("space_form")]
 FIT_READERS = ("phsc", "space_form", "identities")
 # points per frame past the last point limit, where only ``axioms`` reads:
-# on the benchmark (2 CPUs, numpy 2.4), frames of 64 points ran `wide`
-# about 5 times faster than one frame per point, for 2% more peak RSS.
+# a batch pays each numpy call's fixed cost once for its points, and a
+# bounded one keeps peak memory from growing with ``sampling.count``
 BATCH = 64
+# the jet orders of (g, phi, xi) and of eta in those frames: ``axioms``
+# reads the values, and d eta
+TAIL_ORDERS = (0, 1)
 
 
 # -- loading and validation ---------------------------------------------------
@@ -407,8 +410,12 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     such check reads whole frames.  A check that reads every point
     (``axioms``) gets them followed by frames of at most ``BATCH`` of the
     other points, each built when it is reached and dropped after use, so
-    memory does not grow with ``sampling.count``.  The arithmetic runs with
-    numpy warnings off: a non-finite result becomes a failed row.
+    memory does not grow with ``sampling.count``.  Those tail frames hold
+    only what ``axioms`` reads (``TAIL_ORDERS``): the values of g, phi and
+    xi, and eta to order 1, whose parts have the bits of an order-1
+    build.  So a tail point where only a derivative of g, phi or xi is not
+    finite raises no DomainError.  The arithmetic runs with numpy warnings
+    off: a non-finite result becomes a failed row.
     """
     sampling = manifest.get("sampling", {})
     if seed is None:
@@ -426,8 +433,8 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
     sampler = Sampler(structure, seed, sampling.get("box"))
     points = sampler.points(count)
 
-    def frame(start, stop, order):
-        return PointGeometry(structure.at(points[start:stop], order),
+    def frame(start, stop, order, eta_order=None):
+        return PointGeometry(structure.at(points[start:stop], order, eta_order),
                              points[start:stop])
 
     report = CheckReport()
@@ -445,7 +452,7 @@ def run_checks(structure, manifest, seed=None, tolerance=None):
         for row in rows:
             if row.points is None:
                 lead = max(ends, default=0)
-                view = chain(frames, (frame(start, start + BATCH, row.order)
+                view = chain(frames, (frame(start, start + BATCH, *TAIL_ORDERS)
                                       for start in range(lead, count, BATCH)))
             else:
                 view = leading(row.points)

@@ -312,19 +312,27 @@ def test_run_checks_builds_each_frame_once_above_2048_points(monkeypatch):
     init = PointGeometry.__init__
 
     def counting_init(self, jets, points):
-        order = jets.g.order  # a frame's order is its metric jets'
+        # a frame's orders are its metric jets' and its eta's
         assert len(points) <= BATCH
-        built.extend([order] * len(points))
+        built.extend([(jets.g.order, jets.eta.order)] * len(points))
         init(self, jets, points)
 
     monkeypatch.setattr(PointGeometry, "__init__", counting_init)
     manifest = axioms_and_classification(2100)
     run_checks(pc.builtin_heisenberg(1), manifest)
     # each point in one frame, in point order, at the highest order the
-    # table gives that point
+    # table gives that point, or, read by axioms alone, at the values and
+    # eta to order 1
     rows = [row for row in CHECKS if row.name in manifest["checks"]]
-    assert built == [max(r.order for r in rows if r.points is None or i < r.points)
-                     for i in range(2100)]
+
+    def orders(i):
+        limited = [r.order for r in rows if r.points is not None and i < r.points]
+        if not limited:
+            return 0, 1
+        order = max(limited + [r.order for r in rows if r.points is None])
+        return order, order
+
+    assert built == [orders(i) for i in range(2100)]
 
 
 # (checks, leading frames: one per point-limit segment)
@@ -502,7 +510,7 @@ def test_run_checks_builds_one_frame_per_point_limit_segment(monkeypatch, checks
     init = PointGeometry.__init__
 
     def recording_init(self, jets, points):
-        built.append((jets.g.order, len(points)))
+        built.append((jets.g.order, jets.eta.order, len(points)))
         init(self, jets, points)
 
     monkeypatch.setattr(PointGeometry, "__init__", recording_init)
@@ -512,11 +520,45 @@ def test_run_checks_builds_one_frame_per_point_limit_segment(monkeypatch, checks
     want, start = [], 0
     for limit, order in segments:
         if min(limit, count) > start:
-            want.append((order, min(limit, count) - start))
+            want.append((order, order, min(limit, count) - start))
             start = min(limit, count)
     if tail:
-        want += [(1, min(BATCH, count - i)) for i in range(start, count, BATCH)]
+        # read by axioms alone: the values, and eta to order 1
+        want += [(0, 1, min(BATCH, count - i)) for i in range(start, count, BATCH)]
     assert built == want
+
+
+@pytest.mark.parametrize("count", [3, 30, 200, 2100])
+@pytest.mark.parametrize("checks, last", [
+    ("all", 25),  # classification reads the most points, 25
+    (["axioms"], 0),
+    (["axioms", "classification"], 25),
+], ids=["all", "axioms", "axioms_classification"])
+def test_run_checks_builds_lean_frames_only_where_axioms_alone_reads(monkeypatch,
+                                                                      checks, last,
+                                                                      count):
+    built = []
+    init = PointGeometry.__init__
+
+    def recording_init(self, jets, points):
+        built.append((tuple(t.order for t in jets), len(points)))
+        init(self, jets, points)
+
+    monkeypatch.setattr(PointGeometry, "__init__", recording_init)
+    manifest = dict(ALL_CHECKS_MANIFEST, sampling={"seed": 5, "count": count},
+                    checks=checks)
+    run_checks(pc.builtin_heisenberg(1), manifest)
+    # in point order: frames of one order up to the last point another
+    # check reads, then only the values of (g, phi, xi) and eta to order 1
+    start = 0
+    for orders, size in built:
+        if start >= last:
+            assert orders == (0, 0, 0, 1)
+        else:
+            assert start + size <= last and len(set(orders)) == 1 and orders[0] >= 1
+        start += size
+    assert start == count
+    assert start == count
 
 
 @pytest.mark.parametrize("count", [200, 3])

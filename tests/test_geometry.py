@@ -17,12 +17,14 @@ from paracurv.errors import (
     RankDeficientJacobian,
     SamplingExhausted,
 )
-from paracurv.exprlang import eval_jet, parse
+from paracurv.exprlang import JetProgram, eval_jet, parse
 from paracurv.geometry import (
+    HYPERBOLOID_GUARD_MIN,
     CharteredStructure,
     Domain,
     ExprTableComponents,
     InducedComponents,
+    _radicand,
     heisenberg_tables,
     hyperboloid_embedding,
 )
@@ -168,6 +170,120 @@ def test_structure_jets_of_a_batch_are_bitwise_those_of_single_points(points, or
                 for x, y in zip(b.parts, s.parts, strict=True):
                     assert x.shape == (len(batch),) + y.shape[1:]
                     assert x[i].tobytes() == y[0].tobytes()
+
+
+def heisenberg_table_chart(n, edit=None, **manifold):
+    """The heisenberg(n) tables as a custom chart, after ``edit`` of its
+    (g, phi, xi, eta) tables."""
+    coords, *tables = heisenberg_tables(n)
+    if edit is not None:
+        edit(*tables)
+    g, phi, xi, eta = tables
+    return pc.build_structure({"manifold": dict(
+        kind="custom", coords=coords, g=g, phi=phi, xi=xi, eta=eta, **manifold)})
+
+
+def warped(g, phi, xi, eta):
+    # every entry of g times exp(t/4), eta through sqrt and a quotient
+    g[:] = [[f"exp(t/4)*({s})" for s in row] for row in g]
+    eta[0], eta[2] = "-v1/(1+t^2)", "sqrt(1+u1^2)"
+
+
+BENT = dict(EMBEDDED["manifold"], normal=[f"(1+x1^2)*({t})" for t in
+                                          EMBEDDED["manifold"]["immersion"]],
+            box=[[-0.5, 0.5]] * 3)
+LEAN_STRUCTURES = {
+    "heisenberg2": pc.builtin_heisenberg(2),
+    "heisenberg2_tables": heisenberg_table_chart(2),
+    "heisenberg2_tables_alpha2": pc.d_homothetic(heisenberg_table_chart(2), 2.0),
+    "hyperboloid2": pc.builtin_hyperboloid(2),
+    "hyperboloid2_alpha2": pc.d_homothetic(pc.builtin_hyperboloid(2), 2.0),
+    "warped_tables": heisenberg_table_chart(1, warped),
+    "embedded_bent_normal": pc.build_structure({"manifold": BENT}),
+}
+
+
+@pytest.mark.parametrize("count", [1, 5, 64])
+@pytest.mark.parametrize("name", LEAN_STRUCTURES)
+def test_lean_jets_are_the_values_and_eta_of_the_order_1_build(name, count):
+    structure = LEAN_STRUCTURES[name]
+    points = sample_points(structure, seed=28, count=count)
+    full = structure.at(points, 1)
+    lean = structure.at(points, 0, eta_order=1)
+    for t, f, order in zip(lean, full, (0, 0, 0, 1), strict=True):
+        assert t.order == order and len(t.parts) == order + 1
+        for x, y in zip(t.parts, f.parts):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("order, eta_order", [(1, 0), (0, 4), (-1, 0)])
+def test_structure_jets_refuse_eta_below_the_others_or_above_3(hyp1, order,
+                                                               eta_order):
+    with pytest.raises(ValueError, match="0..3"):
+        hyp1.at(np.zeros((1, 3)), order, eta_order)
+
+
+def test_lean_jets_judge_only_the_parts_they_build():
+    # exp(1e307 t) is finite on this box and its t-derivative is not, so
+    # 0 times it has a nan derivative: g's, which an order-0 build drops
+    def edit(g, phi, xi, eta):
+        g[0][0] += "+0*exp(1e307*t)"
+
+    structure = heisenberg_table_chart(
+        1, edit, box=[[-1.0, 1.0], [-1.0, 1.0], [1e-305, 2e-305]])
+    points = sample_points(structure, seed=3, count=8)
+    with pytest.raises(DomainError, match="not finite") as exc:
+        structure.at(points, 1)
+    assert exc.value.index == 0
+    lean = structure.at(points, 0, 1)
+    assert all(np.isfinite(p).all() for t in lean for p in t.parts)
+
+
+# (entry, its first refusing point among REFUSAL_POINTS): each refusal is
+# made on the values, so the lean build raises it too
+REFUSALS = [("0*sqrt(u1)", 2), ("0*ln(u1)", 2), ("0*(1/(1e77*u1))", 1),
+            ("0*exp(1000*t)", 2)]
+REFUSAL_POINTS = np.array([[0.5, 0.5, 0.0], [1.9, 0.5, 0.0], [-0.5, 0.5, 1.0]])
+
+
+@pytest.mark.parametrize("table", ["g", "eta"])
+@pytest.mark.parametrize("entry, index", REFUSALS)
+def test_lean_jets_raise_every_refusal_of_the_order_1_build(table, entry, index):
+    def edit(g, phi, xi, eta):
+        if table == "g":
+            g[0][0] += f"+{entry}"
+        else:
+            eta[0] += f"+{entry}"
+
+    structure = heisenberg_table_chart(1, edit, probe=[0.5, 0.5, 0.0])
+    errors = []
+    for orders in ((1,), (0, 1)):
+        with pytest.raises(DomainError) as exc:
+            structure.at(REFUSAL_POINTS, *orders)
+        errors.append((str(exc.value), exc.value.index))
+    assert errors[0] == errors[1] and errors[0][1] == index
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hyperboloid_guard_has_the_bits_of_the_radicand_program(n):
+    coords, _, text = hyperboloid_embedding(n)
+    program = JetProgram([parse(text, coords)])
+    rng = np.random.default_rng(n)
+    d = 2 * n + 1
+    scattered = rng.uniform(-2.0, 2.0, (500, d))
+    # x1 where the radicand is 0.1, and the floats on either side
+    edge = rng.uniform(-0.5, 0.5, (300, d))
+    edge[:, 0] = 0.0
+    edge[:, 0] = np.sqrt(_radicand(edge, n) - HYPERBOLOID_GUARD_MIN)
+    edge[100:200, 0] = np.nextafter(edge[100:200, 0], -np.inf)
+    edge[200:, 0] = np.nextafter(edge[200:, 0], np.inf)
+    guard = pc.builtin_hyperboloid(n).domain.guard
+    for points in (scattered, edge):
+        want = program(points, 0)[0][:, 0]
+        assert _radicand(points, n).tobytes() == want.tobytes()
+        assert guard(points).tolist() == (want >= HYPERBOLOID_GUARD_MIN).tolist()
+    inside = guard(edge)
+    assert inside.any() and not inside.all()
 
 
 def test_induced_jets_peak_at_a_small_multiple_of_their_size(hyp2):

@@ -23,7 +23,13 @@ PYTHONPATH for its own runs.  The fixed manifest set is
   order-3 frame holds, so that its one frame is a ragged batch;
 * wpc and space_form on heisenberg(2), whose leading points make two
   order-2 frames, and classification and parallel on hyperboloid(2),
-  an order-3 frame and then an order-1 one, each at 30 sample points.
+  an order-3 frame and then an order-1 one, each at 30 sample points;
+* two charts that FAIL in the frames past the last point limit, which
+  hold only values and eta to order 1, at 300 points: axioms on the
+  heisenberg(2) tables with g scaled by 1.1, and axioms and
+  classification on the embedded hyperboloid(2) graph in the box
+  [-0.5, 0.5]^5 with its normal (1 + x1^2) times the immersion, which
+  exits 1.
 
 It also runs `curvature` at 10 fixed points each on heisenberg(3),
 hyperboloid(2), hyperboloid(2) with alpha = 2, the embedded hyperboloid(1)
@@ -149,6 +155,16 @@ def manifests():
     out.append(("hyperboloid2_classification_parallel",
                 manifest(builtin("hyperboloid", 2), count=30,
                          checks=["classification", "parallel"])))
+    # FAIL rows in the frames past the last point limit
+    tables = heisenberg_tables(2)
+    scaled = dict(tables, g=[[f"1.1*({s})" for s in row] for row in tables["g"]])
+    out.append(("custom_heisenberg2_g_scaled_axioms_300",
+                manifest(scaled, count=300, checks=["axioms"])))
+    bent = embedded_hyperboloid(2)
+    bent.update(box=[[-0.5, 0.5]] * 5,
+                normal=[f"(1+x1^2)*({t})" for t in bent["immersion"]])
+    out.append(("embedded_hyperboloid2_bent_normal_300",
+                manifest(bent, count=300, checks=["axioms", "classification"])))
     return out
 
 
